@@ -32,6 +32,7 @@ from .errors import (
 from .fiber import (
     FiberReport,
     apply_map,
+    certify_map_degree,
     fiber,
     hilbert_table_a,
     j_multiplicity,
@@ -109,6 +110,7 @@ __all__ = [
     "adjoint_of_m_power",
     "apply_map",
     "birational_certificates",
+    "certify_map_degree",
     "constant",
     "core_ideal",
     "dense_corpus",

@@ -15,10 +15,10 @@ import math
 from functools import reduce
 
 from .errors import InternalInvariantViolation
-from .fiber import hilbert_table_a, map_degree
+from .fiber import certify_map_degree, hilbert_table_a
 from .forms import li_dim
 from .param import Parameterization
-from .reparam import core_ideal, extract_reparam_basis, reparameterize
+from .reparam import core_ideal, reparameterize
 from .syzygy import SyzygyMatrix, hilbert_burch
 
 COMPUTED = "computed"
@@ -56,9 +56,10 @@ def _is_prime(t: int) -> bool:
 class Analysis:
     """Lazily computed bundle of everything derived from one parameterization.
 
-    Each piece (syzygy matrix, Hilbert table, map degree, reparameterization
-    pair, core) is computed once on first use and shared by every report
-    that needs it.
+    Each piece (syzygy matrix, certified map degree with its reparameterization
+    pair, Hilbert table, core) is computed once on first use and shared by
+    every report that needs it.  e(A) = d/r follows from the certified r, and
+    the Hilbert table is built from it.
     """
 
     def __init__(self, P: Parameterization, seed: int = 0, samples: int = 7):
@@ -77,21 +78,25 @@ class Analysis:
         return self._get("phi", lambda: hilbert_burch(self.param))
 
     @property
-    def hf_a(self) -> list:
-        return self._get("hf_a", lambda: hilbert_table_a(self.param))[1]
-
-    @property
-    def e(self) -> int:
-        return self._get("hf_a", lambda: hilbert_table_a(self.param))[0]
+    def certificate(self):
+        return self._get(
+            "certificate",
+            lambda: certify_map_degree(
+                self.param, self.phi, seed=self.seed, samples=self.samples
+            ),
+        )
 
     @property
     def r(self) -> int:
-        return self._get(
-            "r",
-            lambda: map_degree(
-                self.param, self.phi, seed=self.seed, samples=self.samples, e=self.e
-            ),
-        )
+        return self.certificate.r
+
+    @property
+    def e(self) -> int:
+        return self.param.d // self.r
+
+    @property
+    def hf_a(self) -> list:
+        return self._get("hf_a", lambda: hilbert_table_a(self.param, e=self.e))[1]
 
     @property
     def birational(self) -> bool:
@@ -107,12 +112,7 @@ class Analysis:
 
     @property
     def pair(self):
-        return self._get(
-            "pair",
-            lambda: extract_reparam_basis(
-                self.param, self.phi, r=self.r, seed=self.seed
-            ),
-        )
+        return self.certificate.pair
 
     @property
     def reparam(self):

@@ -105,6 +105,16 @@ def _parse_scalar(field, text: str):
         raise InstanceError(f"bad coordinate {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _effective_seed(args, instance_seed: int) -> int:
     return instance_seed if args.seed is None else args.seed
 
@@ -297,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the instance seed")
         p.add_argument(
             "--samples",
-            type=int,
+            type=_positive_int,
             default=7,
             help="random fiber samples behind map degree (default 7)",
         )
@@ -328,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=int, default=8, help="exhaustive monomial sweep bound")
     p.add_argument("--corpus-size", type=int, default=25, help="random corpus size")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=7)
+    p.add_argument("--samples", type=_positive_int, default=7)
     p.set_defaults(run=cmd_selftest)
 
     return parser

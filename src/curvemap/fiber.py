@@ -3,17 +3,18 @@
 A scalar point p of P^(n-1) pulls back to the row vector p*phi; the gcd of
 its entries cuts out the fiber over p, so p lies on the image exactly when
 that gcd is nonconstant.  The degree of a general fiber is the degree r of
-the map onto its image, and r * e(A) = d, where e(A) is the multiplicity of
-the homogeneous coordinate ring A of the image.  That identity, together
-with the fact that r divides every column degree of phi, turns a sampled
-fiber degree into a certified one.
+the map onto its image.  A sampled fiber degree s is never below r, and
+coprime forms f1, f2 of degree s with every generator in k[f1, f2] prove
+r >= s (Lueroth), which turns the sample into a certified r.  Then
+r * e(A) = d gives the multiplicity e(A) of the homogeneous coordinate ring
+A of the image, and with it most of the Hilbert table of A.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .forms import (
     form,
     format_form,
     gcd_forms,
+    monomial,
 )
 from .ideals import GradedIdeal
 from .param import Parameterization
@@ -107,8 +109,9 @@ def _slope(hf: list, d: int):
     """Stabilized slope candidate: three equal consecutive first differences.
 
     Transient plateaus exist (sumset growth can overshoot before settling),
-    so a candidate is only plausible when it divides d; the r * e = d
-    certificate downstream rejects anything that still slips through.
+    so a candidate is only plausible when it divides d.  Given the certified
+    e(A), hilbert_table_a accepts only that slope; without it, the r * e = d
+    check in map_degree rejects anything that still slips through.
     """
     if len(hf) >= 4:
         e = hf[-1] - hf[-2]
@@ -174,10 +177,10 @@ def _table_monomial(P: Parameterization, cap: int):
             )
 
 
-def _table_prime(P: Parameterization, cap: int):
-    fld = P.field
-    p = fld.p
-    n, d = P.n, P.d
+def _slices_prime(P: Parameterization):
+    """HF_A(1), HF_A(2), ... by incremental elimination on the numpy back-end."""
+    p = P.field.p
+    n = P.n
     G = np.array([list(g.coeffs) for g in P.gens], dtype=np.int64)
     R, piv = linalg.np_rref(G.copy(), p)
     R = R[: len(piv)]
@@ -185,8 +188,7 @@ def _table_prime(P: Parameterization, cap: int):
     W = R.copy()
     hrow = next(i for i in range(n) if G[i, 0])
     h = G[hrow]
-    hf = [1, R.shape[0]]
-    j = 1
+    yield R.shape[0]
     while True:
         H = linalg.np_shift_mul(R, h, p)
         C = np.vstack(
@@ -208,51 +210,73 @@ def _table_prime(P: Parameterization, cap: int):
         R = np.vstack([H, N])[order]
         pivots = [merged[i] for i in order]
         W = N
-        j += 1
-        hf.append(R.shape[0])
-        e = _slope(hf, P.d)
-        if e is not None:
-            return e, hf
-        if j >= cap:
-            raise SlopeNotStabilized(
-                f"Hilbert function of the image ring not linear by degree {cap}"
-            )
+        yield R.shape[0]
 
 
-def _table_generic(P: Parameterization, cap: int):
+def _slices_generic(P: Parameterization):
+    """HF_A(1), HF_A(2), ... by elimination on the field-object back-end."""
     field = P.field
     basis_rows, piv = linalg.rref([list(g.coeffs) for g in P.gens], field)
     basis = [form(field, row) for row in basis_rows[: len(piv)]]
-    hf = [1, len(basis)]
-    j = 1
+    yield len(basis)
     while True:
         products = [b.mul(g) for b in basis for g in P.gens]
         rows, piv = linalg.rref([list(f.coeffs) for f in products], field)
         basis = [form(field, row) for row in rows[: len(piv)]]
+        yield len(basis)
+
+
+def _plane_curve(e: int):
+    """HF_A(1), HF_A(2), ... of a plane curve of degree e: C(j+2,2) - C(j-e+2,2)."""
+    j = 0
+    while True:
         j += 1
-        hf.append(len(basis))
-        e = _slope(hf, P.d)
-        if e is not None:
-            return e, hf
-        if j >= cap:
-            raise SlopeNotStabilized(
-                f"Hilbert function of the image ring not linear by degree {cap}"
-            )
+        yield comb(j + 2, 2) - (comb(j - e + 2, 2) if j >= e else 0)
 
 
-def hilbert_table_a(P: Parameterization, cap=None):
+def hilbert_table_a(P: Parameterization, cap=None, e=None):
     """(e(A), [HF_A(0), HF_A(1), ...]) up to the degree where the slope locked in.
 
-    The slope is declared once three consecutive first differences agree;
-    the cap (default 2d+4) bounds the search.
+    The list ends at the first degree where three consecutive first
+    differences agree (and, when e is given, equal e); the cap (default
+    2d+4) bounds the search.  Monomial inputs take the sumset route.
+
+    e, when given, must be the certified e(A) = d/r.  It makes most of the
+    table free: n = 3 has the closed form of a plane curve of degree e, and
+    otherwise elimination stops at the first j >= 1 with HF_A(j) = j*e + 1.
+    From there the slices stay full by theorem: A_j fills k[f1, f2]_(je), and
+    the generators, read as forms of degree e in the new variables, generate
+    every form of degree >= 2e - 1, so A_(j+1) = A_j * A_1 is full as well.
     """
     if cap is None:
         cap = 2 * P.d + 4
     if P.is_monomial:
-        return _table_monomial(P, cap)
-    if isinstance(P.field, PrimeField):
-        return _table_prime(P, cap)
-    return _table_generic(P, cap)
+        got, hf = _table_monomial(P, cap)
+        if e is not None and got != e:
+            raise CertificationFailed(
+                f"the sumset table gives e(A) = {got}, the certified map degree e(A) = {e}"
+            )
+        return got, hf
+    if e is not None and P.n == 3:
+        values = _plane_curve(e)
+    elif isinstance(P.field, PrimeField):
+        values = _slices_prime(P)
+    else:
+        values = _slices_generic(P)
+    hf = [1]
+    full = False
+    j = 0
+    while True:
+        j += 1
+        hf.append(j * e + 1 if full else next(values))
+        full = e is not None and hf[j] == j * e + 1
+        slope = _slope(hf, P.d)
+        if slope is not None and e in (None, slope):
+            return slope, hf
+        if j >= cap:
+            raise SlopeNotStabilized(
+                f"Hilbert function of the image ring not linear by degree {cap}"
+            )
 
 
 def multiplicity_a(P: Parameterization, cap=None) -> int:
@@ -260,15 +284,22 @@ def multiplicity_a(P: Parameterization, cap=None) -> int:
     return hilbert_table_a(P, cap)[0]
 
 
-def map_degree(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, e=None) -> int:
-    """Degree r of the map onto its image, sampled and then certified.
+@dataclass(frozen=True)
+class DegreeCertificate:
+    """The map degree r with its witness.
 
-    r is the fiber degree over the image of a general point; special points
-    only enlarge fibers, so the minimum over samples is the candidate.  The
-    candidate is accepted only if it divides every column degree and
-    satisfies r * e(A) = d against the independently computed e(A), which
-    pins r = d/e(A) regardless of sampling luck.
+    pair holds coprime forms f1, f2 of degree r, and new_gens every generator
+    written as a form in (f1, f2), or None when the caller fixed r or the
+    pair and the rewriting is still to be done.
     """
+
+    r: int
+    pair: tuple
+    new_gens: tuple | None
+
+
+def _sampled_fiber_degree(P: Parameterization, phi: SyzygyMatrix, seed, samples) -> int:
+    """Least fiber degree over the images of random points; never below r."""
     if samples < 1:
         raise ValueError("need at least one fiber sample")
     rng = random.Random(f"map-degree:{seed}")
@@ -294,15 +325,56 @@ def map_degree(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, e=None
                 f"image point {rep.point} reported off the image"
             )
         best = rep.fiber_degree if best is None else min(best, rep.fiber_degree)
-    if e is None:
-        e = multiplicity_a(P)
-    if any(D % best for D in phi.col_degrees) or best * e != P.d:
+    return best
+
+
+def certify_map_degree(
+    P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, e=None, pair=None, budget=32
+) -> DegreeCertificate:
+    """Degree r of the map onto its image, sampled and then proved (Lueroth).
+
+    Every fiber over an image point has degree >= r, so the least sampled
+    degree s bounds r from above, and s = 1 proves r = 1.  For s > 1, take
+    coprime f1, f2 of degree s (two row-ideal gcds, or the caller's pair):
+    if every g_i lies in k[f1, f2], the map factors through the degree-s
+    cover (f1 : f2), so r >= s and r = s.  The witness is returned, so the
+    reparameterization and the core reuse it.  As further checks s must
+    divide every column degree of phi and, when e is given, s * e = d.
+    """
+    from .reparam import express_in_subring, extract_reparam_basis
+
+    s = _sampled_fiber_degree(P, phi, seed, samples)
+    if any(D % s for D in phi.col_degrees) or (e is not None and s * e != P.d):
         raise CertificationFailed(
-            f"sampled fiber degree {best} fails certification against "
+            f"sampled fiber degree {s} fails certification against "
             f"column degrees {list(phi.col_degrees)} and e(A) = {e} with d = {P.d}; "
             "resample with a different seed or a larger prime"
         )
-    return best
+    field = P.field
+    if s == 1 and pair is None:
+        # each generator is its own coordinate form in (x, y)
+        return DegreeCertificate(1, (monomial(field, 1, 0), monomial(field, 1, 1)), P.gens)
+    if pair is None:
+        pair = extract_reparam_basis(P, phi, r=s, seed=seed, budget=budget)
+    f1, f2 = pair
+    if f1.degree != s or f2.degree != s or gcd_forms([f1, f2]).degree:
+        raise CertificationFailed(
+            f"the pair ({format_form(f1)}, {format_form(f2)}) is not two coprime "
+            f"forms of the sampled fiber degree {s}"
+        )
+    new_gens = tuple(express_in_subring(g, f1, f2) for g in P.gens)
+    if None in new_gens:
+        raise CertificationFailed(
+            f"not every generator lies in k[{format_form(f1)}, {format_form(f2)}], "
+            f"so the sampled fiber degree {s} is not proved to be the map degree; "
+            "resample with a different seed or a larger prime"
+        )
+    return DegreeCertificate(s, (f1, f2), new_gens)
+
+
+def map_degree(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, e=None, pair=None) -> int:
+    """Degree r of the map onto its image; see certify_map_degree."""
+    return certify_map_degree(P, phi, seed=seed, samples=samples, e=e, pair=pair).r
 
 
 def j_multiplicity(P: Parameterization, phi=None, seed=0, samples=7) -> int:

@@ -13,6 +13,8 @@ from .errors import InstanceError
 
 DEFAULT_PRIME = 2147483647
 MIN_PRIME = 1 << 20
+# the int64 kernels in linalg multiply two residues, so p must stay below 2**31
+MAX_PRIME = (1 << 31) - 1
 
 # Witness set making Miller-Rabin deterministic for all n < 3.3 * 10**24.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -46,7 +48,7 @@ def is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Residues modulo a prime p >= 2**20, stored as ints in [0, p)."""
+    """Residues modulo a prime 2**20 <= p < 2**31, stored as ints in [0, p)."""
 
     __slots__ = ("p",)
     modular = True
@@ -54,6 +56,8 @@ class PrimeField:
     def __init__(self, p: int = DEFAULT_PRIME):
         if p < MIN_PRIME:
             raise InstanceError(f"prime modulus must be at least 2**20, got {p}")
+        if p > MAX_PRIME:
+            raise InstanceError(f"prime modulus must be below 2**31, got {p}")
         if not is_prime(p):
             raise InstanceError(f"modulus {p} is not prime")
         self.p = p

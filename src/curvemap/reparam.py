@@ -18,7 +18,13 @@ from .errors import (
     NotInSubring,
     ResamplingExhausted,
 )
-from .fiber import apply_map, map_degree, row_combination
+from .fiber import (
+    DegreeCertificate,
+    apply_map,
+    certify_map_degree,
+    map_degree,
+    row_combination,
+)
 from .forms import (
     BinaryForm,
     ProjPoint1,
@@ -106,9 +112,9 @@ def extract_reparam_basis(P: Parameterization, phi: SyzygyMatrix, r=None, seed=0
     pair is normalized to (x^r, y^r) -- the same ideal, and it keeps the
     downstream core monomial whenever the input is monomial.
     """
-    field = P.field
     if r is None:
-        r = map_degree(P, phi, seed=seed)
+        return certify_map_degree(P, phi, seed=seed, budget=budget).pair
+    field = P.field
     rng = random.Random(f"reparam:{seed}")
     first = None
     for _ in range(budget):
@@ -165,6 +171,17 @@ def express_in_subring(h: BinaryForm, f1: BinaryForm, f2: BinaryForm):
     return None if sol is None else form(field, sol)
 
 
+def _witness(P, phi, seed, samples, budget, r, pair) -> DegreeCertificate:
+    """r and (f1, f2): the map-degree certificate itself unless the caller fixed one."""
+    if r is None and pair is None:
+        return certify_map_degree(P, phi, seed=seed, samples=samples, budget=budget)
+    if r is None:
+        r = map_degree(P, phi, seed=seed, samples=samples)
+    if pair is None:
+        pair = extract_reparam_basis(P, phi, r=r, seed=seed, budget=budget)
+    return DegreeCertificate(r, tuple(pair), None)
+
+
 def reparameterize(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, budget=32, r=None, pair=None) -> ReparamResult:
     """Rewrite the parameterization over k[f1, f2] as a birational one.
 
@@ -173,18 +190,17 @@ def reparameterize(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, bu
     recomputed from the new generators and the route is recorded.
     """
     field = P.field
-    if r is None:
-        r = map_degree(P, phi, seed=seed, samples=samples)
-    f1, f2 = pair if pair is not None else extract_reparam_basis(
-        P, phi, r=r, seed=seed, budget=budget
-    )
-    newgens = []
-    for g in P.gens:
-        c = express_in_subring(g, f1, f2)
-        if c is None:
-            # cannot happen for an admissible pair; a caller-supplied one can fail
-            raise NotInSubring(f"generator {format_form(g)} is not in k[f1, f2]")
-        newgens.append(c)
+    cert = _witness(P, phi, seed, samples, budget, r, pair)
+    r, (f1, f2) = cert.r, cert.pair
+    newgens = cert.new_gens
+    if newgens is None:
+        newgens = []
+        for g in P.gens:
+            c = express_in_subring(g, f1, f2)
+            if c is None:
+                # cannot happen for an admissible pair; a caller-supplied one can fail
+                raise NotInSubring(f"generator {format_form(g)} is not in k[f1, f2]")
+            newgens.append(c)
     new_param = Parameterization.build(field, newgens, variables=NEW_VARIABLES)
     rewritten = []
     for j, D in enumerate(phi.col_degrees):
@@ -229,11 +245,8 @@ def core_ideal(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, budget
     """
     field = P.field
     d = P.d
-    if r is None:
-        r = map_degree(P, phi, seed=seed, samples=samples)
-    f1, f2 = pair if pair is not None else extract_reparam_basis(
-        P, phi, r=r, seed=seed, budget=budget
-    )
+    cert = _witness(P, phi, seed, samples, budget, r, pair)
+    r, (f1, f2) = cert.r, cert.pair
     e = d // r
     core = ideals.power(GradedIdeal.of(field, [f1, f2]), 2 * e - 1)
     equals = ideal_equals(core, maximal_ideal_power(field, 2 * d - 1))

@@ -205,3 +205,26 @@ def test_selftest_exit_codes(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "run_selftest", lambda *a, **k: Fake())
     assert run(capsys, ["selftest"])[0] == 3
+
+
+def test_samples_below_one_exits_1(tmp_path, capsys):
+    path = write_instance(tmp_path, QUARTIC)
+    for value in ("0", "-3"):
+        code, out, err = run(capsys, ["analyze", path, "--samples", value])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "--samples" in err
+        assert "Traceback" not in err
+
+
+def test_prime_beyond_kernel_bound_exits_1(tmp_path, capsys):
+    # with p = 2^61 - 1 the int64 kernels overflow and phi comes out wrong
+    body = (
+        "field: prime 2305843009213693951\n"
+        "x^5 + 3*x^2*y^3 - 7*y^5\n"
+        "x^4*y - 2*x*y^4 + 11*y^5\n"
+        "5*x^3*y^2 + x*y^4 - y^5\n"
+    )
+    path = write_instance(tmp_path, body)
+    code, out, err = run(capsys, ["fiber", path, "--point", "1:1:1", "--deterministic"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "2**31" in err

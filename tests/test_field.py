@@ -74,3 +74,10 @@ def test_field_equality_and_hash():
     assert PrimeField(DEFAULT_PRIME) != PrimeField(2147483629)
     assert QQ == QQ
     assert len({PrimeField(DEFAULT_PRIME), PrimeField(DEFAULT_PRIME)}) == 1
+
+
+def test_prime_field_rejects_modulus_beyond_int64_kernels():
+    assert PrimeField(2**31 - 1).p == DEFAULT_PRIME
+    for p in (2**31 + 11, 2**61 - 1):
+        with pytest.raises(InstanceError, match=r"below 2\*\*31"):
+            PrimeField(p)
