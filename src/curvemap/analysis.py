@@ -123,8 +123,7 @@ class Analysis:
                 self.phi,
                 seed=self.seed,
                 samples=self.samples,
-                r=self.r,
-                pair=self.pair,
+                cert=self.certificate,
             ),
         )
 
@@ -137,8 +136,7 @@ class Analysis:
                 self.phi,
                 seed=self.seed,
                 samples=self.samples,
-                r=self.r,
-                pair=self.pair,
+                cert=self.certificate,
             ),
         )
 

@@ -241,12 +241,19 @@ def hilbert_table_a(P: Parameterization, cap=None, e=None):
     differences agree (and, when e is given, equal e); the cap (default
     2d+4) bounds the search.  Monomial inputs take the sumset route.
 
-    e, when given, must be the certified e(A) = d/r.  It makes most of the
-    table free: n = 3 has the closed form of a plane curve of degree e, and
-    otherwise elimination stops at the first j >= 1 with HF_A(j) = j*e + 1.
-    From there the slices stay full by theorem: A_j fills k[f1, f2]_(je), and
-    the generators, read as forms of degree e in the new variables, generate
-    every form of degree >= 2e - 1, so A_(j+1) = A_j * A_1 is full as well.
+    e, when given, must be the certified e(A) = d // r, with r from
+    certify_map_degree.  It makes most of the table free: n = 3 has the closed
+    form of a plane curve of degree e, and otherwise elimination stops at the
+    first j >= 1 with HF_A(j) = j*e + 1.  From there the slices stay full by
+    theorem: A_j fills k[f1, f2]_(je), and the generators, read as forms of
+    degree e in the new variables, generate every form of degree >= 2e - 1,
+    so A_(j+1) = A_j * A_1 is full as well.
+
+    e is trusted, not verified: a wrong e gives a wrong table for n = 3, and
+    may for n >= 4 once a slice happens to read j*e + 1.  Only the monomial
+    route, and a table whose slope never reaches e, turn a wrong e into an
+    error.  Without e the whole table is eliminated, which certify_map_degree
+    can then check through r * e = d.
     """
     if cap is None:
         cap = 2 * P.d + 4
@@ -289,13 +296,12 @@ class DegreeCertificate:
     """The map degree r with its witness.
 
     pair holds coprime forms f1, f2 of degree r, and new_gens every generator
-    written as a form in (f1, f2), or None when the caller fixed r or the
-    pair and the rewriting is still to be done.
+    written as a form in (f1, f2).
     """
 
     r: int
     pair: tuple
-    new_gens: tuple | None
+    new_gens: tuple
 
 
 def _sampled_fiber_degree(P: Parameterization, phi: SyzygyMatrix, seed, samples) -> int:
@@ -329,13 +335,13 @@ def _sampled_fiber_degree(P: Parameterization, phi: SyzygyMatrix, seed, samples)
 
 
 def certify_map_degree(
-    P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, e=None, pair=None, budget=32
+    P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, e=None, budget=32
 ) -> DegreeCertificate:
     """Degree r of the map onto its image, sampled and then proved (Lueroth).
 
     Every fiber over an image point has degree >= r, so the least sampled
     degree s bounds r from above, and s = 1 proves r = 1.  For s > 1, take
-    coprime f1, f2 of degree s (two row-ideal gcds, or the caller's pair):
+    coprime f1, f2 of degree s (two row-ideal gcds from extract_reparam_basis):
     if every g_i lies in k[f1, f2], the map factors through the degree-s
     cover (f1 : f2), so r >= s and r = s.  The witness is returned, so the
     reparameterization and the core reuse it.  As further checks s must
@@ -351,12 +357,10 @@ def certify_map_degree(
             "resample with a different seed or a larger prime"
         )
     field = P.field
-    if s == 1 and pair is None:
+    if s == 1:
         # each generator is its own coordinate form in (x, y)
         return DegreeCertificate(1, (monomial(field, 1, 0), monomial(field, 1, 1)), P.gens)
-    if pair is None:
-        pair = extract_reparam_basis(P, phi, r=s, seed=seed, budget=budget)
-    f1, f2 = pair
+    f1, f2 = extract_reparam_basis(P, phi, r=s, seed=seed, budget=budget)
     if f1.degree != s or f2.degree != s or gcd_forms([f1, f2]).degree:
         raise CertificationFailed(
             f"the pair ({format_form(f1)}, {format_form(f2)}) is not two coprime "
@@ -372,9 +376,9 @@ def certify_map_degree(
     return DegreeCertificate(s, (f1, f2), new_gens)
 
 
-def map_degree(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, e=None, pair=None) -> int:
+def map_degree(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, e=None) -> int:
     """Degree r of the map onto its image; see certify_map_degree."""
-    return certify_map_degree(P, phi, seed=seed, samples=samples, e=e, pair=pair).r
+    return certify_map_degree(P, phi, seed=seed, samples=samples, e=e).r
 
 
 def j_multiplicity(P: Parameterization, phi=None, seed=0, samples=7) -> int:

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 from . import ideals, linalg
 from .errors import (
+    CertificationFailed,
     DegreeMismatch,
     NotInSubring,
     ResamplingExhausted,
 )
 from .fiber import (
     DegreeCertificate,
+    _sampled_fiber_degree,
     apply_map,
     certify_map_degree,
     map_degree,
@@ -171,36 +173,44 @@ def express_in_subring(h: BinaryForm, f1: BinaryForm, f2: BinaryForm):
     return None if sol is None else form(field, sol)
 
 
-def _witness(P, phi, seed, samples, budget, r, pair) -> DegreeCertificate:
-    """r and (f1, f2): the map-degree certificate itself unless the caller fixed one."""
-    if r is None and pair is None:
-        return certify_map_degree(P, phi, seed=seed, samples=samples, budget=budget)
-    if r is None:
-        r = map_degree(P, phi, seed=seed, samples=samples)
+def _witness(P, phi, seed, samples, budget, cert, pair) -> DegreeCertificate:
+    """The map-degree certificate: the one given, a fresh one, or the caller's pair.
+
+    A caller's pair is checked as the certificate would be: its degree must
+    be the least sampled fiber degree, and every generator must lie in
+    k[f1, f2].
+    """
     if pair is None:
-        pair = extract_reparam_basis(P, phi, r=r, seed=seed, budget=budget)
-    return DegreeCertificate(r, tuple(pair), None)
+        if cert is None:
+            return certify_map_degree(P, phi, seed=seed, samples=samples, budget=budget)
+        return cert
+    f1, f2 = pair
+    s = _sampled_fiber_degree(P, phi, seed, samples)
+    if f1.degree != s or f2.degree != s:
+        raise CertificationFailed(
+            f"the pair ({format_form(f1)}, {format_form(f2)}) does not have "
+            f"the sampled fiber degree {s}"
+        )
+    newgens = []
+    for g in P.gens:
+        c = express_in_subring(g, f1, f2)
+        if c is None:
+            raise NotInSubring(f"generator {format_form(g)} is not in k[f1, f2]")
+        newgens.append(c)
+    return DegreeCertificate(s, (f1, f2), tuple(newgens))
 
 
-def reparameterize(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, budget=32, r=None, pair=None) -> ReparamResult:
+def reparameterize(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, budget=32, cert=None, pair=None) -> ReparamResult:
     """Rewrite the parameterization over k[f1, f2] as a birational one.
 
-    Every generator lies in k[f1, f2]; so does every entry of phi, and that
-    is verified entrywise rather than assumed -- on a failure the matrix is
-    recomputed from the new generators and the route is recorded.
+    Every generator lies in k[f1, f2] (the map-degree certificate holds the
+    rewritten generators); so does every entry of phi, and that is verified
+    entrywise rather than assumed -- on a failure the matrix is recomputed
+    from the new generators and the route is recorded.
     """
     field = P.field
-    cert = _witness(P, phi, seed, samples, budget, r, pair)
-    r, (f1, f2) = cert.r, cert.pair
-    newgens = cert.new_gens
-    if newgens is None:
-        newgens = []
-        for g in P.gens:
-            c = express_in_subring(g, f1, f2)
-            if c is None:
-                # cannot happen for an admissible pair; a caller-supplied one can fail
-                raise NotInSubring(f"generator {format_form(g)} is not in k[f1, f2]")
-            newgens.append(c)
+    cert = _witness(P, phi, seed, samples, budget, cert, pair)
+    r, (f1, f2), newgens = cert.r, cert.pair, cert.new_gens
     new_param = Parameterization.build(field, newgens, variables=NEW_VARIABLES)
     rewritten = []
     for j, D in enumerate(phi.col_degrees):
@@ -236,7 +246,7 @@ def reparameterize(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, bu
     return ReparamResult(r, f1, f2, new_param, rphi, route, verification)
 
 
-def core_ideal(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, budget=32, r=None, pair=None) -> CoreReport:
+def core_ideal(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, budget=32, cert=None, pair=None) -> CoreReport:
     """core(I) = (f1, f2)^(2d/r - 1), with its closure and canonical data.
 
     Integral closedness is computed via the Newton polygon when the core is
@@ -245,7 +255,7 @@ def core_ideal(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, budget
     """
     field = P.field
     d = P.d
-    cert = _witness(P, phi, seed, samples, budget, r, pair)
+    cert = _witness(P, phi, seed, samples, budget, cert, pair)
     r, (f1, f2) = cert.r, cert.pair
     e = d // r
     core = ideals.power(GradedIdeal.of(field, [f1, f2]), 2 * e - 1)

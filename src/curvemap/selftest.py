@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .analysis import Analysis
 from .corpus import dense_corpus, exhaustive_monomial, monomial_corpus
 from .errors import CurvemapError
-from .fiber import apply_map, fiber
+from .fiber import apply_map, fiber, multiplicity_a
 from .forms import ProjPoint1, monomial
 from .ideals import GradedIdeal, ideal_equals, maximal_ideal_power
 from .monomial import newton_closure, oracle_degree, oracle_phi
@@ -137,7 +137,9 @@ def _case_checks(P, M, seed, samples, tag):
         return None if verify_hilbert_burch(P, a.phi) else "matrix rejected"
 
     def re_identity():
-        return None if a.r * a.e == P.d else f"r*e = {a.r}*{a.e} != d = {P.d}"
+        # e(A) from the eliminated Hilbert table, apart from the certified r
+        e = multiplicity_a(P)
+        return None if a.r * e == P.d else f"r*e = {a.r}*{e} != d = {P.d}"
 
     def j_value():
         return None if a.j == P.d**2 else f"j = {a.j} != {P.d**2}"
@@ -198,9 +200,7 @@ def _case_checks(P, M, seed, samples, tag):
 
     def core_pullback():
         rp = a.reparam
-        inner = core_ideal(
-            rp.new_param, rp.rewritten_phi, seed=seed, samples=samples, r=1
-        )
+        inner = core_ideal(rp.new_param, rp.rewritten_phi, seed=seed, samples=samples)
         pulled = GradedIdeal.of(
             field, [g.compose(a.pair[0], a.pair[1]) for g in inner.core.gens]
         )

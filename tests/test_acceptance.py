@@ -31,6 +31,7 @@ from curvemap import (
     map_degree,
     maximal_ideal_power,
     monomial_corpus,
+    multiplicity_a,
     newton_closure,
     oracle_degree,
     parse_form,
@@ -109,6 +110,8 @@ def test_criterion_02_degree_identity_on_dense_corpus(reg, acceptance_log):
     cases = reg.dense()
     for a in cases:
         assert a.r * a.e == a.param.d
+        # e(A) from the eliminated Hilbert table, apart from the certified r
+        assert a.r * multiplicity_a(a.param) == a.param.d
         assert all(D % a.r == 0 for D in a.phi.col_degrees)
     elapsed = time.perf_counter() - t0
     assert elapsed < 120.0

@@ -13,6 +13,7 @@ import pytest
 
 from curvemap import (
     QQ,
+    Analysis,
     CertificationFailed,
     CurvemapError,
     GradedIdeal,
@@ -28,7 +29,9 @@ from curvemap import (
     map_degree,
     parse_form,
     random_dense,
+    reparameterize,
 )
+from curvemap import reparam as reparam_module
 
 
 def dense_map(field, rng, n, d):
@@ -123,16 +126,30 @@ def test_birational_certificate_needs_no_pair_search(field, build):
     assert cert.new_gens == P.gens
 
 
-def test_caller_pair_outside_the_generators_fails_certification(field, build):
+def test_analysis_hands_its_certificate_to_reparam_and_core(field, monkeypatch):
+    P, _ = composed_map(field, random.Random("shared-witness"), 4, 2, 3)
+    a = Analysis(P, seed=4)
+    cert = a.certificate
+    seen = []
+    real = reparam_module.express_in_subring
+
+    def spy(h, f1, f2):
+        seen.append(h)
+        return real(h, f1, f2)
+
+    monkeypatch.setattr(reparam_module, "express_in_subring", spy)
+    monkeypatch.setattr(reparam_module, "certify_map_degree", None)
+    monkeypatch.setattr(reparam_module, "extract_reparam_basis", None)
+    assert (a.reparam.f1, a.reparam.f2) == cert.pair == (a.core.f1, a.core.f2)
+    # only the entries of phi are rewritten; the generators come with cert
+    assert a.reparam.route == "rewritten"
+    assert seen and not any(h in P.gens for h in seen)
+
+
+def test_caller_pair_of_the_wrong_degree_fails_certification(field, build):
     P = build("x^4", "x^2*y^2", "y^4")
-    phi = hilbert_burch(P)
-    # coprime and of the sampled degree 2, but y^4 is not in k[x^2, x*y + y^2]
-    bad = (parse_form(field, "x^2"), parse_form(field, "x*y + y^2"))
     with pytest.raises(CertificationFailed):
-        map_degree(P, phi, pair=bad)
-    with pytest.raises(CertificationFailed):
-        map_degree(P, phi, pair=(parse_form(field, "x^2"), parse_form(field, "x*y")))
-    assert map_degree(P, phi, pair=(parse_form(field, "x^2"), parse_form(field, "y^2"))) == 2
+        reparameterize(P, hilbert_burch(P), pair=(parse_form(field, "x"), parse_form(field, "y")))
 
 
 def test_bad_pair_from_extraction_exits_2(tmp_path, capsys, monkeypatch, field):
