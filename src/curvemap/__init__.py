@@ -7,7 +7,7 @@ its image, the multiplicity of the image, a reparameterization reducing any
 map to a birational one, and the core of the ideal in closed form.
 """
 
-from .analysis import Analysis, birational_certificates
+from .analysis import Analysis
 from .corpus import (
     dense_corpus,
     exhaustive_monomial,
@@ -21,9 +21,7 @@ from .errors import (
     DegreeMismatch,
     InstanceError,
     InternalInvariantViolation,
-    NotInSubring,
     NotMonomial,
-    NotMPrimary,
     ResamplingExhausted,
     SlopeNotStabilized,
     ZeroIdeal,
@@ -55,11 +53,8 @@ from .forms import (
 )
 from .ideals import (
     GradedIdeal,
-    hilbert_table,
     ideal_equals,
-    length_quotient,
     maximal_ideal_power,
-    min_gens,
     power,
     slice_rank,
 )
@@ -92,9 +87,7 @@ __all__ = [
     "InstanceError",
     "InternalInvariantViolation",
     "MonomialParam",
-    "NotInSubring",
     "NotMonomial",
-    "NotMPrimary",
     "Parameterization",
     "PrimeField",
     "ProjPoint1",
@@ -109,7 +102,6 @@ __all__ = [
     "ZeroRow",
     "adjoint_of_m_power",
     "apply_map",
-    "birational_certificates",
     "certify_map_degree",
     "constant",
     "core_ideal",
@@ -122,15 +114,12 @@ __all__ = [
     "format_form",
     "gcd_forms",
     "hilbert_burch",
-    "hilbert_table",
     "hilbert_table_a",
     "ideal_equals",
     "j_multiplicity",
-    "length_quotient",
     "li_dim",
     "map_degree",
     "maximal_ideal_power",
-    "min_gens",
     "monomial",
     "monomial_corpus",
     "multiplicity_a",

@@ -216,11 +216,3 @@ class Analysis:
             "c3": self.c3_table(),
             "entryDegreeCriterion": self.entry_degree_criterion(),
         }
-
-
-def birational_certificates(P: Parameterization, phi=None, seed=0, samples=7) -> dict:
-    """The full analysis report; accepts a precomputed syzygy matrix."""
-    a = Analysis(P, seed=seed, samples=samples)
-    if phi is not None:
-        a._cache["phi"] = phi
-    return a.report()

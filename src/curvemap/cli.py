@@ -20,7 +20,6 @@ from .errors import (
     DegreeMismatch,
     InstanceError,
     NotMonomial,
-    NotMPrimary,
     ResamplingExhausted,
     SlopeNotStabilized,
     ZeroIdeal,
@@ -34,7 +33,7 @@ from .reparam import core_ideal, reparameterize
 from .selftest import run_selftest
 from .syzygy import hilbert_burch
 
-_INPUT_ERRORS = (InstanceError, ZeroIdeal, DegreeMismatch, NotMPrimary, NotMonomial)
+_INPUT_ERRORS = (InstanceError, ZeroIdeal, DegreeMismatch, NotMonomial)
 _COMPUTE_ERRORS = (CertificationFailed, ResamplingExhausted, ZeroRow, SlopeNotStabilized)
 
 

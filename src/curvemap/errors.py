@@ -17,20 +17,12 @@ class DegreeMismatch(CurvemapError):
     """Forms of incompatible degrees where equal degrees are required."""
 
 
-class NotMPrimary(CurvemapError):
-    """The ideal has a common factor, so its quotient has infinite length."""
-
-
 class NotMonomial(CurvemapError):
     """A monomial-only operation received a non-monomial generator."""
 
 
 class ZeroRow(CurvemapError):
     """A point annihilates every column of the syzygy matrix."""
-
-
-class NotInSubring(CurvemapError):
-    """A form is provably outside k[f1, f2]."""
 
 
 class CertificationFailed(CurvemapError):

@@ -234,12 +234,13 @@ def _plane_curve(e: int):
         yield comb(j + 2, 2) - (comb(j - e + 2, 2) if j >= e else 0)
 
 
-def hilbert_table_a(P: Parameterization, cap=None, e=None):
+def hilbert_table_a(P: Parameterization, e=None):
     """(e(A), [HF_A(0), HF_A(1), ...]) up to the degree where the slope locked in.
 
     The list ends at the first degree where three consecutive first
-    differences agree (and, when e is given, equal e); the cap (default
-    2d+4) bounds the search.  Monomial inputs take the sumset route.
+    differences agree (and, when e is given, equal e); a slope not locked in
+    by degree 2d+4 raises SlopeNotStabilized.  Monomial inputs take the
+    sumset route.
 
     e, when given, must be the certified e(A) = d // r, with r from
     certify_map_degree.  It makes most of the table free: n = 3 has the closed
@@ -255,8 +256,7 @@ def hilbert_table_a(P: Parameterization, cap=None, e=None):
     error.  Without e the whole table is eliminated, which certify_map_degree
     can then check through r * e = d.
     """
-    if cap is None:
-        cap = 2 * P.d + 4
+    cap = 2 * P.d + 4
     if P.is_monomial:
         got, hf = _table_monomial(P, cap)
         if e is not None and got != e:
@@ -286,9 +286,9 @@ def hilbert_table_a(P: Parameterization, cap=None, e=None):
             )
 
 
-def multiplicity_a(P: Parameterization, cap=None) -> int:
+def multiplicity_a(P: Parameterization) -> int:
     """Multiplicity of the coordinate ring of the image curve."""
-    return hilbert_table_a(P, cap)[0]
+    return hilbert_table_a(P)[0]
 
 
 @dataclass(frozen=True)
@@ -335,7 +335,7 @@ def _sampled_fiber_degree(P: Parameterization, phi: SyzygyMatrix, seed, samples)
 
 
 def certify_map_degree(
-    P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, e=None, budget=32
+    P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, e=None
 ) -> DegreeCertificate:
     """Degree r of the map onto its image, sampled and then proved (Lueroth).
 
@@ -360,7 +360,7 @@ def certify_map_degree(
     if s == 1:
         # each generator is its own coordinate form in (x, y)
         return DegreeCertificate(1, (monomial(field, 1, 0), monomial(field, 1, 1)), P.gens)
-    f1, f2 = extract_reparam_basis(P, phi, r=s, seed=seed, budget=budget)
+    f1, f2 = extract_reparam_basis(P, phi, s, seed=seed)
     if f1.degree != s or f2.degree != s or gcd_forms([f1, f2]).degree:
         raise CertificationFailed(
             f"the pair ({format_form(f1)}, {format_form(f2)}) is not two coprime "

@@ -291,6 +291,9 @@ def li_dim(forms, degree: int | None = None) -> int:
 # text syntax
 
 _TOKEN = re.compile(r"\d+|[A-Za-z]|[\^*+/-]")
+# largest total degree of a term in parsed input; a higher exponent is
+# rejected before its coefficient list is allocated
+MAX_DEGREE = 1000
 
 
 def _tokenize(text: str) -> list[str]:
@@ -313,7 +316,8 @@ def parse_form(field, text: str) -> BinaryForm:
     """Parse a polynomial like ``3*x^2*y - y^3`` into a homogeneous form.
 
     Variables are x, y (or X, Y; the pairs cannot be mixed).  Raises
-    InstanceError on syntax errors and on inhomogeneous input.
+    InstanceError on syntax errors, inhomogeneous input, a term of degree
+    above MAX_DEGREE and a fraction the field cannot hold.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -327,7 +331,10 @@ def parse_form(field, text: str) -> BinaryForm:
         nonlocal pos
         if pos >= end or not tokens[pos].isdigit():
             raise InstanceError(f"expected an integer in {text!r}")
-        v = int(tokens[pos])
+        try:
+            v = int(tokens[pos])
+        except ValueError:  # longer than Python converts (sys.get_int_max_str_digits)
+            raise InstanceError(f"an integer of {len(tokens[pos])} digits is too long")
         pos += 1
         return v
 
@@ -355,7 +362,14 @@ def parse_form(field, text: str) -> BinaryForm:
                     den = take_number()
                     if den == 0:
                         raise InstanceError("zero denominator")
-                    coeff = field.mul(coeff, field.conv(Fraction(num, den)))
+                    try:
+                        value = field.conv(Fraction(num, den))
+                    except ValueError:  # no inverse of the denominator mod p
+                        raise InstanceError(
+                            f"{num}/{den} has no value in the field: "
+                            "its denominator is divisible by the prime"
+                        )
+                    coeff = field.mul(coeff, value)
                 else:
                     coeff = field.mul(coeff, field.conv(num))
             elif tok.isalpha():
@@ -381,6 +395,11 @@ def parse_form(field, text: str) -> BinaryForm:
                 pos += 1
                 continue
             break
+        if xe + ye > MAX_DEGREE:
+            raise InstanceError(
+                f"a term of degree {xe + ye} in {text!r}; "
+                f"the largest degree accepted is {MAX_DEGREE}"
+            )
         key = (xe, ye)
         val = field.mul(field.conv(sign), coeff)
         terms[key] = field.add(terms.get(key, field.zero), val)

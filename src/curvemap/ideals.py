@@ -2,8 +2,7 @@
 
 All questions are answered degree slice by degree slice: the degree-t slice
 of an ideal is the span of the monomial multiples of its generators, a plain
-linear-algebra object.  Hilbert functions, lengths, minimal generator counts,
-powers, and ideal equality all reduce to slice ranks.
+linear-algebra object, and ideal equality reduces to slice ranks.
 """
 
 from __future__ import annotations
@@ -12,8 +11,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from . import linalg
-from .errors import InternalInvariantViolation, NotMPrimary, ZeroIdeal
-from .forms import BinaryForm, form, format_form, gcd_forms, monomial
+from .errors import ZeroIdeal
+from .forms import form, format_form, monomial
 
 
 @dataclass(frozen=True)
@@ -71,65 +70,6 @@ def slice_rank(J: GradedIdeal, t: int) -> int:
     return linalg.rank(_slice_rows(J, t), J.field)
 
 
-def slice_basis(J: GradedIdeal, t: int) -> list:
-    """A reduced basis of the degree-t slice, as forms."""
-    rows = _slice_rows(J, t)
-    if not rows:
-        return []
-    red, piv = linalg.rref(rows, J.field)
-    return [form(J.field, r) for r in red[: len(piv)]]
-
-
-def hf_quotient(J: GradedIdeal, t: int) -> int:
-    """Hilbert function of k[x, y]/J in degree t."""
-    return (t + 1) - slice_rank(J, t)
-
-
-def is_m_primary(J: GradedIdeal) -> bool:
-    return gcd_forms(J.gens).degree == 0
-
-
-def length_quotient(J: GradedIdeal) -> int:
-    """Total length of k[x, y]/J; requires J to be m-primary."""
-    if not is_m_primary(J):
-        raise NotMPrimary("the generators share a common factor")
-    total = 0
-    cap = 4 * J.max_gen_degree + 8
-    for t in range(cap + 1):
-        h = hf_quotient(J, t)
-        if h == 0:
-            return total
-        total += h
-    raise InternalInvariantViolation("Hilbert function failed to vanish below the cap")
-
-
-def hilbert_table(J: GradedIdeal) -> list:
-    """Hilbert function values of the quotient through the first zero."""
-    if not is_m_primary(J):
-        raise NotMPrimary("the generators share a common factor")
-    vals = []
-    cap = 4 * J.max_gen_degree + 8
-    for t in range(cap + 1):
-        h = hf_quotient(J, t)
-        vals.append(h)
-        if h == 0:
-            return vals
-    raise InternalInvariantViolation("Hilbert function failed to vanish below the cap")
-
-
-def min_gens(J: GradedIdeal) -> int:
-    """Number of minimal generators, by comparing J with m*J slice by slice."""
-    mJ_gens = []
-    for g in J.gens:
-        mJ_gens.append(g.shift(1, 0))
-        mJ_gens.append(g.shift(0, 1))
-    mJ = GradedIdeal.of(J.field, mJ_gens)
-    total = 0
-    for t in range(J.max_gen_degree + 1):
-        total += slice_rank(J, t) - slice_rank(mJ, t)
-    return total
-
-
 def power(J: GradedIdeal, t: int) -> GradedIdeal:
     """J**t, generated by all t-fold products of the generators."""
     if t < 0:
@@ -146,13 +86,13 @@ def power(J: GradedIdeal, t: int) -> GradedIdeal:
 
 
 def ideal_equals(J1: GradedIdeal, J2: GradedIdeal) -> bool:
-    """Exact equality of ideals, decided on slices up to max degree + 1.
+    """Exact equality of ideals, decided on the slices in the generator degrees.
 
-    Beyond the top generator degree every slice is R_1 times the previous
-    one, so agreement through max(gen degrees) + 1 certifies equality.
+    Equal slices in every degree where J1 has a generator put J1 inside J2,
+    and likewise the other way round, so those degrees certify equality.
     """
-    top = max(J1.max_gen_degree, J2.max_gen_degree) + 1
-    for t in range(top + 1):
+    degrees = {g.degree for g in J1.gens} | {g.degree for g in J2.gens}
+    for t in sorted(degrees):
         rows1 = _slice_rows(J1, t)
         rows2 = _slice_rows(J2, t)
         r1 = linalg.rank(rows1, J1.field)

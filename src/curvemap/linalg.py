@@ -270,23 +270,3 @@ class Echelon:
         at = next((i for i, pc in enumerate(self._piv) if pc > c), len(self._piv))
         self._rows.insert(at, v)
         self._piv.insert(at, c)
-
-    def contains(self, row) -> bool:
-        if self.rank == 0:
-            return not any(row)
-        if self._np:
-            v = (to_np(row) % self.field.p).reshape(-1)
-            red = (v - np_matmul_mod(v[self._piv], self._mat, self.field.p)) % self.field.p
-            return not red.any()
-        field = self.field
-        v = list(row)
-        for r, c in zip(self._rows, self._piv):
-            if v[c]:
-                f = v[c]
-                v = [field.sub(a, field.mul(f, b)) for a, b in zip(v, r)]
-        return not any(v)
-
-    def basis_rows(self):
-        if self._np:
-            return [[int(v) for v in row] for row in self._mat]
-        return [list(r) for r in self._rows]

@@ -12,16 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import ideals, linalg
-from .errors import (
-    CertificationFailed,
-    DegreeMismatch,
-    NotInSubring,
-    ResamplingExhausted,
-)
+from . import linalg
+from .errors import DegreeMismatch, ResamplingExhausted
 from .fiber import (
-    DegreeCertificate,
-    _sampled_fiber_degree,
     apply_map,
     certify_map_degree,
     map_degree,
@@ -41,6 +34,8 @@ from .param import Parameterization
 from .syzygy import SyzygyMatrix, hilbert_burch
 
 NEW_VARIABLES = ("X", "Y")
+# random image points tried for a coprime degree-r gcd pair
+PAIR_BUDGET = 32
 
 
 @dataclass(frozen=True)
@@ -106,7 +101,7 @@ def _lex_key(h: BinaryForm):
     return tuple(h.field.sort_key(c) for c in reversed(h.coeffs))
 
 
-def extract_reparam_basis(P: Parameterization, phi: SyzygyMatrix, r=None, seed=0, budget=32):
+def extract_reparam_basis(P: Parameterization, phi: SyzygyMatrix, r: int, seed=0):
     """Two coprime degree-r row-ideal gcds at random image points.
 
     Resamples until both gcds have degree exactly r and are coprime; monic,
@@ -114,12 +109,10 @@ def extract_reparam_basis(P: Parameterization, phi: SyzygyMatrix, r=None, seed=0
     pair is normalized to (x^r, y^r) -- the same ideal, and it keeps the
     downstream core monomial whenever the input is monomial.
     """
-    if r is None:
-        return certify_map_degree(P, phi, seed=seed, budget=budget).pair
     field = P.field
     rng = random.Random(f"reparam:{seed}")
     first = None
-    for _ in range(budget):
+    for _ in range(PAIR_BUDGET):
         q = ProjPoint1.of(field, field.one, field.rand(rng))
         entries = [
             e for e in row_combination(phi, apply_map(P, q)) if not e.is_zero
@@ -142,9 +135,20 @@ def extract_reparam_basis(P: Parameterization, phi: SyzygyMatrix, r=None, seed=0
         pair.sort(key=_lex_key)
         return pair[0], pair[1]
     raise ResamplingExhausted(
-        f"no coprime degree-{r} gcd pair within {budget} samples; "
+        f"no coprime degree-{r} gcd pair within {PAIR_BUDGET} samples; "
         "retry with a different seed or a larger prime"
     )
+
+
+def _pair_power_products(f1: BinaryForm, f2: BinaryForm, m: int) -> list:
+    """[f1^(m-k) * f2^k for k = 0..m]: generators of (f1, f2)^m, a basis of k[f1, f2]_m."""
+    field = f1.field
+    pow1 = [form(field, [field.one])]
+    pow2 = [form(field, [field.one])]
+    for _ in range(m):
+        pow1.append(pow1[-1].mul(f1))
+        pow2.append(pow2[-1].mul(f2))
+    return [pow1[m - k].mul(pow2[k]) for k in range(m + 1)]
 
 
 def express_in_subring(h: BinaryForm, f1: BinaryForm, f2: BinaryForm):
@@ -160,56 +164,25 @@ def express_in_subring(h: BinaryForm, f1: BinaryForm, f2: BinaryForm):
         return form(h.field, [])
     if h.degree % r:
         raise DegreeMismatch(f"degree {h.degree} is not a multiple of r = {r}")
-    m = h.degree // r
     field = h.field
-    pow1 = [form(field, [field.one])]
-    pow2 = [form(field, [field.one])]
-    for _ in range(m):
-        pow1.append(pow1[-1].mul(f1))
-        pow2.append(pow2[-1].mul(f2))
-    basis = [pow1[m - k].mul(pow2[k]) for k in range(m + 1)]
+    basis = _pair_power_products(f1, f2, h.degree // r)
     rows = [[b.coeffs[i] for b in basis] for i in range(h.degree + 1)]
     sol = linalg.solve(rows, list(h.coeffs), field)
     return None if sol is None else form(field, sol)
 
 
-def _witness(P, phi, seed, samples, budget, cert, pair) -> DegreeCertificate:
-    """The map-degree certificate: the one given, a fresh one, or the caller's pair.
-
-    A caller's pair is checked as the certificate would be: its degree must
-    be the least sampled fiber degree, and every generator must lie in
-    k[f1, f2].
-    """
-    if pair is None:
-        if cert is None:
-            return certify_map_degree(P, phi, seed=seed, samples=samples, budget=budget)
-        return cert
-    f1, f2 = pair
-    s = _sampled_fiber_degree(P, phi, seed, samples)
-    if f1.degree != s or f2.degree != s:
-        raise CertificationFailed(
-            f"the pair ({format_form(f1)}, {format_form(f2)}) does not have "
-            f"the sampled fiber degree {s}"
-        )
-    newgens = []
-    for g in P.gens:
-        c = express_in_subring(g, f1, f2)
-        if c is None:
-            raise NotInSubring(f"generator {format_form(g)} is not in k[f1, f2]")
-        newgens.append(c)
-    return DegreeCertificate(s, (f1, f2), tuple(newgens))
-
-
-def reparameterize(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, budget=32, cert=None, pair=None) -> ReparamResult:
+def reparameterize(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, cert=None) -> ReparamResult:
     """Rewrite the parameterization over k[f1, f2] as a birational one.
 
-    Every generator lies in k[f1, f2] (the map-degree certificate holds the
-    rewritten generators); so does every entry of phi, and that is verified
-    entrywise rather than assumed -- on a failure the matrix is recomputed
-    from the new generators and the route is recorded.
+    cert is the map-degree certificate, certified here when not given.
+    Every generator lies in k[f1, f2] (the certificate holds the rewritten
+    generators); so does every entry of phi, and that is verified entrywise
+    rather than assumed -- on a failure the matrix is recomputed from the new
+    generators and the route is recorded.
     """
     field = P.field
-    cert = _witness(P, phi, seed, samples, budget, cert, pair)
+    if cert is None:
+        cert = certify_map_degree(P, phi, seed=seed, samples=samples)
     r, (f1, f2), newgens = cert.r, cert.pair, cert.new_gens
     new_param = Parameterization.build(field, newgens, variables=NEW_VARIABLES)
     rewritten = []
@@ -246,19 +219,21 @@ def reparameterize(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, bu
     return ReparamResult(r, f1, f2, new_param, rphi, route, verification)
 
 
-def core_ideal(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, budget=32, cert=None, pair=None) -> CoreReport:
+def core_ideal(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, cert=None) -> CoreReport:
     """core(I) = (f1, f2)^(2d/r - 1), with its closure and canonical data.
 
+    cert is the map-degree certificate, certified here when not given.
     Integral closedness is computed via the Newton polygon when the core is
     monomial; otherwise it is reported as a consequence of r = 1, with the
     provenance recorded either way.
     """
     field = P.field
     d = P.d
-    cert = _witness(P, phi, seed, samples, budget, cert, pair)
+    if cert is None:
+        cert = certify_map_degree(P, phi, seed=seed, samples=samples)
     r, (f1, f2) = cert.r, cert.pair
     e = d // r
-    core = ideals.power(GradedIdeal.of(field, [f1, f2]), 2 * e - 1)
+    core = GradedIdeal.of(field, _pair_power_products(f1, f2, 2 * e - 1))
     equals = ideal_equals(core, maximal_ideal_power(field, 2 * d - 1))
     if core.is_monomial:
         closed = ideal_equals(newton_closure(core), core)

@@ -3,9 +3,7 @@ import json
 from curvemap import (
     Analysis,
     Parameterization,
-    birational_certificates,
     form,
-    hilbert_burch,
 )
 from curvemap.analysis import C3_STATEMENTS, SUFFICIENCY_NOTE
 
@@ -108,11 +106,3 @@ def test_analysis_caches_and_reports(field, build):
     assert rep["c3"]["consistent"]
     assert rep["seed"] == 7
     json.dumps(rep)  # must be serializable as given
-
-
-def test_birational_certificates_accepts_precomputed_phi(field, build):
-    P = build("x^3", "x^2*y", "y^3")
-    phi = hilbert_burch(P)
-    rep = birational_certificates(P, phi=phi)
-    assert rep["birational"] is True
-    assert rep["colDegrees"] == [1, 2]

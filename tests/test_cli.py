@@ -3,6 +3,7 @@ import json
 import pytest
 
 from curvemap import CertificationFailed, cli
+from curvemap.forms import MAX_DEGREE
 
 
 def write_instance(tmp_path, body, name="case.txt"):
@@ -156,6 +157,10 @@ def test_input_errors_exit_1(tmp_path, capsys):
         "x^2\nx*y\ny^2\n",  # generators before field line
         "field: prime 15\nx\ny\n",  # bad modulus
         "field: prime 2147483647\nx^2 +\ny^2\n",  # syntax error
+        "field: prime 2147483647\nx^2\n1/2147483647*x*y + y^2\n",  # denominator p
+        f"field: prime 2147483647\nx^{MAX_DEGREE + 1}\ny^{MAX_DEGREE + 1}\n",
+        f"field: prime 2147483647\nx^{MAX_DEGREE}*y\ny^{MAX_DEGREE + 1}\n",
+        "field: prime 2147483647\nx^2\n" + "9" * 5000 + "*y^2\n",  # beyond int()
     ]
     for body in cases:
         path = write_instance(tmp_path, body)

@@ -9,12 +9,9 @@ import json
 import random
 import time
 
-import pytest
-
 from curvemap import (
     QQ,
     Analysis,
-    CertificationFailed,
     CurvemapError,
     GradedIdeal,
     Parameterization,
@@ -29,7 +26,6 @@ from curvemap import (
     map_degree,
     parse_form,
     random_dense,
-    reparameterize,
 )
 from curvemap import reparam as reparam_module
 
@@ -144,12 +140,6 @@ def test_analysis_hands_its_certificate_to_reparam_and_core(field, monkeypatch):
     # only the entries of phi are rewritten; the generators come with cert
     assert a.reparam.route == "rewritten"
     assert seen and not any(h in P.gens for h in seen)
-
-
-def test_caller_pair_of_the_wrong_degree_fails_certification(field, build):
-    P = build("x^4", "x^2*y^2", "y^4")
-    with pytest.raises(CertificationFailed):
-        reparameterize(P, hilbert_burch(P), pair=(parse_form(field, "x"), parse_form(field, "y")))
 
 
 def test_bad_pair_from_extraction_exits_2(tmp_path, capsys, monkeypatch, field):

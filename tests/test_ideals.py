@@ -3,20 +3,15 @@ import pytest
 from curvemap import (
     GradedIdeal,
     InstanceError,
-    NotMPrimary,
     Parameterization,
     QQ,
     ZeroIdeal,
-    hilbert_table,
     ideal_equals,
-    length_quotient,
     maximal_ideal_power,
-    min_gens,
     parse_form,
     power,
     slice_rank,
 )
-from curvemap.ideals import hf_quotient, is_m_primary, slice_basis
 
 
 def ideal(field, *texts):
@@ -42,34 +37,7 @@ def test_slice_rank_and_basis(field):
     J = ideal(field, "x^2", "x*y")
     assert slice_rank(J, 2) == 2
     assert slice_rank(J, 3) == 3  # x^3, x^2 y, x y^2
-    basis = slice_basis(J, 3)
-    assert len(basis) == 3 and all(b.degree == 3 for b in basis)
-
-
-def test_hf_quotient_and_length(field):
-    # R/(x^4, x^2 y^2, y^4) has Hilbert function 1,2,3,4,2 then 0
-    J = ideal(field, "x^4", "x^2*y^2", "y^4")
-    assert [hf_quotient(J, t) for t in range(6)] == [1, 2, 3, 4, 2, 0]
-    assert hilbert_table(J) == [1, 2, 3, 4, 2, 0]
-    assert length_quotient(J) == 12
-    m3 = maximal_ideal_power(field, 3)
-    assert length_quotient(m3) == 6
-
-
-def test_is_m_primary(field):
-    assert is_m_primary(ideal(field, "x^2", "y^3"))
-    assert not is_m_primary(ideal(field, "x^2", "x*y"))
-    with pytest.raises(NotMPrimary):
-        length_quotient(ideal(field, "x^2", "x*y"))
-    with pytest.raises(NotMPrimary):
-        hilbert_table(ideal(field, "x^2", "x*y"))
-
-
-def test_min_gens_drops_redundant_generators(field):
-    J = ideal(field, "x^2", "x*y", "y^2", "x^3")
-    assert min_gens(J) == 3
-    assert min_gens(ideal(field, "x^4", "x^2*y^2", "y^4")) == 3
-    assert min_gens(maximal_ideal_power(field, 5)) == 6
+    assert slice_rank(J, 4) == 4  # every degree-4 monomial but y^4
 
 
 def test_power(field):
@@ -94,13 +62,17 @@ def test_ideal_equals_handles_different_generating_sets(field):
     b = ideal(field, "x^2 + x*y", "x*y - y^2", "y^2", "x^2")
     assert ideal_equals(a, b)
     assert not ideal_equals(a, ideal(field, "x^2", "y^2"))
+    # mixed generator degrees: x^2*y^2 lies in (x^2), x*y^2 is not in (x^2, y^3)
+    assert ideal_equals(ideal(field, "x^2", "x*y^3"), ideal(field, "x^2", "x*y^3 + x^2*y^2"))
+    assert not ideal_equals(ideal(field, "x^2", "y^3"), ideal(field, "x^2", "x*y^2", "y^3"))
+    assert not ideal_equals(ideal(field, "x^2", "x*y^2", "y^3"), ideal(field, "x^2", "y^3"))
 
 
 def test_rational_mode(field):
     J = ideal(QQ, "x^2", "x*y", "y^2")
     assert slice_rank(J, 2) == 3
-    assert length_quotient(J) == 3
     assert ideal_equals(J, maximal_ideal_power(QQ, 2))
+    assert not ideal_equals(J, ideal(QQ, "x^2", "y^2"))
 
 
 def test_gen_strings(field):

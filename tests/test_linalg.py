@@ -123,10 +123,9 @@ def test_echelon_incremental_matches_batch_rank(field):
     added = ech.add_rows(rows)
     assert ech.rank == added == rank(rows, field)
     for row in rows:
-        assert ech.contains(row)
         assert not ech.add_row(row)
     combo = [field.add(a, b) for a, b in zip(rows[0], rows[1])]
-    assert ech.contains(combo)
+    assert not ech.add_row(combo)
 
 
 def test_to_np_rejects_nothing_and_keeps_shape():
