@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -97,21 +98,34 @@ def load_instance(path: str):
     return parse_instance(text)
 
 
+# the scalars of instance files, [-]a or [-]a/b; Fraction alone would also
+# take exponent notation, whose expansion costs time without bound
+_SCALAR = re.compile(r"-?\d+(/\d+)?")
+
+
 def _parse_scalar(field, text: str):
-    try:
-        return field.conv(Fraction(text))
-    except (ValueError, ZeroDivisionError):
-        raise InstanceError(f"bad coordinate {text!r}")
+    if _SCALAR.fullmatch(text):
+        try:
+            return field.conv(Fraction(text))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InstanceError(f"bad coordinate {text!r}")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _effective_seed(args, instance_seed: int) -> int:
@@ -334,8 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_core)
 
     p = sub.add_parser("selftest", help="run the invariant suite over generated corpora")
-    p.add_argument("--d-max", type=int, default=8, help="exhaustive monomial sweep bound")
-    p.add_argument("--corpus-size", type=int, default=25, help="random corpus size")
+    p.add_argument("--d-max", type=_positive_int, default=8, help="exhaustive monomial sweep bound")
+    p.add_argument("--corpus-size", type=_int_at_least(0), default=25, help="random corpus size")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--samples", type=_positive_int, default=7)
     p.set_defaults(run=cmd_selftest)

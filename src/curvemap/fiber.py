@@ -25,7 +25,6 @@ from .errors import (
     SlopeNotStabilized,
     ZeroRow,
 )
-from .field import PrimeField
 from .forms import (
     BinaryForm,
     ProjPoint1,
@@ -177,11 +176,18 @@ def _table_monomial(P: Parameterization, cap: int):
             )
 
 
-def _slices_prime(P: Parameterization):
-    """HF_A(1), HF_A(2), ... by incremental elimination on the numpy back-end."""
-    p = P.field.p
+def _slices(P: Parameterization):
+    """HF_A(1), HF_A(2), ... by incremental elimination.
+
+    A_(j+1) = h * A_j + sum of g_i * A_j over the other generators, with h a
+    generator not divisible by y.  Only the rows new in A_j need the other
+    generators: the rest are h-multiples from A_(j-1), whose products are
+    already in h * A_j.
+    """
+    field = P.field
+    p = linalg.modulus(field)
     n = P.n
-    G = np.array([list(g.coeffs) for g in P.gens], dtype=np.int64)
+    G = linalg.to_np([list(g.coeffs) for g in P.gens], field)
     R, piv = linalg.np_rref(G.copy(), p)
     R = R[: len(piv)]
     pivots = list(piv)
@@ -194,16 +200,9 @@ def _slices_prime(P: Parameterization):
         C = np.vstack(
             [linalg.np_shift_mul(W, G[i], p) for i in range(n) if i != hrow]
         )
-        # forward-eliminate C against H; H[t] leads at pivots[t] since
-        # multiplying by h (nonzero x^d coefficient) preserves leading columns
-        for t in range(len(pivots)):
-            col = C[:, pivots[t]]
-            nz = np.nonzero(col)[0]
-            if len(nz) == 0:
-                continue
-            f = col[nz] * pow(int(H[t, pivots[t]]), p - 2, p) % p
-            C[nz] = (C[nz] - np.outer(f, H[t])) % p
-        Cr, cpiv = linalg.np_rref(C, p)
+        # H[t] leads at pivots[t] since multiplying by h (nonzero x^d
+        # coefficient) preserves leading columns
+        Cr, cpiv = linalg.np_rref(linalg.np_forward_reduce(C, H, pivots, p), p)
         N = Cr[: len(cpiv)]
         merged = pivots + cpiv
         order = np.argsort(merged, kind="stable")
@@ -211,19 +210,6 @@ def _slices_prime(P: Parameterization):
         pivots = [merged[i] for i in order]
         W = N
         yield R.shape[0]
-
-
-def _slices_generic(P: Parameterization):
-    """HF_A(1), HF_A(2), ... by elimination on the field-object back-end."""
-    field = P.field
-    basis_rows, piv = linalg.rref([list(g.coeffs) for g in P.gens], field)
-    basis = [form(field, row) for row in basis_rows[: len(piv)]]
-    yield len(basis)
-    while True:
-        products = [b.mul(g) for b in basis for g in P.gens]
-        rows, piv = linalg.rref([list(f.coeffs) for f in products], field)
-        basis = [form(field, row) for row in rows[: len(piv)]]
-        yield len(basis)
 
 
 def _plane_curve(e: int):
@@ -266,10 +252,8 @@ def hilbert_table_a(P: Parameterization, e=None):
         return got, hf
     if e is not None and P.n == 3:
         values = _plane_curve(e)
-    elif isinstance(P.field, PrimeField):
-        values = _slices_prime(P)
     else:
-        values = _slices_generic(P)
+        values = _slices(P)
     hf = [1]
     full = False
     j = 0

@@ -72,21 +72,16 @@ class BinaryForm:
             return form(self.field, [])
         f = self.field
         a, b = self.coeffs, other.coeffs
+        # exact products first, one reduction per output coefficient
+        out = [f.zero] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        out[i + j] += ai * bj
         if f.modular:
             p = f.p
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            out[i + j] = (out[i + j] + ai * bj) % p
-        else:
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        if bj:
-                            out[i + j] += ai * bj
+            out = [c % p for c in out]
         return BinaryForm(f, tuple(out))
 
     def shift(self, xexp: int, yexp: int) -> "BinaryForm":
@@ -160,9 +155,12 @@ def form(field, coeffs) -> BinaryForm:
 
 
 def monomial(field, degree: int, yexp: int, c=1) -> BinaryForm:
+    c = field.conv(c)
+    if not c:
+        return form(field, [])
     coeffs = [field.zero] * (degree + 1)
-    coeffs[yexp] = field.conv(c)
-    return form(field, coeffs)
+    coeffs[yexp] = c
+    return BinaryForm(field, tuple(coeffs))
 
 
 def constant(field, c=1) -> BinaryForm:

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import linalg
 from .errors import InternalInvariantViolation
-from .field import PrimeField
 from .forms import BinaryForm, form, format_form
 from .param import Parameterization
 
@@ -57,22 +56,13 @@ def syzygies_in_degree(P: Parameterization, t: int) -> list:
     n, d = P.n, P.d
     ncols = n * (t + 1)
     nrows = t + d + 1
-    if isinstance(field, PrimeField):
-        m = np.zeros((nrows, ncols), dtype=np.int64)
-        rowidx = np.arange(d + 1)[:, None] + np.arange(t + 1)[None, :]
-        for i, g in enumerate(P.gens):
-            cols = i * (t + 1) + np.arange(t + 1)
-            m[rowidx, cols[None, :]] = np.array(g.coeffs, dtype=np.int64)[:, None]
-        kernel = linalg.np_kernel(m, field.p)
-        vectors = [[int(v) for v in row] for row in kernel]
-    else:
-        m = [[field.zero] * ncols for _ in range(nrows)]
-        for i, g in enumerate(P.gens):
-            for k in range(t + 1):
-                col = i * (t + 1) + k
-                for j, c in enumerate(g.coeffs):
-                    m[k + j][col] = c
-        vectors = linalg.kernel_basis(m, ncols, field)
+    gens = linalg.to_np([list(g.coeffs) for g in P.gens], field)
+    m = np.zeros((nrows, ncols), dtype=gens.dtype)
+    rowidx = np.arange(d + 1)[:, None] + np.arange(t + 1)[None, :]
+    for i in range(n):
+        cols = i * (t + 1) + np.arange(t + 1)
+        m[rowidx, cols[None, :]] = gens[i][:, None]
+    vectors = linalg.np_kernel(m, linalg.modulus(field)).tolist()
     out = []
     for v in vectors:
         comps = tuple(form(field, v[i * (t + 1) : (i + 1) * (t + 1)]) for i in range(n))
@@ -189,37 +179,8 @@ def hilbert_burch(P: Parameterization) -> SyzygyMatrix:
 # determinantal verification
 
 
-def _det_mod(mat: list, p: int) -> int:
-    """Determinant mod p by division-free elimination, one final inversion."""
-    m = [row[:] for row in mat]
-    k = len(m)
-    if k == 0:
-        return 1 % p
-    denom = 1
-    sign = 1
-    for c in range(k - 1):
-        piv = next((r for r in range(c, k) if m[r][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        a = m[c][c]
-        for r in range(c + 1, k):
-            b = m[r][c]
-            if b:
-                # row_r <- a*row_r - b*row_c scales det by a
-                mr, mc = m[r], m[c]
-                m[r] = [0] * c + [(a * mr[j] - b * mc[j]) % p for j in range(c, k)]
-                denom = denom * a % p
-    det = 1
-    for i in range(k):
-        det = det * m[i][i] % p
-    det = det * pow(denom, p - 2, p) % p
-    return -det % p if sign < 0 else det
-
-
-def _det_gen(mat: list, field) -> object:
+def _det(mat: list, field) -> object:
+    """Determinant by elimination over the field."""
     m = [row[:] for row in mat]
     k = len(m)
     det = field.one
@@ -294,76 +255,30 @@ def _interpolated_minors(phi: SyzygyMatrix, d: int):
     """The n maximal minors (row i deleted) as forms of degree d."""
     field = phi.field
     n = phi.n
-    ts = [field.conv(t) for t in range(d + 1)]
-    if isinstance(field, PrimeField):
-        p = field.p
-        # power table: pow_t[k][e] = ts[k]**e
-        powmat = np.ones((d + 1, d + 1), dtype=np.int64)
-        base = np.array([int(t) for t in ts], dtype=np.int64)
+    p = linalg.modulus(field)
+    # Vandermonde rows at the points t = 0..d: powrows[k][e] = k**e
+    powrows = [[field.one] * (d + 1) for _ in range(d + 1)]
+    for k in range(d + 1):
+        t = field.conv(k)
+        row = powrows[k]
         for e in range(1, d + 1):
-            powmat[:, e] = powmat[:, e - 1] * base % p
-        # entry values at every point
-        vals = np.zeros((n, n - 1, d + 1), dtype=np.int64)
-        for j in range(n - 1):
-            for i in range(n):
-                e = phi.columns[j][i]
-                if e.is_zero:
-                    continue
-                rev = np.array(list(reversed(e.coeffs)), dtype=np.int64)
-                vals[i, j] = linalg.np_matmul_mod(
-                    powmat[:, : len(rev)], rev, p
-                )
-        minor_vals = np.zeros((n, d + 1), dtype=np.int64)
-        rows_all = list(range(n))
-        for k in range(d + 1):
-            mat_k = vals[:, :, k]
-            for i in range(n):
-                rows = [r for r in rows_all if r != i]
-                minor_vals[i, k] = _det_mod([list(map(int, mat_k[r])) for r in rows], p)
-        # interpolate: V c = values with V[k, e] = ts[k]**e, c low-to-high
-        aug = np.concatenate([powmat, minor_vals.T], axis=1)
-        red, piv = linalg.np_rref(aug, p)
-        if piv[: d + 1] != list(range(d + 1)):
-            return None
-        out = []
+            row[e] = field.mul(row[e - 1], t)
+    powmat = linalg.to_np(powrows, field)
+    # entry values at every point
+    vals = np.zeros((n, n - 1, d + 1), dtype=powmat.dtype)
+    for j in range(n - 1):
         for i in range(n):
-            low_to_high = [int(v) for v in red[: d + 1, d + 1 + i]]
-            out.append(form(field, list(reversed(low_to_high))))
-        return out
-    # rational mode: same plan, plain lists
-    powrows = [[field.one] for _ in ts]
-    for e in range(1, d + 1):
-        for k, t in enumerate(ts):
-            powrows[k].append(field.mul(powrows[k][-1], t))
-    minor_cols = []
-    for i in range(n):
-        minor_cols.append([])
-    for k, t in enumerate(ts):
-        mat_k = [
-            [
-                _eval_dehom(phi.columns[j][i], powrows[k], field)
-                for j in range(n - 1)
-            ]
-            for i in range(n)
-        ]
+            e = phi.columns[j][i]
+            if not e.is_zero:
+                rev = linalg.to_np(list(reversed(e.coeffs)), field)[0]
+                vals[i, j] = linalg.np_matmul_mod(powmat[:, : len(rev)], rev, p)
+    minor_vals = np.zeros((n, d + 1), dtype=powmat.dtype)
+    for k in range(d + 1):
+        mat_k = linalg.from_np(vals[:, :, k], field)
         for i in range(n):
-            rows = [mat_k[r] for r in range(n) if r != i]
-            minor_cols[i].append(_det_gen(rows, field))
-    out = []
-    for i in range(n):
-        sol = linalg.solve(powrows, minor_cols[i], field)
-        if sol is None:
-            return None
-        out.append(form(field, list(reversed(sol))))
-    return out
-
-
-def _eval_dehom(e: BinaryForm, powrow: list, field):
-    """Value of e(t, 1) given the precomputed powers of t."""
-    if e.is_zero:
-        return field.zero
-    acc = field.zero
-    for exp, c in enumerate(reversed(e.coeffs)):
-        if c:
-            acc = field.add(acc, field.mul(c, powrow[exp]))
-    return acc
+            minor_vals[i, k] = _det(mat_k[:i] + mat_k[i + 1 :], field)
+    # interpolate: V c = values with V[k, e] = k**e, c low-to-high
+    red, piv = linalg.np_rref(np.concatenate([powmat, minor_vals.T], axis=1), p)
+    if piv[: d + 1] != list(range(d + 1)):
+        return None
+    return [form(field, red[d::-1, d + 1 + i].tolist()) for i in range(n)]

@@ -104,6 +104,17 @@ def test_fiber_accepts_rational_coordinates(tmp_path, capsys):
     assert json.loads(out)["onImage"] is True
 
 
+def test_fiber_rejects_coordinates_outside_the_scalar_grammar(tmp_path, capsys):
+    # only [-]a and [-]a/b; exponent notation would be expanded by Fraction
+    path = write_instance(tmp_path, QUARTIC)
+    for point in ("1:1e5:1", "1:0.5:1", "1:+1:1", "1: 1:1", "1:1/0:1", "1:1/-2:1"):
+        code, out, err = run(capsys, ["fiber", path, "--point", point, "--deterministic"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad coordinate")
+    code, out, _ = run(capsys, ["fiber", path, "--point", "1:-1:1", "--deterministic"])
+    assert code == 0 and json.loads(out)["onImage"] is True
+
+
 def test_reparam_command(tmp_path, capsys):
     path = write_instance(tmp_path, QUARTIC)
     code, out, _ = run(capsys, ["reparam", path, "--deterministic"])
@@ -210,6 +221,14 @@ def test_selftest_exit_codes(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "run_selftest", lambda *a, **k: Fake())
     assert run(capsys, ["selftest"])[0] == 3
+
+
+def test_selftest_rejects_empty_sweeps(capsys):
+    # a self-test over no cases must not report a pass
+    for argv in (["--d-max", "-1"], ["--d-max", "0"], ["--corpus-size", "-3"]):
+        code, out, err = run(capsys, ["selftest", *argv])
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and argv[0] in err
 
 
 def test_samples_below_one_exits_1(tmp_path, capsys):

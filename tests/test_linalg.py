@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from curvemap import QQ, PrimeField
 from curvemap.linalg import (
     Echelon,
+    from_np,
     kernel_basis,
     np_kernel,
     np_matmul_mod,
@@ -28,13 +30,15 @@ def random_matrix(rng, rows, cols, bound=10**6):
 def test_np_rref_idempotent_and_pivot_columns_are_unit():
     p = PRIMES[0]
     rng = random.Random("rref")
-    a = np.array(random_matrix(rng, 6, 9), dtype=np.int64) % p
-    r, piv = np_rref(a.copy(), p)
-    r2, piv2 = np_rref(r.copy(), p)
-    assert np.array_equal(r, r2) and piv == piv2
-    for i, c in enumerate(piv):
-        col = r[:, c]
-        assert col[i] == 1 and np.count_nonzero(col) == 1
+    m = random_matrix(rng, 6, 9)
+    # mod p on int64 residues, and exactly (p None) on Fraction objects
+    for a, q in ((np.array(m, dtype=np.int64) % p, p), (to_np(m, QQ), None)):
+        r, piv = np_rref(a.copy(), q)
+        r2, piv2 = np_rref(r.copy(), q)
+        assert np.array_equal(r, r2) and piv == piv2
+        for i, c in enumerate(piv):
+            col = r[:, c]
+            assert col[i] == 1 and np.count_nonzero(col) == 1
 
 
 def test_rank_agrees_across_primes_and_with_rationals():
@@ -89,15 +93,18 @@ def test_np_shift_mul_is_polynomial_multiplication():
     # rows are dense coefficient slices; multiplying by h must convolve
     p = PRIMES[0]
     rng = random.Random("shift")
-    rows = np.array(random_matrix(rng, 3, 5), dtype=np.int64) % p
-    h = np.array([2, 0, 7], dtype=np.int64)
-    out = np_shift_mul(rows, h, p)
-    for i in range(3):
-        want = [0] * 7
-        for a_i, c in enumerate(map(int, rows[i])):
-            for h_i, v in enumerate(map(int, h)):
-                want[a_i + h_i] = (want[a_i + h_i] + c * v) % p
-        assert out[i].tolist() == want
+    m = random_matrix(rng, 3, 5)
+    for rows, h, q in (
+        (np.array(m, dtype=np.int64) % p, np.array([2, 0, 7], dtype=np.int64), p),
+        (to_np(m, QQ), to_np([Fraction(2, 3), 0, -7], QQ)[0], None),
+    ):
+        out = np_shift_mul(rows, h, q)
+        for i in range(3):
+            want = [0] * 7
+            for a_i, c in enumerate(rows[i].tolist()):
+                for h_i, v in enumerate(h.tolist()):
+                    want[a_i + h_i] += c * v
+            assert out[i].tolist() == [w if q is None else w % q for w in want]
 
 
 def test_generic_rref_solve_kernel_over_rationals():
@@ -129,5 +136,52 @@ def test_echelon_incremental_matches_batch_rank(field):
 
 
 def test_to_np_rejects_nothing_and_keeps_shape():
-    a = to_np([[1, 2], [3, 4]])
+    a = to_np([[1, 2], [3, 4]], PrimeField(PRIMES[0]))
     assert a.dtype == np.int64 and a.shape == (2, 2)
+    b = to_np([Fraction(1, 2), 3], QQ)
+    assert b.dtype == object and b.shape == (1, 2)
+    assert from_np(b, QQ) == [[Fraction(1, 2), Fraction(3)]]
+
+
+def random_rational_matrix(rng, rows, cols):
+    """Small integers and fractions, with zero rows, zero columns and low rank."""
+    m = [
+        [Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 7))) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    if rows > 2 and rng.random() < 0.5:
+        # a combination of two rows, so the rank drops
+        a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(1, 4), 5)
+        m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+    if rng.random() < 0.3:
+        m[rng.randrange(rows)] = [Fraction(0)] * cols
+    if rng.random() < 0.3:
+        c = rng.randrange(cols)
+        for row in m:
+            row[c] = Fraction(0)
+    return m
+
+
+def test_rational_back_end_agrees_with_sympy():
+    # sympy is an independent oracle for exact elimination over QQ
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("sympy")
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+        m = random_rational_matrix(rng, rows, cols)
+        red, piv = rref(m, QQ)
+        want, want_piv = sympy.Matrix(m).rref()
+        assert piv == list(want_piv)
+        assert red == [[Fraction(int(v.p), int(v.q)) for v in want.row(i)] for i in range(rows)]
+        assert all(type(v) is Fraction for row in red for v in row)
+        ker = kernel_basis(m, cols, QQ)
+        assert len(ker) == cols - len(want_piv)
+        for v in ker:
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
+        rhs = [Fraction(rng.randint(-5, 5)) for _ in range(rows)]
+        x = solve(m, rhs, QQ)
+        aug = sympy.Matrix([row + [b] for row, b in zip(m, rhs)])
+        consistent = aug.rank() == sympy.Matrix(m).rank()
+        assert (x is not None) == consistent
+        if x is not None:
+            assert [sum(a * b for a, b in zip(row, x)) for row in m] == rhs
