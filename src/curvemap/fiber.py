@@ -289,32 +289,49 @@ class DegreeCertificate:
 
 
 def _sampled_fiber_degree(P: Parameterization, phi: SyzygyMatrix, seed, samples) -> int:
-    """Least fiber degree over the images of random points; never below r."""
+    """Least fiber degree over the images of random points; never below r.
+
+    The points (1 : t) are drawn in batches of the samples still missing.
+    One Vandermonde product evaluates every generator at a batch, and one
+    product per column of phi gives every row p * phi; a point whose row
+    vanishes is redrawn, within samples + 16 draws in all.
+    """
     if samples < 1:
         raise ValueError("need at least one fiber sample")
     rng = random.Random(f"map-degree:{seed}")
     field = P.field
+    p = linalg.modulus(field)
+    G = linalg.to_np([list(g.coeffs) for g in P.gens], field)
+    cols = [
+        linalg.to_np([e.coeffs or [field.zero] * (D + 1) for e in col], field)
+        for D, col in zip(phi.col_degrees, phi.columns)
+    ]
     best = None
     got = 0
     attempts = 0
     while got < samples:
-        attempts += 1
-        if attempts > samples + 16:
+        room = samples + 16 - attempts
+        if room <= 0:
             raise CertificationFailed(
                 "fiber sampling kept hitting degenerate points; "
                 "retry with a different seed or a larger prime"
             )
-        q = ProjPoint1.of(field, field.one, field.rand(rng))
-        try:
-            rep = fiber(P, phi, apply_map(P, q))
-        except ZeroRow:
-            continue
-        got += 1
-        if rep.fiber_degree < 1:
-            raise InternalInvariantViolation(
-                f"image point {rep.point} reported off the image"
-            )
-        best = rep.fiber_degree if best is None else min(best, rep.fiber_degree)
+        ts = [field.rand(rng) for _ in range(min(samples - got, room))]
+        attempts += len(ts)
+        points = linalg.to_np(ts, field)[0]
+        # vals[i, s] = g_i(1, t_s), the image of the s-th point
+        vals = linalg.np_matmul_mod(G, linalg.np_vandermonde(points, P.d, p), p)
+        rows = [linalg.from_np(linalg.np_matmul_mod(vals.T, C, p), field) for C in cols]
+        for s in range(len(ts)):
+            entries = [e for e in (form(field, row[s]) for row in rows) if not e.is_zero]
+            if not entries:
+                continue
+            got += 1
+            degree = gcd_forms(entries).degree
+            if degree < 1:
+                point = ProjPointN.of(field, linalg.from_np(vals[:, s], field))
+                raise InternalInvariantViolation(f"image point {point} reported off the image")
+            best = degree if best is None else min(best, degree)
     return best
 
 

@@ -146,6 +146,15 @@ def np_shift_mul(rows: np.ndarray, h: np.ndarray, p) -> np.ndarray:
     return out
 
 
+def np_vandermonde(points: np.ndarray, degree: int, p) -> np.ndarray:
+    """The powers v[k, s] = points[s]**k for k = 0..degree."""
+    v = np.empty((degree + 1, points.shape[0]), dtype=points.dtype)
+    v[0] = 1
+    for k in range(1, degree + 1):
+        v[k] = _reduce(v[k - 1] * points, p)
+    return v
+
+
 # ---------------------------------------------------------------------------
 # public API: lists of field scalars in and out
 
@@ -164,25 +173,10 @@ def from_np(a: np.ndarray, field) -> list:
     return (a if field.modular else _to_fraction(a)).tolist()
 
 
-def rref(rows, field):
-    """Reduced row echelon form.  Returns (rows, pivot column indices)."""
-    if not rows:
-        return [], []
-    a, piv = np_rref(to_np(rows, field), modulus(field))
-    return from_np(a, field), piv
-
-
 def rank(rows, field) -> int:
     if not rows:
         return 0
     return len(np_rref(to_np(rows, field), modulus(field))[1])
-
-
-def kernel_basis(rows, ncols, field):
-    """Vectors spanning the right kernel of the matrix, or [] if trivial."""
-    if not rows:
-        return [[field.one if i == j else field.zero for i in range(ncols)] for j in range(ncols)]
-    return from_np(np_kernel(to_np(rows, field), modulus(field)), field)
 
 
 def solve(rows, rhs, field):

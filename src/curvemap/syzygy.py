@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InternalInvariantViolation
+from .errors import CertificationFailed, InternalInvariantViolation
 from .forms import BinaryForm, form, format_form
 from .param import Parameterization
 
@@ -48,59 +48,73 @@ class SyzygyMatrix:
         }
 
 
-def syzygies_in_degree(P: Parameterization, t: int) -> list:
-    """Basis of the degree-t syzygies, each a tuple of n forms of degree t."""
-    if t < 0:
-        return []
-    field = P.field
+def _gens_array(P: Parameterization) -> np.ndarray:
+    return linalg.to_np([list(g.coeffs) for g in P.gens], P.field)
+
+
+def _multiplication_matrix(G: np.ndarray, t: int) -> np.ndarray:
+    """Coefficient matrix of (h_1, ..., h_n) |-> sum h_i g_i, deg h_i = t.
+
+    G holds the generators as rows; column i*(t+1) + k stands for
+    x^(t-k) y^k in the i-th component.
+    """
+    n, w = G.shape
+    m = np.zeros((t + w, n * (t + 1)), dtype=G.dtype)
+    # g_i[a] lands in row a + k of column i*(t+1) + k
+    shift = np.arange(t + 1)
+    rows = np.arange(w)[None, :, None] + shift
+    cols = (np.arange(n) * (t + 1))[:, None, None] + shift
+    m[rows, cols] = G[:, :, None]
+    return m
+
+
+def syzygies_in_degree(P: Parameterization, t: int) -> np.ndarray:
+    """Basis of the degree-t syzygies, one array row per vector.
+
+    Row entry i*(t+1) + k is the coefficient of x^(t-k) y^k in the i-th
+    component; the rows are the kernel basis in echelon order.
+    """
+    m = _multiplication_matrix(_gens_array(P), t)
+    return linalg.np_kernel(m, linalg.modulus(P.field))
+
+
+def _ideal_slice_dims(P: Parameterization):
+    """dim I_(d+t) of the ideal (g_1, ..., g_n), for t = 1, 2, ...
+
+    Non-monomial input keeps one growing echelon of the slice:
+    I_(d+t) = x * I_(d+t-1) + y^t * (g_1, ..., g_n).  Multiplying by x keeps
+    every coefficient row and appends one zero column, so each step only
+    clears the n new rows against the echelon, reduces what is left and
+    merges the pivots.
+    """
     n, d = P.n, P.d
-    ncols = n * (t + 1)
-    nrows = t + d + 1
-    gens = linalg.to_np([list(g.coeffs) for g in P.gens], field)
-    m = np.zeros((nrows, ncols), dtype=gens.dtype)
-    rowidx = np.arange(d + 1)[:, None] + np.arange(t + 1)[None, :]
-    for i in range(n):
-        cols = i * (t + 1) + np.arange(t + 1)
-        m[rowidx, cols[None, :]] = gens[i][:, None]
-    vectors = linalg.np_kernel(m, linalg.modulus(field)).tolist()
-    out = []
-    for v in vectors:
-        comps = tuple(form(field, v[i * (t + 1) : (i + 1) * (t + 1)]) for i in range(n))
-        out.append(comps)
-    return out
-
-
-def _flat(vec, t: int, shift_y: int, field) -> list:
-    """Flatten a syzygy vector times x**(t-D-shift_y) * y**shift_y into degree t."""
-    row = []
-    zero = field.zero
-    for h in vec:
-        block = [zero] * (t + 1)
-        if not h.is_zero:
-            for j, c in enumerate(h.coeffs):
-                block[shift_y + j] = c
-        row.extend(block)
-    return row
-
-
-def _ideal_slice_dim(P: Parameterization, e: int) -> int:
-    """dim of the degree-e slice of (g_1, ..., g_n), for e >= d."""
-    t = e - P.d
     if P.is_monomial:
-        # the multiples of x^a y^(d-a) in degree e occupy [a, a+t] in y-shift;
-        # count the union of those intervals over sorted exponents
-        a = sorted(P.d - g.y_order for g in P.gens)
-        total = t + 1
-        for i in range(len(a) - 1):
-            total += min(t + 1, a[i + 1] - a[i])
-        return total
-    rows = []
-    zero = P.field.zero
-    for g in P.gens:
-        base = list(g.coeffs)
-        for k in range(t + 1):
-            rows.append([zero] * k + base + [zero] * (t - k))
-    return linalg.rank(rows, P.field)
+        # the multiples of x^a y^(d-a) in degree d+t occupy [a, a+t] in
+        # y-shift; count the union of those intervals over sorted exponents
+        a = sorted(d - g.y_order for g in P.gens)
+        t = 0
+        while True:
+            t += 1
+            yield t + 1 + sum(min(t + 1, a[i + 1] - a[i]) for i in range(n - 1))
+    p = linalg.modulus(P.field)
+    G = _gens_array(P)
+    R, piv = linalg.np_rref(G.copy(), p)
+    pivots = list(piv)
+    R = R[: len(pivots)]
+    t = 0
+    while True:
+        t += 1
+        R = np.hstack([R, np.zeros((R.shape[0], 1), dtype=R.dtype)])
+        C = np.zeros((n, d + t + 1), dtype=R.dtype)
+        C[:, t:] = G
+        # R is in row echelon form with rows sorted by pivot, as the
+        # forward reduction needs
+        Cr, cpiv = linalg.np_rref(linalg.np_forward_reduce(C, R, pivots, p), p)
+        merged = pivots + cpiv
+        order = np.argsort(merged, kind="stable")
+        R = np.vstack([R, Cr[: len(cpiv)]])[order]
+        pivots = [merged[i] for i in order]
+        yield len(pivots)
 
 
 def _column_degree_counts(P: Parameterization) -> dict:
@@ -111,6 +125,7 @@ def _column_degree_counts(P: Parameterization) -> dict:
     sequence counts the columns of degree exactly t.
     """
     n, d = P.n, P.d
+    dims = _ideal_slice_dims(P)
     counts: dict = {}
     found = 0
     weighted = 0
@@ -118,7 +133,7 @@ def _column_degree_counts(P: Parameterization) -> dict:
     t = 0
     while found < n - 1 and t < d:
         t += 1
-        s_t = n * (t + 1) - _ideal_slice_dim(P, t + d)
+        s_t = n * (t + 1) - next(dims)
         c_t = (s_t - s_prev) - (s_prev - s_prev2)
         if c_t:
             counts[t] = c_t
@@ -132,47 +147,118 @@ def _column_degree_counts(P: Parameterization) -> dict:
     return counts
 
 
+def _multiples(accepted: list, t: int, n: int, dtype) -> np.ndarray:
+    """Every x^(t-D-k) y^k multiple of the accepted columns, flattened in degree t."""
+    blocks = []
+    for D, vec in accepted:
+        comps = vec.reshape(n, D + 1)
+        out = np.zeros((t - D + 1, n, t + 1), dtype=dtype)
+        for k in range(t - D + 1):
+            out[k, :, k : k + D + 1] = comps
+        blocks.append(out.reshape(t - D + 1, n * (t + 1)))
+    return np.vstack(blocks)
+
+
+def _certify(P: Parameterization, cols: list) -> None:
+    """Prove that cols, pairs (D, flat coefficients), make a Hilbert-Burch matrix.
+
+    Three checks: every column is a syzygy, the degrees sum to d, and the
+    matrix has rank n-1 at some point (1 : s) with s = 1..d+1.  Then
+    g^T phi = 0 with phi of rank n-1 gives g = lambda * Delta, Delta the
+    signed maximal minors, and deg Delta_i = d with gcd(g) = 1 makes lambda
+    a constant.  The d+1 points are distinct because p > d+1, so minors of
+    degree d cannot all vanish at every one of them.
+    """
+    field = P.field
+    p = linalg.modulus(field)
+    n, d = P.n, P.d
+    degrees = [D for D, _ in cols]
+    if len(cols) != n - 1 or sum(degrees) != d:
+        raise CertificationFailed(
+            f"the column degrees {degrees} of phi are not {n - 1} degrees summing to d = {d}"
+        )
+    # each column times x^(top - D), so all share degree top: its
+    # components gain trailing zeros, a syzygy stays a syzygy, and the
+    # values at x = 1 stay the same
+    top = max(degrees)
+    zero = field.zero
+    entries = linalg.to_np(
+        [
+            v[i * (D + 1) : (i + 1) * (D + 1)] + [zero] * (top - D)
+            for D, v in cols
+            for i in range(n)
+        ],
+        field,
+    )
+    residue = linalg.np_matmul_mod(
+        _multiplication_matrix(_gens_array(P), top), entries.reshape(n - 1, n * (top + 1)).T, p
+    )
+    bad = np.nonzero(residue.any(axis=0))[0]
+    if bad.size:
+        j = int(bad[0])
+        raise CertificationFailed(
+            f"column {j + 1} of phi, of degree {degrees[j]}, is not a syzygy of the generators"
+        )
+    for s in range(1, d + 2):
+        point = linalg.to_np([s], field)[0]
+        vals = linalg.np_matmul_mod(entries, linalg.np_vandermonde(point, top, p), p)
+        if len(linalg.np_rref(vals.reshape(n - 1, n), p)[1]) == n - 1:
+            return
+    raise CertificationFailed(
+        f"phi has rank below {n - 1} at every point (1 : s), s = 1..{d + 1}, "
+        "so its minors cannot give the generators"
+    )
+
+
 def hilbert_burch(P: Parameterization) -> SyzygyMatrix:
     """The minimal syzygy matrix: n-1 columns, degrees summing to d.
 
-    Column degrees come first, from the Hilbert function of the ideal; then
-    one kernel computation per distinct degree.  At each degree, kernel
-    vectors are admitted only when independent of the multiples of the
-    already-accepted columns, in kernel basis order, which makes the output
-    deterministic.
+    Column degrees come first, from the Hilbert function of the ideal, read
+    off one incremental elimination of its slices.  Then one kernel
+    computation per distinct degree.  At each degree, kernel vectors are
+    admitted only when independent of the multiples of the already-accepted
+    columns, in kernel basis order, which makes the output deterministic:
+    one row-rank-profile elimination of [multiples; kernel vectors] picks
+    them.  The columns are scaled so their first nonzero coefficient is one.
+
+    The result is certified before it is returned: every column is a
+    syzygy, the degrees sum to d and phi has rank n-1 at a point, which
+    proves the whole Hilbert-Burch contract (see _certify).  A failed check
+    raises CertificationFailed.
     """
     field = P.field
-    n, d = P.n, P.d
+    p = linalg.modulus(field)
+    n = P.n
     counts = _column_degree_counts(P)
     accepted: list = []
     for t in sorted(counts):
         need = counts[t]
         kv = syzygies_in_degree(P, t)
-        ech = linalg.Echelon(n * (t + 1), field)
-        old = []
-        for D, vec in accepted:
-            for k in range(t - D + 1):
-                old.append(_flat(vec, t, k, field))
-        if old:
-            ech.add_rows(old)
-        got = 0
-        for vec in kv:
-            if ech.add_row(_flat(vec, t, 0, field)):
-                accepted.append((t, vec))
-                got += 1
-                if got == need:
-                    break
-        if got != need:
+        if accepted:
+            old = _multiples(accepted, t, n, kv.dtype)
+            # pivot columns of the transpose: the rows independent of all
+            # earlier rows, so the same vectors as admitting one at a time
+            piv = linalg.np_rref(np.vstack([old, kv]).T.copy(), p)[1]
+            new = [c - len(old) for c in piv if c >= len(old)][:need]
+        else:
+            # a kernel basis is independent, so its first vectors are new
+            new = list(range(min(need, len(kv))))
+        if len(new) != need:
             raise InternalInvariantViolation(
-                f"found {got} of {need} new syzygies in degree {t}"
+                f"found {len(new)} of {need} new syzygies in degree {t}"
             )
-    degrees = tuple(D for D, _ in accepted)
-    columns = []
-    for _, vec in accepted:
-        lead = next(e for e in vec if not e.is_zero)
-        c = field.inv(lead.coeffs[lead.y_order])
-        columns.append(tuple(e.scale(c) for e in vec))
-    return SyzygyMatrix(field, n, degrees, tuple(columns))
+        accepted += [(t, kv[i]) for i in new]
+    cols = []
+    for D, vec in accepted:
+        vals = linalg.from_np(vec, field)
+        c = field.inv(next(v for v in vals if v))
+        cols.append((D, [field.mul(c, v) for v in vals]))
+    _certify(P, cols)
+    columns = tuple(
+        tuple(form(field, v[i * (D + 1) : (i + 1) * (D + 1)]) for i in range(n))
+        for D, v in cols
+    )
+    return SyzygyMatrix(field, n, tuple(D for D, _ in cols), columns)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from curvemap import (
     SyzygyMatrix,
     ZeroRow,
     apply_map,
+    dense_corpus,
     fiber,
     form,
     gcd_forms,
@@ -21,7 +22,8 @@ from curvemap import (
     parse_form,
     row_ideal,
 )
-from curvemap.fiber import OFF_IMAGE_NOTE
+from curvemap.fiber import OFF_IMAGE_NOTE, _sampled_fiber_degree
+from test_degree_certificate import composed_map
 
 
 def proportional(field, h, text):
@@ -142,3 +144,66 @@ def test_fiber_degree_at_random_image_points_matches_r(field, build):
         q = ProjPoint1.of(field, 1, field.rand(rng))
         rep = fiber(P, phi, apply_map(P, q))
         assert rep.on_image and rep.fiber_degree == 3
+
+
+# ---------------------------------------------------------------------------
+# batched fiber sampling against the point-by-point fiber
+
+
+def serial_fiber_degree(P, phi, seed, samples):
+    """The least fiber(P, phi, apply_map(P, q)) over the seeded points q, one at a time."""
+    rng = random.Random(f"map-degree:{seed}")
+    field = P.field
+    best = None
+    got = attempts = 0
+    while got < samples:
+        attempts += 1
+        if attempts > samples + 16:
+            raise CertificationFailed("out of attempts")
+        q = ProjPoint1.of(field, field.one, field.rand(rng))
+        try:
+            rep = fiber(P, phi, apply_map(P, q))
+        except ZeroRow:
+            continue
+        got += 1
+        best = rep.fiber_degree if best is None else min(best, rep.fiber_degree)
+    return best
+
+
+def test_batched_sampling_matches_fiber_at_the_same_points(field, build):
+    rng = random.Random("batched-sampling")
+    cases = dense_corpus(field, 12, seed=8, d_max=10)
+    cases += dense_corpus(QQ, 4, seed=8, n_range=(2, 4), d_max=5)
+    for n, r, e in [(3, 2, 3), (4, 3, 3), (3, 3, 2)]:
+        cases.append(composed_map(field, rng, n, r, e)[0])
+    cases += [
+        build("x^4", "x^2*y^2", "y^4"),
+        build("x^6", "x^3*y^3", "y^6"),
+        build("x^7", "x^6*y", "x^2*y^5", "y^7"),
+    ]
+    for P in cases:
+        phi = hilbert_burch(P)
+        for seed in (0, 1, 5, 123):
+            for samples in (1, 3, 7):
+                got = _sampled_fiber_degree(P, phi, seed, samples)
+                assert got == serial_fiber_degree(P, phi, seed, samples), (P, seed, samples)
+
+
+def test_batched_sampling_redraws_a_zero_row(field, build):
+    # p * phi = (t0 - t) * y at p = (1 : t): the first seeded point gives a
+    # zero row and must be redrawn, as the point-by-point loop does
+    P = build("x", "y")
+    t0 = field.rand(random.Random("map-degree:9"))
+    col = (parse_form(field, f"{t0}*y"), parse_form(field, "-y"))
+    phi = SyzygyMatrix(field, 2, (1,), (col,))
+    with pytest.raises(ZeroRow):
+        fiber(P, phi, apply_map(P, ProjPoint1.of(field, 1, t0)))
+    assert _sampled_fiber_degree(P, phi, 9, 3) == serial_fiber_degree(P, phi, 9, 3) == 1
+
+
+def test_batched_sampling_gives_up_after_the_attempt_budget(field, build):
+    P = build("x", "y")
+    zero = form(field, [])
+    phi = SyzygyMatrix(field, 2, (1,), ((zero, zero),))
+    with pytest.raises(CertificationFailed, match="degenerate points"):
+        _sampled_fiber_degree(P, phi, 0, 7)

@@ -8,14 +8,13 @@ from curvemap import QQ, PrimeField
 from curvemap.linalg import (
     Echelon,
     from_np,
-    kernel_basis,
     np_kernel,
     np_matmul_mod,
     np_rref,
     np_shift_mul,
     np_solve,
+    np_vandermonde,
     rank,
-    rref,
     solve,
     to_np,
 )
@@ -47,7 +46,7 @@ def test_rank_agrees_across_primes_and_with_rationals():
     for _ in range(10):
         m = random_matrix(rng, 5, 7, bound=50)
         ranks = {p: len(np_rref(np.array(m, dtype=np.int64) % p, p)[1]) for p in PRIMES}
-        _, piv = rref([[Fraction(v) for v in row] for row in m], QQ)
+        _, piv = np_rref(to_np([[Fraction(v) for v in row] for row in m], QQ), None)
         assert set(ranks.values()) == {len(piv)}
 
 
@@ -107,12 +106,21 @@ def test_np_shift_mul_is_polynomial_multiplication():
             assert out[i].tolist() == [w if q is None else w % q for w in want]
 
 
+def rational_rref(rows):
+    red, piv = np_rref(to_np(rows, QQ), None)
+    return from_np(red, QQ), piv
+
+
+def rational_kernel(rows):
+    return from_np(np_kernel(to_np(rows, QQ), None), QQ)
+
+
 def test_generic_rref_solve_kernel_over_rationals():
     rows = [[Fraction(1), Fraction(2), Fraction(3)], [Fraction(2), Fraction(4), Fraction(7)]]
-    red, piv = rref(rows, QQ)
+    red, piv = rational_rref(rows)
     assert piv == [0, 2]
     assert red[0][:3] == [Fraction(1), Fraction(2), Fraction(0)]
-    ker = kernel_basis(rows, 3, QQ)
+    ker = rational_kernel(rows)
     assert len(ker) == 1
     v = ker[0]
     for row in rows:
@@ -169,12 +177,12 @@ def test_rational_back_end_agrees_with_sympy():
     for _ in range(40):
         rows, cols = rng.randint(1, 6), rng.randint(1, 7)
         m = random_rational_matrix(rng, rows, cols)
-        red, piv = rref(m, QQ)
+        red, piv = rational_rref(m)
         want, want_piv = sympy.Matrix(m).rref()
         assert piv == list(want_piv)
         assert red == [[Fraction(int(v.p), int(v.q)) for v in want.row(i)] for i in range(rows)]
         assert all(type(v) is Fraction for row in red for v in row)
-        ker = kernel_basis(m, cols, QQ)
+        ker = rational_kernel(m)
         assert len(ker) == cols - len(want_piv)
         for v in ker:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m)
@@ -185,3 +193,13 @@ def test_rational_back_end_agrees_with_sympy():
         assert (x is not None) == consistent
         if x is not None:
             assert [sum(a * b for a, b in zip(row, x)) for row in m] == rhs
+
+
+def test_np_vandermonde_holds_the_powers_of_each_point():
+    p = PRIMES[0]
+    points = np.array([0, 1, 5, p - 1], dtype=np.int64)
+    v = np_vandermonde(points, 4, p)
+    assert v.tolist() == [[pow(int(t), k, p) for t in points] for k in range(5)]
+    q = to_np([Fraction(1, 2), -3], QQ)[0]
+    want = [[1, 1], [Fraction(1, 2), -3], [Fraction(1, 4), 9]]
+    assert np_vandermonde(q, 2, None).tolist() == want

@@ -3,15 +3,21 @@ import random
 import pytest
 
 from curvemap import (
+    CertificationFailed,
     Parameterization,
     QQ,
     SyzygyMatrix,
+    cli,
+    dense_corpus,
     form,
     hilbert_burch,
     parse_form,
     verify_hilbert_burch,
 )
+from curvemap import syzygy
+from curvemap.linalg import Echelon, modulus, np_rref, to_np
 from curvemap.syzygy import syzygies_in_degree
+from test_degree_certificate import composed_map
 
 
 def frozen_cases():
@@ -126,3 +132,121 @@ def test_n_equals_two_column_degree_is_d(field, build):
     phi = hilbert_burch(P)
     assert phi.col_degrees == (7,)
     assert verify_hilbert_burch(P, phi)
+
+
+# ---------------------------------------------------------------------------
+# the array-based syzygy layer against direct references
+
+
+def slice_dim(P, t):
+    """dim I_(d+t), from one fresh elimination of every x^(t-k) y^k g_i."""
+    zero = P.field.zero
+    rows = [[zero] * k + list(g.coeffs) + [zero] * (t - k) for g in P.gens for k in range(t + 1)]
+    return len(np_rref(to_np(rows, P.field), modulus(P.field))[1])
+
+
+def reference_hilbert_burch(P):
+    """hilbert_burch with column degrees from direct ranks and one-by-one admission."""
+    field, n, d = P.field, P.n, P.d
+    dims = [n] + [slice_dim(P, t) for t in range(1, d + 1)]
+    syz = [n * (t + 1) - dims[t] for t in range(d + 1)]
+    counts = {
+        t: c
+        for t in range(1, d + 1)
+        if (c := syz[t] - 2 * syz[t - 1] + (syz[t - 2] if t >= 2 else 0))
+    }
+    accepted = []
+    for t in sorted(counts):
+        ech = Echelon(n * (t + 1), field)
+        for D, vec in accepted:
+            comps = [vec[i * (D + 1) : (i + 1) * (D + 1)] for i in range(n)]
+            for k in range(t - D + 1):
+                ech.add_row(
+                    [c for comp in comps for c in [0] * k + comp + [0] * (t - D - k)]
+                )
+        got = 0
+        for vec in syzygies_in_degree(P, t).tolist():
+            if got < counts[t] and ech.add_row(vec):
+                accepted.append((t, vec))
+                got += 1
+        assert got == counts[t]
+    columns = []
+    for D, vec in accepted:
+        c = field.inv(field.conv(next(v for v in vec if v)))
+        scaled = [field.mul(c, field.conv(v)) for v in vec]
+        columns.append(
+            tuple(form(field, scaled[i * (D + 1) : (i + 1) * (D + 1)]) for i in range(n))
+        )
+    return SyzygyMatrix(field, n, tuple(D for D, _ in accepted), tuple(columns))
+
+
+def test_incremental_slice_dims_match_direct_ranks(field):
+    cases = dense_corpus(field, 24, seed=5, d_max=12) + dense_corpus(QQ, 10, seed=5, d_max=7)
+    assert {P.n for P in cases if P.field == field} == {P.n for P in cases if P.field == QQ}
+    assert {P.n for P in cases} == {2, 3, 4, 5, 6}
+    for P in cases:
+        dims = syzygy._ideal_slice_dims(P)
+        assert [next(dims) for _ in range(P.d)] == [slice_dim(P, t) for t in range(1, P.d + 1)], P
+
+
+def test_hilbert_burch_matches_one_by_one_admission(field):
+    cases = dense_corpus(field, 20, seed=6, d_max=12) + dense_corpus(QQ, 6, seed=6, d_max=6)
+    rng = random.Random("syzygy-composed")
+    for n, r, e in [(3, 2, 3), (4, 2, 3), (3, 3, 2), (4, 3, 3), (5, 2, 4)]:
+        cases.append(composed_map(field, rng, n, r, e)[0])
+    for P in cases:
+        assert hilbert_burch(P) == reference_hilbert_burch(P), P
+
+
+def test_syzygies_in_degree_rows_are_syzygies(field, build):
+    P = build("x^4", "x^3*y - y^4", "x*y^3")
+    kv = syzygies_in_degree(P, 2)
+    assert kv.shape == (9 - slice_dim(P, 2), 9)
+    for vec in kv.tolist():
+        acc = form(field, [])
+        for i, g in enumerate(P.gens):
+            acc = acc.add(g.mul(form(field, vec[3 * i : 3 * i + 3])))
+        assert acc.is_zero
+
+
+# ---------------------------------------------------------------------------
+# the certificate on the production path
+
+
+def test_corrupted_column_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "twisted-cubic.txt"
+    path.write_text("field: prime 2147483647\nx^3\nx^2*y\nx*y^2\ny^3\n")
+    real = syzygy.syzygies_in_degree
+
+    def corrupted(P, t):
+        kv = real(P, t)
+        kv[0, -1] = (kv[0, -1] + 1) % P.field.p
+        return kv
+
+    monkeypatch.setattr(syzygy, "syzygies_in_degree", corrupted)
+    assert cli.main(["analyze", str(path), "--deterministic"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("computation failed:") and "not a syzygy" in err
+
+
+def test_rank_deficient_phi_fails_certification(build, monkeypatch):
+    # two proportional syzygies of degree 2: each column checks out, the
+    # degrees sum to d, but phi has rank 1 everywhere
+    P = build("x^4", "x^2*y^2", "y^4")
+    real = syzygy.syzygies_in_degree
+
+    def doubled(P, t):
+        kv = real(P, t)
+        kv[1] = kv[0] * 2 % P.field.p
+        return kv
+
+    monkeypatch.setattr(syzygy, "syzygies_in_degree", doubled)
+    with pytest.raises(CertificationFailed, match="rank below 2"):
+        hilbert_burch(P)
+
+
+def test_wrong_column_degrees_fail_certification(build, monkeypatch):
+    P = build("x^2", "x*y", "y^2")
+    monkeypatch.setattr(syzygy, "_column_degree_counts", lambda P: {1: 1, 2: 1})
+    with pytest.raises(CertificationFailed, match="summing to d = 2"):
+        hilbert_burch(P)
