@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from functools import reduce
 
-from .errors import InternalInvariantViolation
 from .fiber import certify_map_degree, hilbert_table_a
+from .field import is_prime
 from .forms import li_dim
 from .param import Parameterization
 from .reparam import core_ideal, reparameterize
@@ -40,17 +40,6 @@ SUFFICIENCY_NOTE = (
     "sufficient for birationality but not necessary in general; "
     "equivalent to it when the generators are monomials"
 )
-
-
-def _is_prime(t: int) -> bool:
-    if t < 2:
-        return False
-    k = 2
-    while k * k <= t:
-        if t % k == 0:
-            return False
-        k += 1
-    return True
 
 
 class Analysis:
@@ -104,11 +93,9 @@ class Analysis:
 
     @property
     def j(self) -> int:
-        d = self.param.d
-        j = d * self.r * self.e
-        if j != d * d:
-            raise InternalInvariantViolation(f"j = {j} differs from d^2 = {d * d}")
-        return j
+        # d * r * e(A) = d^2: the certified r divides every column degree,
+        # and the column degrees sum to d
+        return self.param.d * self.r * self.e
 
     @property
     def pair(self):
@@ -184,7 +171,7 @@ class Analysis:
         if len(degrees) != 1:
             return {"applies": False, "reason": "entry degrees differ"}
         degree = degrees.pop()
-        if not _is_prime(degree):
+        if not is_prime(degree):
             return {"applies": False, "reason": f"entry degree {degree} is not prime"}
         mu = li_dim(entries, degree)
         predicts = mu >= 3

@@ -30,9 +30,7 @@ from .field import DEFAULT_PRIME, QQ, PrimeField
 from .fiber import fiber
 from .forms import ProjPointN, parse_form
 from .param import Parameterization
-from .reparam import core_ideal, reparameterize
 from .selftest import run_selftest
-from .syzygy import hilbert_burch
 
 _INPUT_ERRORS = (InstanceError, ZeroIdeal, DegreeMismatch, NotMonomial)
 _COMPUTE_ERRORS = (CertificationFailed, ResamplingExhausted, ZeroRow, SlopeNotStabilized)
@@ -128,10 +126,6 @@ def _int_at_least(low: int):
 _positive_int = _int_at_least(1)
 
 
-def _effective_seed(args, instance_seed: int) -> int:
-    return instance_seed if args.seed is None else args.seed
-
-
 def _emit(args, report: dict, renderer) -> int:
     if not args.deterministic:
         report["generatedAt"] = datetime.now(timezone.utc).isoformat(
@@ -220,45 +214,44 @@ def _plain_core(rep: dict) -> None:
     print(f"canonical module: {rep['canonical']}")
 
 
+def _analysis(args) -> Analysis:
+    _, seed, P = load_instance(args.instance)
+    seed = seed if args.seed is None else args.seed
+    return Analysis(P, seed=seed, samples=args.samples)
+
+
+def _header(a: Analysis, command: str) -> dict:
+    P = a.param
+    return {
+        "command": command,
+        "field": P.field.json_config(),
+        "seed": a.seed,
+        "generators": P.gen_strings(),
+    }
+
+
 def cmd_analyze(args) -> int:
-    field, seed, P = load_instance(args.instance)
-    seed = _effective_seed(args, seed)
-    analysis = Analysis(P, seed=seed, samples=args.samples)
-    report = {"command": "analyze", **analysis.report()}
+    report = {"command": "analyze", **_analysis(args).report()}
     return _emit(args, report, _plain_analyze)
 
 
 def cmd_fiber(args) -> int:
-    field, seed, P = load_instance(args.instance)
-    seed = _effective_seed(args, seed)
-    coords = [_parse_scalar(field, s) for s in args.point.split(":")]
+    a = _analysis(args)
+    P = a.param
+    coords = [_parse_scalar(P.field, s) for s in args.point.split(":")]
     if len(coords) != P.n:
         raise InstanceError(
             f"the point has {len(coords)} coordinates but the map has {P.n}"
         )
-    p = ProjPointN.of(field, coords)
-    report = {
-        "command": "fiber",
-        "field": field.json_config(),
-        "seed": seed,
-        "generators": P.gen_strings(),
-        **fiber(P, hilbert_burch(P), p).to_json(),
-    }
+    p = ProjPointN.of(P.field, coords)
+    report = {**_header(a, "fiber"), **fiber(P, a.phi, p).to_json()}
     return _emit(args, report, _plain_fiber)
 
 
 def cmd_reparam(args) -> int:
-    field, seed, P = load_instance(args.instance)
-    seed = _effective_seed(args, seed)
-    result = reparameterize(P, hilbert_burch(P), seed=seed, samples=args.samples)
-    report = {
-        "command": "reparam",
-        "field": field.json_config(),
-        "seed": seed,
-        "generators": P.gen_strings(),
-        **result.to_json(),
-    }
-    if result.r == 1:
+    a = _analysis(args)
+    report = {**_header(a, "reparam"), **a.reparam.to_json()}
+    if a.r == 1:
         report["note"] = (
             "r = 1: the map is already birational; the new variables are "
             "a linear change of coordinates"
@@ -267,16 +260,8 @@ def cmd_reparam(args) -> int:
 
 
 def cmd_core(args) -> int:
-    field, seed, P = load_instance(args.instance)
-    seed = _effective_seed(args, seed)
-    result = core_ideal(P, hilbert_burch(P), seed=seed, samples=args.samples)
-    report = {
-        "command": "core",
-        "field": field.json_config(),
-        "seed": seed,
-        "generators": P.gen_strings(),
-        **result.to_json(),
-    }
+    a = _analysis(args)
+    report = {**_header(a, "core"), **a.core.to_json()}
     return _emit(args, report, _plain_core)
 
 

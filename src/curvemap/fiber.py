@@ -8,12 +8,19 @@ coprime forms f1, f2 of degree s with every generator in k[f1, f2] prove
 r >= s (Lueroth), which turns the sample into a certified r.  Then
 r * e(A) = d gives the multiplicity e(A) of the homogeneous coordinate ring
 A of the image, and with it most of the Hilbert table of A.
+
+One evaluator forms the rows p * phi: _rows multiplies a batch of points by
+phi, one product per column.  fiber at a given point, the map-degree sample
+and the reparameterization pair (reparam.extract_reparam_basis) all read
+their fiber forms off it; the latter two draw seeded image points through
+_image_fibers.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from math import comb, gcd
 
 import numpy as np
@@ -36,7 +43,7 @@ from .forms import (
 )
 from .ideals import GradedIdeal
 from .param import Parameterization
-from .syzygy import SyzygyMatrix
+from .syzygy import SyzygyMatrix, _gens_array
 
 OFF_IMAGE_NOTE = (
     "membership is decided for rational points over the configured field; "
@@ -72,17 +79,51 @@ def apply_map(P: Parameterization, q: ProjPoint1) -> ProjPointN:
     return ProjPointN.of(P.field, vals)
 
 
+def _column_arrays(phi: SyzygyMatrix) -> list:
+    """Each column of phi as an n x (D+1) coefficient array."""
+    field = phi.field
+    return [
+        linalg.to_np([e.coeffs or [field.zero] * (D + 1) for e in col], field)
+        for D, col in zip(phi.col_degrees, phi.columns)
+    ]
+
+
+def _rows(phi: SyzygyMatrix, cols: list, vals: np.ndarray) -> list:
+    """For each column p of the n x m array vals, the n-1 entries of p * phi.
+
+    cols is _column_arrays(phi); one product per column of phi serves every
+    point at once.
+    """
+    field = phi.field
+    p = linalg.modulus(field)
+    rows = [linalg.from_np(linalg.np_matmul_mod(vals.T, C, p), field) for C in cols]
+    return [[form(field, row[s]) for row in rows] for s in range(vals.shape[1])]
+
+
 def row_combination(phi: SyzygyMatrix, p: ProjPointN) -> list:
     """The n-1 entries of the row vector p * phi."""
-    field = phi.field
-    out = []
-    for col in phi.columns:
-        acc = form(field, [])
-        for c, e in zip(p.coords, col):
-            if c and not e.is_zero:
-                acc = acc.add(e.scale(c))
-        out.append(acc)
-    return out
+    vals = linalg.to_np([[c] for c in p.coords], phi.field)
+    return _rows(phi, _column_arrays(phi), vals)[0]
+
+
+def _image_fibers(P: Parameterization, phi: SyzygyMatrix, rng, batch: int):
+    """(values, fiber form or None) over the images of points (1 : t), t from rng.
+
+    The points are drawn batch at a time.  One Vandermonde product evaluates
+    every generator at a batch, values[i] = g_i(1, t), and _rows gives every
+    row values * phi; the fiber form is the gcd of its entries, None when
+    the row vanishes.
+    """
+    field = P.field
+    p = linalg.modulus(field)
+    G = _gens_array(P)
+    cols = _column_arrays(phi)
+    while True:
+        points = linalg.to_np([field.rand(rng) for _ in range(batch)], field)[0]
+        vals = linalg.np_matmul_mod(G, linalg.np_vandermonde(points, P.d, p), p)
+        for s, row in enumerate(_rows(phi, cols, vals)):
+            entries = [e for e in row if not e.is_zero]
+            yield vals[:, s], gcd_forms(entries) if entries else None
 
 
 def row_ideal(phi: SyzygyMatrix, p: ProjPointN) -> GradedIdeal:
@@ -184,10 +225,9 @@ def _slices(P: Parameterization):
     generators: the rest are h-multiples from A_(j-1), whose products are
     already in h * A_j.
     """
-    field = P.field
-    p = linalg.modulus(field)
+    p = linalg.modulus(P.field)
     n = P.n
-    G = linalg.to_np([list(g.coeffs) for g in P.gens], field)
+    G = _gens_array(P)
     R, piv = linalg.np_rref(G.copy(), p)
     R = R[: len(piv)]
     pivots = list(piv)
@@ -291,48 +331,26 @@ class DegreeCertificate:
 def _sampled_fiber_degree(P: Parameterization, phi: SyzygyMatrix, seed, samples) -> int:
     """Least fiber degree over the images of random points; never below r.
 
-    The points (1 : t) are drawn in batches of the samples still missing.
-    One Vandermonde product evaluates every generator at a batch, and one
-    product per column of phi gives every row p * phi; a point whose row
-    vanishes is redrawn, within samples + 16 draws in all.
+    A point whose row p * phi vanishes is redrawn, within samples + 16
+    draws in all.
     """
     if samples < 1:
         raise ValueError("need at least one fiber sample")
     rng = random.Random(f"map-degree:{seed}")
-    field = P.field
-    p = linalg.modulus(field)
-    G = linalg.to_np([list(g.coeffs) for g in P.gens], field)
-    cols = [
-        linalg.to_np([e.coeffs or [field.zero] * (D + 1) for e in col], field)
-        for D, col in zip(phi.col_degrees, phi.columns)
-    ]
-    best = None
-    got = 0
-    attempts = 0
-    while got < samples:
-        room = samples + 16 - attempts
-        if room <= 0:
-            raise CertificationFailed(
-                "fiber sampling kept hitting degenerate points; "
-                "retry with a different seed or a larger prime"
-            )
-        ts = [field.rand(rng) for _ in range(min(samples - got, room))]
-        attempts += len(ts)
-        points = linalg.to_np(ts, field)[0]
-        # vals[i, s] = g_i(1, t_s), the image of the s-th point
-        vals = linalg.np_matmul_mod(G, linalg.np_vandermonde(points, P.d, p), p)
-        rows = [linalg.from_np(linalg.np_matmul_mod(vals.T, C, p), field) for C in cols]
-        for s in range(len(ts)):
-            entries = [e for e in (form(field, row[s]) for row in rows) if not e.is_zero]
-            if not entries:
-                continue
-            got += 1
-            degree = gcd_forms(entries).degree
-            if degree < 1:
-                point = ProjPointN.of(field, linalg.from_np(vals[:, s], field))
-                raise InternalInvariantViolation(f"image point {point} reported off the image")
-            best = degree if best is None else min(best, degree)
-    return best
+    degrees = []
+    for values, g in islice(_image_fibers(P, phi, rng, samples), samples + 16):
+        if g is None:
+            continue
+        if g.degree < 1:
+            point = ProjPointN.of(P.field, linalg.from_np(values, P.field))
+            raise InternalInvariantViolation(f"image point {point} reported off the image")
+        degrees.append(g.degree)
+        if len(degrees) == samples:
+            return min(degrees)
+    raise CertificationFailed(
+        "fiber sampling kept hitting degenerate points; "
+        "retry with a different seed or a larger prime"
+    )
 
 
 def certify_map_degree(

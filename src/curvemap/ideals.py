@@ -28,10 +28,6 @@ class GradedIdeal:
         return cls(field, kept)
 
     @property
-    def max_gen_degree(self) -> int:
-        return max(g.degree for g in self.gens)
-
-    @property
     def is_monomial(self) -> bool:
         return all(g.is_monomial for g in self.gens)
 

@@ -11,23 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 
 from . import linalg
 from .errors import DegreeMismatch, ResamplingExhausted
-from .fiber import (
-    apply_map,
-    certify_map_degree,
-    map_degree,
-    row_combination,
-)
-from .forms import (
-    BinaryForm,
-    ProjPoint1,
-    form,
-    format_form,
-    gcd_forms,
-    monomial,
-)
+from .fiber import _image_fibers, certify_map_degree, map_degree
+from .forms import BinaryForm, form, format_form, gcd_forms, monomial
 from .ideals import GradedIdeal, ideal_equals, maximal_ideal_power
 from .monomial import newton_closure
 from .param import Parameterization
@@ -112,15 +101,9 @@ def extract_reparam_basis(P: Parameterization, phi: SyzygyMatrix, r: int, seed=0
     field = P.field
     rng = random.Random(f"reparam:{seed}")
     first = None
-    for _ in range(PAIR_BUDGET):
-        q = ProjPoint1.of(field, field.one, field.rand(rng))
-        entries = [
-            e for e in row_combination(phi, apply_map(P, q)) if not e.is_zero
-        ]
-        if not entries:
-            continue
-        g = gcd_forms(entries)
-        if g.degree != r:
+    # two points are the least a pair needs
+    for _, g in islice(_image_fibers(P, phi, rng, 2), PAIR_BUDGET):
+        if g is None or g.degree != r:
             continue
         if first is None:
             first = g

@@ -40,21 +40,6 @@ class Summary:
     tallies: dict
     first_counterexample: dict | None = None
 
-    def to_json(self) -> dict:
-        out = {
-            "ok": self.ok,
-            "cases": self.cases,
-            "checks": self.checks,
-            "failures": self.failures,
-            "invariants": {
-                name: {"cases": t.cases, "failed": t.failed}
-                for name, t in self.tallies.items()
-            },
-        }
-        if self.first_counterexample is not None:
-            out["firstCounterexample"] = self.first_counterexample
-        return out
-
 
 def _anchor_checks(field):
     """Fixed closed-form cases, independent of any corpus."""

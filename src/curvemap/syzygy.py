@@ -28,12 +28,6 @@ class SyzygyMatrix:
     col_degrees: tuple
     columns: tuple
 
-    def entry(self, i: int, j: int) -> BinaryForm:
-        return self.columns[j][i]
-
-    def nonzero_entries(self):
-        return [e for col in self.columns for e in col if not e.is_zero]
-
     def matrix_strings(self, variables=("x", "y")) -> list:
         return [
             [format_form(self.columns[j][i], variables) for j in range(self.n - 1)]

@@ -91,6 +91,54 @@ def test_fiber_off_image_point(tmp_path, capsys):
     assert rep["onImage"] is False and "note" in rep
 
 
+# (f1^2, f1*f2, f2^2) with f1 = x^2 - y^2/2, f2 = x*y: r = 2 over QQ
+RATIONAL_SQUARE = """field: rational
+seed: 5
+x^4 - x^2*y^2 + 1/4*y^4
+x^3*y - 1/2*x*y^3
+x^2*y^2
+"""
+
+RATIONAL_FIBER_ON = """{
+  "command": "fiber",
+  "field": {
+    "mode": "rational"
+  },
+  "seed": 5,
+  "generators": [
+    "x^4 - x^2*y^2 + 1/4*y^4",
+    "x^3*y - 1/2*x*y^3",
+    "x^2*y^2"
+  ],
+  "point": "1:3/2:9/4",
+  "onImage": true,
+  "fiberForm": "x^2 - 2/3*x*y - 1/2*y^2",
+  "fiberDegree": 2
+}
+"""
+
+RATIONAL_FIBER_OFF = """fiber  (field rational, seed 5)
+point: 1:0:1
+on image: no
+note: membership is decided for rational points over the configured field; a point off the image here may still lie on it over the algebraic closure
+"""
+
+
+def test_fiber_over_rationals_byte_for_byte(tmp_path, capsys):
+    # no benchmark workload asks fiber --point over QQ; these outputs are
+    # the recorded reports, byte for byte
+    path = write_instance(tmp_path, RATIONAL_SQUARE)
+    argv = ["fiber", path, "--deterministic", "--point"]
+    assert run(capsys, argv + ["2/3:1:3/2"]) == (0, RATIONAL_FIBER_ON, "")
+    assert run(capsys, argv + ["1:0:1", "--plain"]) == (0, RATIONAL_FIBER_OFF, "")
+    code, out, _ = run(capsys, ["reparam", path, "--deterministic", "--plain"])
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "r = 2, f1 = x^2 - 3634974847/85264*x*y - 1/2*y^2, "
+        "f2 = x^2 + 43731592639/418242*x*y - 1/2*y^2"
+    )
+
+
 def test_fiber_wrong_coordinate_count(tmp_path, capsys):
     path = write_instance(tmp_path, QUARTIC)
     code, _, err = run(capsys, ["fiber", path, "--point", "1:1", "--deterministic"])

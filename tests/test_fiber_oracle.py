@@ -1,0 +1,147 @@
+"""The rows p * phi and their fiber gcds against sympy, over GF(p) and QQ.
+
+fiber, the map-degree sample and the reparameterization pair all read their
+fiber forms off one evaluator of p * phi.  Here every row is rebuilt with
+sympy Poly arithmetic, image points are evaluated with plain scalar powers,
+and the gcd is sympy's multivariate one, so no code is shared with the
+evaluator under test.
+"""
+
+import random
+
+import pytest
+
+from curvemap import (
+    QQ,
+    ProjPointN,
+    dense_corpus,
+    extract_reparam_basis,
+    fiber,
+    hilbert_burch,
+    map_degree,
+)
+from curvemap.fiber import _sampled_fiber_degree
+from test_degree_certificate import composed_map
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+X, Y = sympy.symbols("x y")
+
+
+def domain(field):
+    return sympy.GF(field.p) if field.modular else sympy.QQ
+
+
+def scalar(c):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def to_poly(h, field):
+    """A binary form as a sympy Poly; coeffs[i] belongs to x^(D-i) y^i."""
+    D = len(h.coeffs) - 1
+    terms = {(D - i, i): scalar(c) for i, c in enumerate(h.coeffs) if c}
+    return sympy.Poly.from_dict(terms or {(0, 0): 0}, X, Y, domain=domain(field))
+
+
+def oracle_row(phi, coords):
+    """The n-1 entries of coords * phi, each a sympy Poly."""
+    zero = sympy.Poly(0, X, Y, domain=domain(phi.field))
+    return [
+        sum((to_poly(e, phi.field) * scalar(c) for c, e in zip(coords, col)), zero)
+        for col in phi.columns
+    ]
+
+
+def oracle_gcd(phi, coords):
+    """Monic gcd of the nonzero entries of coords * phi, None for a zero row."""
+    entries = [e for e in oracle_row(phi, coords) if not e.is_zero]
+    if not entries:
+        return None
+    g = entries[0]
+    for e in entries[1:]:
+        g = g.gcd(e)
+    return g.monic()
+
+
+def image(P, t):
+    """(g_1(1, t), ..., g_n(1, t)) by plain powers of t."""
+    field = P.field
+    return [field.conv(sum(c * t**i for i, c in enumerate(g.coeffs))) for g in P.gens]
+
+
+def cases(field):
+    rng = random.Random(f"fiber-oracle:{field.modular}")
+    out = [(P, None) for P in dense_corpus(field, 4, seed=21, n_range=(2, 4), d_max=6)]
+    for n, r, e in [(3, 2, 2), (4, 2, 3), (3, 3, 2)]:
+        out.append(composed_map(field, rng, n, r, e))
+    return out
+
+
+@pytest.fixture(params=["prime", "rational"])
+def any_field(request, field):
+    return field if request.param == "prime" else QQ
+
+
+def test_fiber_matches_sympy_on_and_off_the_image(any_field):
+    field = any_field
+    rng = random.Random("fiber-oracle-points")
+    off_image = 0
+    for P, _ in cases(field):
+        phi = hilbert_burch(P)
+        points = [image(P, field.rand(rng)) for _ in range(3)]
+        points += [[field.rand(rng) for _ in range(P.n)] for _ in range(3)]
+        for k, coords in enumerate(points):
+            p = ProjPointN.of(field, coords)
+            want = oracle_gcd(phi, p.coords)
+            rep = fiber(P, phi, p)
+            assert to_poly(rep.fiber_form, field) == want, (P, p)
+            assert rep.fiber_degree == want.total_degree()
+            assert rep.on_image == (want.total_degree() >= 1)
+            if k < 3:
+                assert rep.on_image, (P, p)
+            off_image += not rep.on_image
+    assert off_image
+
+
+def test_sampled_fiber_degree_matches_sympy(any_field):
+    field = any_field
+    for P, _ in cases(field):
+        phi = hilbert_burch(P)
+        for seed, samples in [(0, 7), (4, 3)]:
+            rng = random.Random(f"map-degree:{seed}")
+            degrees = []
+            while len(degrees) < samples:
+                g = oracle_gcd(phi, image(P, field.rand(rng)))
+                if g is not None:
+                    degrees.append(g.total_degree())
+            assert _sampled_fiber_degree(P, phi, seed, samples) == min(degrees), P
+
+
+def coefficient_rank(polys, degree, field):
+    dom = domain(field)
+    rows = [
+        [dom.convert(p.coeff_monomial(X ** (degree - i) * Y**i)) for i in range(degree + 1)]
+        for p in polys
+    ]
+    return DomainMatrix(rows, (len(rows), degree + 1), dom).rank()
+
+
+def test_reparam_pair_lies_in_the_pencil_of_sympy_gcds(any_field):
+    field = any_field
+    rng = random.Random("fiber-oracle-pencil")
+    for P, pair in cases(field):
+        if pair is None:
+            continue
+        phi = hilbert_burch(P)
+        r = map_degree(P, phi)
+        assert r == pair[0].degree
+        pencil = [oracle_gcd(phi, image(P, field.rand(rng))) for _ in range(4)]
+        assert {g.total_degree() for g in pencil} == {r}
+        assert coefficient_rank(pencil, r, field) == 2
+        for seed in (0, 3):
+            f1, f2 = extract_reparam_basis(P, phi, r, seed=seed)
+            got = [to_poly(f, field) for f in (f1, f2)]
+            assert got[0].gcd(got[1]).total_degree() == 0
+            assert coefficient_rank(got, r, field) == 2
+            assert coefficient_rank(pencil + got, r, field) == 2, (P, f1, f2)

@@ -1,9 +1,10 @@
 """Every --deterministic report of the benchmark workloads, byte for byte.
 
-The four workloads of perfbench/workloads.py at seed 1 make 341 commands.
-Each runs in process through cli.main, and the sha256 of its exit code and
-stdout must equal the one recorded in tests/data/report_hashes.json.  A
-change that alters any report, even by one byte, fails here.
+The four workloads of perfbench/workloads.py at seeds 1-3 make 1023
+commands, 341 per seed.  Each runs in process through cli.main, and the
+sha256 of its exit code and stdout must equal the one recorded in
+tests/data/report_hashes.json, which maps each seed to its hashes.  A change
+that alters any report, even by one byte, fails here.
 
 The workloads module is only imported, never changed.  To record new hashes
 after an intended report change, run from the repository root:
@@ -21,7 +22,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 HASHES = ROOT / "tests" / "data" / "report_hashes.json"
-SEED = 1
+SEEDS = (1, 2, 3)
+COMMANDS_PER_SEED = 341
 
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
@@ -29,13 +31,13 @@ from workloads import WORKLOADS  # noqa: E402
 from curvemap import cli  # noqa: E402
 
 
-def report_hashes(work: Path) -> dict:
+def report_hashes(work: Path, seed: int) -> dict:
     """{workload/index kind instance: sha256 of exit code and stdout}."""
     out = {}
     for name, build in WORKLOADS.items():
-        folder = work / name
+        folder = work / f"{seed}-{name}"
         folder.mkdir()
-        for k, cmd in enumerate(build(SEED)):
+        for k, cmd in enumerate(build(seed)):
             path = folder / f"{cmd.inst.name}.txt"
             if not path.exists():
                 path.write_text(cmd.inst.text())
@@ -50,19 +52,22 @@ def report_hashes(work: Path) -> dict:
 
 
 def test_reports_match_recorded_hashes(tmp_path):
-    want = json.loads(HASHES.read_text())
-    got = report_hashes(tmp_path)
-    assert len(got) == 341
-    assert sorted(got) == sorted(want)
-    changed = [key for key in want if got[key] != want[key]]
-    assert not changed, f"{len(changed)} reports changed, first: {changed[:5]}"
+    recorded = json.loads(HASHES.read_text())
+    assert sorted(recorded) == [str(seed) for seed in SEEDS]
+    for seed in SEEDS:
+        want = recorded[str(seed)]
+        got = report_hashes(tmp_path, seed)
+        assert len(got) == COMMANDS_PER_SEED
+        assert sorted(got) == sorted(want)
+        changed = [key for key in want if got[key] != want[key]]
+        assert not changed, f"seed {seed}: {len(changed)} reports changed, first: {changed[:5]}"
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
     with tempfile.TemporaryDirectory() as tmp:
-        hashes = report_hashes(Path(tmp))
+        hashes = {str(seed): report_hashes(Path(tmp), seed) for seed in SEEDS}
     HASHES.parent.mkdir(exist_ok=True)
     HASHES.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(hashes)} hashes to {HASHES}")
+    print(f"wrote {sum(map(len, hashes.values()))} hashes to {HASHES}")
