@@ -12,7 +12,7 @@ and is equivalent to them for monomial generators.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import cached_property, reduce
 
 from .fiber import certify_map_degree, hilbert_table_a
 from .field import is_prime
@@ -55,25 +55,14 @@ class Analysis:
         self.param = P
         self.seed = seed
         self.samples = samples
-        self._cache: dict = {}
 
-    def _get(self, key, make):
-        if key not in self._cache:
-            self._cache[key] = make()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def phi(self) -> SyzygyMatrix:
-        return self._get("phi", lambda: hilbert_burch(self.param))
+        return hilbert_burch(self.param)
 
-    @property
+    @cached_property
     def certificate(self):
-        return self._get(
-            "certificate",
-            lambda: certify_map_degree(
-                self.param, self.phi, seed=self.seed, samples=self.samples
-            ),
-        )
+        return certify_map_degree(self.param, self.phi, seed=self.seed, samples=self.samples)
 
     @property
     def r(self) -> int:
@@ -83,9 +72,9 @@ class Analysis:
     def e(self) -> int:
         return self.param.d // self.r
 
-    @property
+    @cached_property
     def hf_a(self) -> list:
-        return self._get("hf_a", lambda: hilbert_table_a(self.param, e=self.e))[1]
+        return hilbert_table_a(self.param, e=self.e)[1]
 
     @property
     def birational(self) -> bool:
@@ -101,31 +90,15 @@ class Analysis:
     def pair(self):
         return self.certificate.pair
 
-    @property
+    @cached_property
     def reparam(self):
-        return self._get(
-            "reparam",
-            lambda: reparameterize(
-                self.param,
-                self.phi,
-                seed=self.seed,
-                samples=self.samples,
-                cert=self.certificate,
-            ),
+        return reparameterize(
+            self.param, self.phi, self.certificate, seed=self.seed, samples=self.samples
         )
 
-    @property
+    @cached_property
     def core(self):
-        return self._get(
-            "core",
-            lambda: core_ideal(
-                self.param,
-                self.phi,
-                seed=self.seed,
-                samples=self.samples,
-                cert=self.certificate,
-            ),
-        )
+        return core_ideal(self.param, self.certificate)
 
     def c3_table(self) -> dict:
         bir = self.birational

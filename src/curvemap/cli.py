@@ -90,9 +90,11 @@ def parse_instance(text: str):
 
 def load_instance(path: str):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InstanceError(f"cannot read instance file: {exc}")
+    except UnicodeDecodeError as exc:
+        raise InstanceError(f"instance file is not valid UTF-8: {exc}")
     return parse_instance(text)
 
 

@@ -226,30 +226,17 @@ def _slices(P: Parameterization):
     already in h * A_j.
     """
     p = linalg.modulus(P.field)
-    n = P.n
     G = _gens_array(P)
-    R, piv = linalg.np_rref(G.copy(), p)
-    R = R[: len(piv)]
-    pivots = list(piv)
-    W = R.copy()
-    hrow = next(i for i in range(n) if G[i, 0])
-    h = G[hrow]
-    yield R.shape[0]
+    hrow = next(i for i in range(P.n) if G[i, 0])
+    others = [g for i, g in enumerate(G) if i != hrow]
+    ech = linalg.Echelon(P.d + 1, P.field)
+    ech.add_rows(G)
+    yield ech.rank
     while True:
-        H = linalg.np_shift_mul(R, h, p)
-        C = np.vstack(
-            [linalg.np_shift_mul(W, G[i], p) for i in range(n) if i != hrow]
-        )
-        # H[t] leads at pivots[t] since multiplying by h (nonzero x^d
-        # coefficient) preserves leading columns
-        Cr, cpiv = linalg.np_rref(linalg.np_forward_reduce(C, H, pivots, p), p)
-        N = Cr[: len(cpiv)]
-        merged = pivots + cpiv
-        order = np.argsort(merged, kind="stable")
-        R = np.vstack([H, N])[order]
-        pivots = [merged[i] for i in order]
-        W = N
-        yield R.shape[0]
+        new = ech.new
+        ech.mul(G[hrow])
+        ech.add_rows(np.vstack([linalg.np_shift_mul(new, g, p) for g in others]))
+        yield ech.rank
 
 
 def _plane_curve(e: int):

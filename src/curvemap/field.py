@@ -103,9 +103,6 @@ class PrimeField:
         """Balanced representative, so small negative values print readably."""
         return str(a - self.p if a > self.p // 2 else a)
 
-    def sort_key(self, a):
-        return a
-
     def json_config(self):
         return {"mode": "prime", "p": self.p}
 
@@ -163,9 +160,6 @@ class RationalField:
 
     def fmt(self, a) -> str:
         return str(a)
-
-    def sort_key(self, a):
-        return a
 
     def json_config(self):
         return {"mode": "rational"}

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+import numpy as np
+
 from . import linalg
 from .errors import ZeroIdeal
 from .forms import form, format_form, monomial
@@ -47,19 +49,14 @@ def maximal_ideal_power(field, t: int) -> GradedIdeal:
     return GradedIdeal.of(field, [monomial(field, t, i) for i in range(t + 1)])
 
 
-def _slice_rows(J: GradedIdeal, t: int) -> list:
+def _slice_rows(J: GradedIdeal, t: int) -> np.ndarray:
     """Coefficient rows of all monomial multiples of the generators in degree t."""
-    rows = []
-    zero = J.field.zero
-    for g in J.gens:
-        dg = g.degree
-        if dg > t:
-            continue
-        pad = t - dg
-        base = list(g.coeffs)
-        for k in range(pad + 1):
-            rows.append([zero] * k + base + [zero] * (pad - k))
-    return rows
+    blocks = []
+    # one kernel call per generator degree
+    for D in sorted({g.degree for g in J.gens if g.degree <= t}):
+        gens = linalg.to_np([g.coeffs for g in J.gens if g.degree == D], J.field)
+        blocks.append(linalg.np_multiples(gens, t - D).reshape(-1, t + 1))
+    return np.vstack(blocks) if blocks else np.zeros((0, t + 1), dtype=int)
 
 
 def slice_rank(J: GradedIdeal, t: int) -> int:
@@ -98,6 +95,6 @@ def ideal_equals(J1: GradedIdeal, J2: GradedIdeal) -> bool:
         r2 = linalg.rank(rows2, J2.field)
         if r1 != r2:
             return False
-        if r1 and linalg.rank(rows1 + rows2, J1.field) != r1:
+        if r1 and linalg.rank(np.vstack([rows1, rows2]), J1.field) != r1:
             return False
     return True

@@ -1,15 +1,15 @@
 """Exact dense linear algebra over the coefficient fields.
 
-Row reduction, kernels and linear solves, from one set of numpy kernels that
-serve both fields; only the scalars differ.  Over a prime field a matrix is
-an int64 array of residues in [0, p), and p < 2**31 keeps every product of
-two residues inside int64.  Over the rationals it is an object array of
-Fractions, and the same code does exact arithmetic on them.  The kernels
-take the modulus p, with p None for the rationals; modulus(field), to_np and
-from_np are the only code that looks at the field.  The reduced row echelon
-form is unique, so ranks, pivots, kernel bases and solutions do not depend on
-the representation.  Everything is deterministic: no pivoting heuristics
-beyond first-nonzero, no floats.
+Row reduction, kernels, linear solves and the one growing echelon, from one
+set of numpy kernels that serve both fields; only the scalars differ.  Over a
+prime field a matrix is an int64 array of residues in [0, p), and p < 2**31
+keeps every product of two residues inside int64.  Over the rationals it is
+an object array of Fractions, and the same code does exact arithmetic on
+them.  The kernels take the modulus p, with p None for the rationals;
+modulus(field), to_np and from_np are the only code that looks at the field.
+The reduced row echelon form is unique, so ranks, pivots, kernel bases and
+solutions do not depend on the representation.  Everything is deterministic:
+no pivoting heuristics beyond first-nonzero, no floats.
 """
 
 from __future__ import annotations
@@ -134,15 +134,33 @@ def np_shift_mul(rows: np.ndarray, h: np.ndarray, p) -> np.ndarray:
     """Multiply each row, read as a dense binary-form slice, by the form h.
 
     rows has width w (degree w-1 slice); the result has width w + len(h) - 1.
-    Plain shifted accumulation: len(h) passes, each reduced mod p.
+    Plain shifted accumulation, one pass per nonzero coefficient of h, each
+    reduced mod p.  The lowest lands on zeros, so it is only scaled, and a
+    monomial h with coefficient one (x or y) costs a copy.
     """
     n, w = rows.shape
     m = h.shape[0]
     out = np.zeros((n, w + m - 1), dtype=rows.dtype)
+    first = True
     for k in range(m):
         c = h[k]
-        if c:
+        if c and first:
+            out[:, k : k + w] = rows if c == 1 else _reduce(rows * c, p)
+            first = False
+        elif c:
             out[:, k : k + w] = _reduce(out[:, k : k + w] + rows * c, p)
+    return out
+
+
+def np_multiples(rows: np.ndarray, s: int) -> np.ndarray:
+    """Every x^(s-k) y^k multiple of each row, read as a binary-form slice.
+
+    rows has width w; out[i, k] is row i times x^(s-k) y^k, of width w + s.
+    """
+    m, w = rows.shape
+    out = np.zeros((m, s + 1, w + s), dtype=rows.dtype)
+    k = np.arange(s + 1)[:, None]
+    out[:, k, k + np.arange(w)] = rows[:, None, :]
     return out
 
 
@@ -174,8 +192,6 @@ def from_np(a: np.ndarray, field) -> list:
 
 
 def rank(rows, field) -> int:
-    if not rows:
-        return 0
     return len(np_rref(to_np(rows, field), modulus(field))[1])
 
 
@@ -188,29 +204,52 @@ def solve(rows, rhs, field):
 
 
 class Echelon:
-    """Incrementally maintained reduced row basis of a growing span."""
+    """A growing span, held in row echelon form with its rows sorted by pivot.
+
+    The one incremental elimination of the package: each block of rows is
+    cleared against the held rows, what is left is row-reduced, and its
+    pivots are merged in.  Both graded Hilbert functions (of the ideal in
+    syzygy, of the image ring in fiber) grow their slices through it.
+    """
 
     def __init__(self, ncols: int, field):
-        self.ncols = ncols
         self.field = field
-        self._mat = np.zeros((0, ncols), dtype=_dtype(modulus(field)))
-        self._piv: list[int] = []
+        self._p = modulus(field)
+        self.rows = np.zeros((0, ncols), dtype=_dtype(self._p))
+        self.pivots: list[int] = []
+        # the rows the last add_rows inserted, in reduced row echelon form
+        self.new = self.rows
 
     @property
     def rank(self) -> int:
-        return len(self._piv)
+        return len(self.pivots)
 
     def add_rows(self, rows) -> int:
-        """Insert rows; returns how many were independent of the span."""
-        before = self.rank
-        p = modulus(self.field)
-        block = _reduce(rows, p) if isinstance(rows, np.ndarray) else to_np(rows, self.field)
-        if block.size == 0:
-            return 0
-        r, piv = np_rref(np.vstack([self._mat, block]), p)
-        self._mat = r[: len(piv)]
-        self._piv = piv
-        return self.rank - before
+        """Insert rows of field scalars; returns how many were new.
+
+        rows, a list or an array, is left unchanged: the forward reduction
+        works on a copy.
+        """
+        p = self._p
+        block = np.array(rows, dtype=_dtype(p)).reshape(-1, self.rows.shape[1])
+        red, piv = np_rref(np_forward_reduce(block, self.rows, self.pivots, p), p)
+        self.new = red[: len(piv)]
+        merged = self.pivots + piv
+        order = np.argsort(merged, kind="stable")
+        self.rows = np.vstack([self.rows, self.new])[order]
+        self.pivots = [merged[i] for i in order]
+        return len(piv)
 
     def add_row(self, row) -> bool:
         return self.add_rows([row]) == 1
+
+    def mul(self, h: np.ndarray) -> None:
+        """Multiply every held row, read as a binary form, by the form h.
+
+        h[0], the x-leading coefficient, must be nonzero: then each row keeps
+        its leading column and the rows stay in echelon form.  Times x
+        (h = [1, 0]) appends a zero column.
+        """
+        if not h[0]:
+            raise ValueError("the multiplier must not be divisible by y")
+        self.rows = np_shift_mul(self.rows, h, self._p)

@@ -15,7 +15,7 @@ from itertools import islice
 
 from . import linalg
 from .errors import DegreeMismatch, ResamplingExhausted
-from .fiber import _image_fibers, certify_map_degree, map_degree
+from .fiber import _image_fibers, map_degree
 from .forms import BinaryForm, form, format_form, gcd_forms, monomial
 from .ideals import GradedIdeal, ideal_equals, maximal_ideal_power
 from .monomial import newton_closure
@@ -87,7 +87,7 @@ def _in_span(pair, h: BinaryForm) -> bool:
 
 def _lex_key(h: BinaryForm):
     # coefficients read from the y^r end, so x^r sorts before y^r
-    return tuple(h.field.sort_key(c) for c in reversed(h.coeffs))
+    return tuple(reversed(h.coeffs))
 
 
 def extract_reparam_basis(P: Parameterization, phi: SyzygyMatrix, r: int, seed=0):
@@ -154,18 +154,16 @@ def express_in_subring(h: BinaryForm, f1: BinaryForm, f2: BinaryForm):
     return None if sol is None else form(field, sol)
 
 
-def reparameterize(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, cert=None) -> ReparamResult:
+def reparameterize(P: Parameterization, phi: SyzygyMatrix, cert, seed=0, samples=7) -> ReparamResult:
     """Rewrite the parameterization over k[f1, f2] as a birational one.
 
-    cert is the map-degree certificate, certified here when not given.
-    Every generator lies in k[f1, f2] (the certificate holds the rewritten
+    cert is the map-degree certificate from certify_map_degree.  Every
+    generator lies in k[f1, f2] (the certificate holds the rewritten
     generators); so does every entry of phi, and that is verified entrywise
     rather than assumed -- on a failure the matrix is recomputed from the new
     generators and the route is recorded.
     """
     field = P.field
-    if cert is None:
-        cert = certify_map_degree(P, phi, seed=seed, samples=samples)
     r, (f1, f2), newgens = cert.r, cert.pair, cert.new_gens
     new_param = Parameterization.build(field, newgens, variables=NEW_VARIABLES)
     rewritten = []
@@ -202,18 +200,16 @@ def reparameterize(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, ce
     return ReparamResult(r, f1, f2, new_param, rphi, route, verification)
 
 
-def core_ideal(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, cert=None) -> CoreReport:
+def core_ideal(P: Parameterization, cert) -> CoreReport:
     """core(I) = (f1, f2)^(2d/r - 1), with its closure and canonical data.
 
-    cert is the map-degree certificate, certified here when not given.
+    cert is the map-degree certificate from certify_map_degree.
     Integral closedness is computed via the Newton polygon when the core is
     monomial; otherwise it is reported as a consequence of r = 1, with the
     provenance recorded either way.
     """
     field = P.field
     d = P.d
-    if cert is None:
-        cert = certify_map_degree(P, phi, seed=seed, samples=samples)
     r, (f1, f2) = cert.r, cert.pair
     e = d // r
     core = GradedIdeal.of(field, _pair_power_products(f1, f2, 2 * e - 1))

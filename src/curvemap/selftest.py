@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .analysis import Analysis
 from .corpus import dense_corpus, exhaustive_monomial, monomial_corpus
 from .errors import CurvemapError
-from .fiber import apply_map, fiber, multiplicity_a
+from .fiber import apply_map, certify_map_degree, fiber, multiplicity_a
 from .forms import ProjPoint1, monomial
 from .ideals import GradedIdeal, ideal_equals, maximal_ideal_power
 from .monomial import newton_closure, oracle_degree, oracle_phi
@@ -185,7 +185,10 @@ def _case_checks(P, M, seed, samples, tag):
 
     def core_pullback():
         rp = a.reparam
-        inner = core_ideal(rp.new_param, rp.rewritten_phi, seed=seed, samples=samples)
+        inner_cert = certify_map_degree(
+            rp.new_param, rp.rewritten_phi, seed=seed, samples=samples
+        )
+        inner = core_ideal(rp.new_param, inner_cert)
         pulled = GradedIdeal.of(
             field, [g.compose(a.pair[0], a.pair[1]) for g in inner.core.gens]
         )

@@ -53,13 +53,7 @@ def _multiplication_matrix(G: np.ndarray, t: int) -> np.ndarray:
     x^(t-k) y^k in the i-th component.
     """
     n, w = G.shape
-    m = np.zeros((t + w, n * (t + 1)), dtype=G.dtype)
-    # g_i[a] lands in row a + k of column i*(t+1) + k
-    shift = np.arange(t + 1)
-    rows = np.arange(w)[None, :, None] + shift
-    cols = (np.arange(n) * (t + 1))[:, None, None] + shift
-    m[rows, cols] = G[:, :, None]
-    return m
+    return linalg.np_multiples(G, t).reshape(n * (t + 1), w + t).T
 
 
 def syzygies_in_degree(P: Parameterization, t: int) -> np.ndarray:
@@ -76,10 +70,8 @@ def _ideal_slice_dims(P: Parameterization):
     """dim I_(d+t) of the ideal (g_1, ..., g_n), for t = 1, 2, ...
 
     Non-monomial input keeps one growing echelon of the slice:
-    I_(d+t) = x * I_(d+t-1) + y^t * (g_1, ..., g_n).  Multiplying by x keeps
-    every coefficient row and appends one zero column, so each step only
-    clears the n new rows against the echelon, reduces what is left and
-    merges the pivots.
+    I_(d+t) = x * I_(d+t-1) + y^t * (g_1, ..., g_n), so each step multiplies
+    the echelon by x and adds the n rows y^t * g_i.
     """
     n, d = P.n, P.d
     if P.is_monomial:
@@ -91,24 +83,15 @@ def _ideal_slice_dims(P: Parameterization):
             t += 1
             yield t + 1 + sum(min(t + 1, a[i + 1] - a[i]) for i in range(n - 1))
     p = linalg.modulus(P.field)
-    G = _gens_array(P)
-    R, piv = linalg.np_rref(G.copy(), p)
-    pivots = list(piv)
-    R = R[: len(pivots)]
-    t = 0
+    x, y = linalg.to_np([[1, 0], [0, 1]], P.field)
+    new = _gens_array(P)
+    ech = linalg.Echelon(d + 1, P.field)
+    ech.add_rows(new)
     while True:
-        t += 1
-        R = np.hstack([R, np.zeros((R.shape[0], 1), dtype=R.dtype)])
-        C = np.zeros((n, d + t + 1), dtype=R.dtype)
-        C[:, t:] = G
-        # R is in row echelon form with rows sorted by pivot, as the
-        # forward reduction needs
-        Cr, cpiv = linalg.np_rref(linalg.np_forward_reduce(C, R, pivots, p), p)
-        merged = pivots + cpiv
-        order = np.argsort(merged, kind="stable")
-        R = np.vstack([R, Cr[: len(cpiv)]])[order]
-        pivots = [merged[i] for i in order]
-        yield len(pivots)
+        ech.mul(x)
+        new = linalg.np_shift_mul(new, y, p)
+        ech.add_rows(new)
+        yield ech.rank
 
 
 def _column_degree_counts(P: Parameterization) -> dict:
@@ -141,16 +124,16 @@ def _column_degree_counts(P: Parameterization) -> dict:
     return counts
 
 
-def _multiples(accepted: list, t: int, n: int, dtype) -> np.ndarray:
+def _multiples(accepted: list, t: int, n: int) -> np.ndarray:
     """Every x^(t-D-k) y^k multiple of the accepted columns, flattened in degree t."""
-    blocks = []
-    for D, vec in accepted:
-        comps = vec.reshape(n, D + 1)
-        out = np.zeros((t - D + 1, n, t + 1), dtype=dtype)
-        for k in range(t - D + 1):
-            out[k, :, k : k + D + 1] = comps
-        blocks.append(out.reshape(t - D + 1, n * (t + 1)))
-    return np.vstack(blocks)
+    return np.vstack(
+        [
+            linalg.np_multiples(vec.reshape(n, D + 1), t - D)
+            .transpose(1, 0, 2)
+            .reshape(t - D + 1, n * (t + 1))
+            for D, vec in accepted
+        ]
+    )
 
 
 def _certify(P: Parameterization, cols: list) -> None:
@@ -229,7 +212,7 @@ def hilbert_burch(P: Parameterization) -> SyzygyMatrix:
         need = counts[t]
         kv = syzygies_in_degree(P, t)
         if accepted:
-            old = _multiples(accepted, t, n, kv.dtype)
+            old = _multiples(accepted, t, n)
             # pivot columns of the transpose: the rows independent of all
             # earlier rows, so the same vectors as admitting one at a time
             piv = linalg.np_rref(np.vstack([old, kv]).T.copy(), p)[1]

@@ -226,6 +226,12 @@ def test_input_errors_exit_1(tmp_path, capsys):
         code, out, err = run(capsys, ["analyze", path])
         assert code == 1, body
         assert err.startswith("error:")
+    # bytes that are not UTF-8 fail every command the same way
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"field: prime\n\xff x\ny\n")
+    for cmd in (["analyze"], ["reparam"], ["core"], ["fiber", "--point", "1:1"]):
+        code, out, err = run(capsys, [*cmd, str(path)])
+        assert code == 1 and err.startswith("error:") and "UTF-8" in err, cmd
 
 
 def test_missing_file_exits_1(capsys):

@@ -134,7 +134,6 @@ def test_analysis_hands_its_certificate_to_reparam_and_core(field, monkeypatch):
         return real(h, f1, f2)
 
     monkeypatch.setattr(reparam_module, "express_in_subring", spy)
-    monkeypatch.setattr(reparam_module, "certify_map_degree", None)
     monkeypatch.setattr(reparam_module, "extract_reparam_basis", None)
     assert (a.reparam.f1, a.reparam.f2) == cert.pair == (a.core.f1, a.core.f2)
     # only the entries of phi are rewritten; the generators come with cert

@@ -1,4 +1,6 @@
 import random
+from functools import reduce
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -22,7 +24,8 @@ from curvemap import (
     parse_form,
     row_ideal,
 )
-from curvemap.fiber import OFF_IMAGE_NOTE, _sampled_fiber_degree
+from curvemap.fiber import OFF_IMAGE_NOTE, _sampled_fiber_degree, _slices
+from curvemap.linalg import modulus, np_rref, to_np
 from test_degree_certificate import composed_map
 
 
@@ -207,3 +210,23 @@ def test_batched_sampling_gives_up_after_the_attempt_budget(field, build):
     phi = SyzygyMatrix(field, 2, (1,), ((zero, zero),))
     with pytest.raises(CertificationFailed, match="degenerate points"):
         _sampled_fiber_degree(P, phi, 0, 7)
+
+
+def product_slice_dim(P, j):
+    """HF_A(j), from one fresh elimination of every j-fold product of generators."""
+    prods = [reduce(lambda f, g: f.mul(g), c) for c in combinations_with_replacement(P.gens, j)]
+    rows = [list(f.coeffs) for f in prods]
+    return len(np_rref(to_np(rows, P.field), modulus(P.field))[1])
+
+
+def test_incremental_image_slices_match_direct_ranks(field):
+    cases = dense_corpus(field, 16, seed=7, d_max=10) + dense_corpus(QQ, 8, seed=7, d_max=6)
+    assert {P.n for P in cases if P.field == field} == {P.n for P in cases if P.field == QQ}
+    assert {P.n for P in cases} == {2, 3, 4, 5, 6}
+    for P in cases:
+        # products of Fractions are slow to rank, so QQ stops a degree earlier
+        top = 4 if P.field == field else 3
+        slices = _slices(P)
+        assert [next(slices) for _ in range(top)] == [
+            product_slice_dim(P, j) for j in range(1, top + 1)
+        ], P

@@ -1,8 +1,10 @@
-"""Only the field module, the CLI and the package root name PrimeField.
+"""Layering rules that keep one implementation of each concern.
 
-Every other module reaches the field through its methods and through
+Only the field module, the CLI and the package root name PrimeField: every
+other module reaches the field through its methods and through
 linalg.modulus, so a second, field-specific code path cannot come back
-unnoticed.
+unnoticed.  Only linalg names np_forward_reduce: incremental elimination
+goes through linalg.Echelon, not through a hand-written loop elsewhere.
 """
 
 import ast
@@ -23,12 +25,20 @@ def _names(tree):
             yield node.name
 
 
-def test_prime_field_is_named_only_at_the_edges():
+def _users(name):
     src = Path(curvemap.__file__).parent
-    users = {
+    return {
         path.name
         for path in sorted(src.glob("*.py"))
-        if "PrimeField" in _names(ast.parse(path.read_text()))
+        if name in _names(ast.parse(path.read_text()))
     }
+
+
+def test_prime_field_is_named_only_at_the_edges():
+    users = _users("PrimeField")
     assert users <= ALLOWED, sorted(users - ALLOWED)
     assert "field.py" in users
+
+
+def test_only_linalg_grows_an_echelon():
+    assert _users("np_forward_reduce") == {"linalg.py"}

@@ -8,8 +8,10 @@ from curvemap import QQ, PrimeField
 from curvemap.linalg import (
     Echelon,
     from_np,
+    modulus,
     np_kernel,
     np_matmul_mod,
+    np_multiples,
     np_rref,
     np_shift_mul,
     np_solve,
@@ -95,6 +97,8 @@ def test_np_shift_mul_is_polynomial_multiplication():
     m = random_matrix(rng, 3, 5)
     for rows, h, q in (
         (np.array(m, dtype=np.int64) % p, np.array([2, 0, 7], dtype=np.int64), p),
+        # the lowest term is copied, not summed, when its coefficient is one
+        (np.array(m, dtype=np.int64) % p, np.array([0, 1, 5], dtype=np.int64), p),
         (to_np(m, QQ), to_np([Fraction(2, 3), 0, -7], QQ)[0], None),
     ):
         out = np_shift_mul(rows, h, q)
@@ -141,6 +145,59 @@ def test_echelon_incremental_matches_batch_rank(field):
         assert not ech.add_row(row)
     combo = [field.add(a, b) for a, b in zip(rows[0], rows[1])]
     assert not ech.add_row(combo)
+
+
+def test_echelon_add_rows_leaves_its_argument_unchanged():
+    rng = random.Random("echelon-copy")
+    block = to_np([[Fraction(v, 3) for v in row] for row in random_matrix(rng, 4, 5, 9)], QQ)
+    before = block.copy()
+    ech = Echelon(5, QQ)
+    ech.add_rows(block[:2])
+    # the second block is forward-reduced against the rows already held
+    ech.add_rows(block)
+    assert (block == before).all()
+    assert ech.rank == rank(before.tolist(), QQ)
+    assert ech.pivots == sorted(ech.pivots)
+
+
+def test_echelon_mul_keeps_leading_columns(field):
+    p = modulus(field)
+    ech = Echelon(4, field)
+    ech.add_rows([[0, 1, 2, 3], [1, 0, 0, 5]])
+    h = to_np([2, 0, 7], field)[0]
+    held = ech.rows.copy()
+    ech.mul(h)
+    assert (ech.rows == np_shift_mul(held, h, p)).all()
+    assert [int(np.nonzero(r)[0][0]) for r in ech.rows] == ech.pivots == [0, 1]
+    with pytest.raises(ValueError):
+        ech.mul(to_np([0, 1], field)[0])
+
+
+def test_echelon_sorts_a_later_lower_pivot_before_a_product(field):
+    # the second block leads left of the first; after times (x + y) the
+    # rows overlap, so the forward reduction must run in pivot order
+    ech = Echelon(3, field)
+    ech.add_rows([[0, 1, 0]])
+    ech.add_rows([[1, 0, 0]])
+    assert ech.pivots == [0, 1]
+    ech.mul(to_np([1, 1], field)[0])
+    # x^3 - x y^2 is x^2 (x + y) - x y (x + y), already in the span
+    assert ech.add_rows(to_np([[1, 0, -1, 0]], field)) == 0
+    assert ech.rank == 2
+
+
+def test_np_multiples_are_shifts_by_monomials():
+    rng = random.Random("multiples")
+    for p in (PRIMES[0], None):
+        rows = to_np(random_matrix(rng, 3, 4), PrimeField(p) if p else QQ)
+        s = 3
+        out = np_multiples(rows, s)
+        assert out.shape == (3, s + 1, 4 + s)
+        for k in range(s + 1):
+            # x^(s-k) y^k as a coefficient row: a single one at position k
+            mono = np.zeros(s + 1, dtype=rows.dtype)
+            mono[k] = 1
+            assert (out[:, k] == np_shift_mul(rows, mono, p)).all()
 
 
 def test_to_np_rejects_nothing_and_keeps_shape():

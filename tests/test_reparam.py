@@ -4,6 +4,7 @@ from curvemap import (
     DegreeMismatch,
     GradedIdeal,
     adjoint_of_m_power,
+    certify_map_degree,
     core_ideal,
     express_in_subring,
     extract_reparam_basis,
@@ -19,6 +20,12 @@ from curvemap import (
     slice_rank,
 )
 from curvemap.reparam import NEW_VARIABLES
+
+
+def certified(P):
+    """(P, phi, the map-degree certificate), as reparameterize takes them."""
+    phi = hilbert_burch(P)
+    return P, phi, certify_map_degree(P, phi)
 
 
 def test_extract_basis_monomial_cases_normalize(field, build):
@@ -68,7 +75,7 @@ def test_express_in_subring(field):
 def test_reparameterize_square_example(field, build):
     P = build("x^6", "x^3*y^3", "y^6")
     phi = hilbert_burch(P)
-    rp = reparameterize(P, phi)
+    rp = reparameterize(P, phi, certify_map_degree(P, phi))
     assert rp.r == 3
     assert format_form(rp.f1) == "x^3" and format_form(rp.f2) == "y^3"
     assert [format_form(g, NEW_VARIABLES) for g in rp.new_param.gens] == [
@@ -88,7 +95,7 @@ def test_reparameterize_square_example(field, build):
 
 def test_reparameterize_birational_case_is_linear(field, build):
     P = build("x^3", "x^2*y", "y^3")
-    rp = reparameterize(P, hilbert_burch(P))
+    rp = reparameterize(*certified(P))
     assert rp.r == 1
     assert format_form(rp.f1) == "x" and format_form(rp.f2) == "y"
     assert [format_form(g, NEW_VARIABLES) for g in rp.new_param.gens] == [
@@ -100,7 +107,7 @@ def test_reparameterize_birational_case_is_linear(field, build):
 
 def test_reparam_round_trip_dense(field, build):
     P = build("x^4 + y^4", "x^3*y - x*y^3", "x^2*y^2 + x*y^3")
-    rp = reparameterize(P, hilbert_burch(P))
+    rp = reparameterize(*certified(P))
     assert rp.r == 1
     composed = [g.compose(rp.f1, rp.f2) for g in rp.new_param.gens]
     assert ideal_equals(
@@ -110,7 +117,7 @@ def test_reparam_round_trip_dense(field, build):
 
 def test_core_square_example(field, build):
     P = build("x^4", "x^2*y^2", "y^4")
-    rep = core_ideal(P, hilbert_burch(P))
+    rep = core_ideal(P, certified(P)[2])
     assert rep.r == 2 and rep.e == 2
     want = power(GradedIdeal.of(field, [parse_form(field, "x^2"), parse_form(field, "y^2")]), 3)
     assert ideal_equals(rep.core, want)
@@ -123,7 +130,7 @@ def test_core_square_example(field, build):
 
 def test_core_birational_example(field, build):
     P = build("x^3", "x^2*y", "y^3")
-    rep = core_ideal(P, hilbert_burch(P))
+    rep = core_ideal(P, certified(P)[2])
     assert rep.r == 1 and rep.e == 3
     assert ideal_equals(rep.core, maximal_ideal_power(field, 5))
     assert rep.equals_m_power
@@ -132,7 +139,7 @@ def test_core_birational_example(field, build):
 
 def test_core_degree_one_map(field, build):
     P = build("x", "y")
-    rep = core_ideal(P, hilbert_burch(P))
+    rep = core_ideal(P, certified(P)[2])
     assert rep.r == 1 and rep.e == 1
     assert ideal_equals(rep.core, maximal_ideal_power(field, 1))
     assert rep.equals_m_power
@@ -140,7 +147,7 @@ def test_core_degree_one_map(field, build):
 
 def test_core_json_shape(field, build):
     P = build("x^6", "x^3*y^3", "y^6")
-    rep = core_ideal(P, hilbert_burch(P))
+    rep = core_ideal(P, certified(P)[2])
     js = rep.to_json()
     assert js["coreGens"] == ["x^9", "x^6*y^3", "x^3*y^6", "y^9"]
     assert js["integrallyClosed"] == {"value": False, "provenance": "computed-monomial"}
@@ -150,7 +157,7 @@ def test_core_json_shape(field, build):
 def test_core_closure_provenance_dense_birational(field, build):
     # any birational pair normalizes to (x, y), so the core is monomial
     P = build("x^2 + y^2", "x*y", "x^2 - x*y")
-    rep = core_ideal(P, hilbert_burch(P))
+    rep = core_ideal(P, certified(P)[2])
     assert rep.r == 1
     assert rep.integrally_closed
     assert rep.closure_provenance == "computed-monomial"
@@ -161,7 +168,7 @@ def test_core_closure_provenance_dense_nonbirational(field, build):
     # generators living in k[x^2, xy + y^2]: the pair cannot be normalized to
     # monomials, so closedness falls back to the r = 1 criterion
     P = build("x^4", "x^3*y + x^2*y^2", "x^2*y^2 + 2*x*y^3 + y^4")
-    rep = core_ideal(P, hilbert_burch(P))
+    rep = core_ideal(P, certified(P)[2])
     assert rep.r == 2
     assert not rep.core.is_monomial
     assert not rep.integrally_closed
