@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .analysis import Analysis
+from .corpus import MAX_CORPUS_SIZE, MAX_SWEEP_DEGREE
 from .errors import (
     CertificationFailed,
     DegreeMismatch,
@@ -27,7 +28,7 @@ from .errors import (
     ZeroRow,
 )
 from .field import DEFAULT_PRIME, QQ, PrimeField
-from .fiber import fiber
+from .fiber import MAX_SAMPLES, fiber
 from .forms import ProjPointN, parse_form
 from .param import Parameterization
 from .selftest import run_selftest
@@ -112,7 +113,7 @@ def _parse_scalar(field, text: str):
     raise InstanceError(f"bad coordinate {text!r}")
 
 
-def _int_at_least(low: int):
+def _int_in(low: int, high: int):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -120,12 +121,14 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1)
+_samples = _int_in(1, MAX_SAMPLES)
 
 
 def _emit(args, report: dict, renderer) -> int:
@@ -307,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the instance seed")
         p.add_argument(
             "--samples",
-            type=_positive_int,
+            type=_samples,
             default=7,
             help="random fiber samples behind map degree (default 7)",
         )
@@ -335,10 +338,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_core)
 
     p = sub.add_parser("selftest", help="run the invariant suite over generated corpora")
-    p.add_argument("--d-max", type=_positive_int, default=8, help="exhaustive monomial sweep bound")
-    p.add_argument("--corpus-size", type=_int_at_least(0), default=25, help="random corpus size")
+    p.add_argument(
+        "--d-max",
+        type=_int_in(1, MAX_SWEEP_DEGREE),
+        default=8,
+        help="exhaustive monomial sweep bound",
+    )
+    p.add_argument(
+        "--corpus-size", type=_int_in(0, MAX_CORPUS_SIZE), default=25, help="random corpus size"
+    )
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=_positive_int, default=7)
+    p.add_argument("--samples", type=_samples, default=7)
     p.set_defaults(run=cmd_selftest)
 
     return parser

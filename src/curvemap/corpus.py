@@ -11,6 +11,10 @@ from .monomial import MonomialParam
 from .param import Parameterization
 
 MAX_MONOMIAL_GENS = 8
+# Largest selftest sweep and corpus: d <= 16 is 26,332 sweep cases, and the
+# count grows about fivefold per two degrees (d <= 40 would be 23 million).
+MAX_SWEEP_DEGREE = 16
+MAX_CORPUS_SIZE = 1000
 
 
 def exhaustive_monomial(field, d_max: int, n_max: int = MAX_MONOMIAL_GENS):

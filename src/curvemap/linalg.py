@@ -9,7 +9,20 @@ them.  The kernels take the modulus p, with p None for the rationals;
 modulus(field), to_np and from_np are the only code that looks at the field.
 The reduced row echelon form is unique, so ranks, pivots, kernel bases and
 solutions do not depend on the representation.  Everything is deterministic:
-no pivoting heuristics beyond first-nonzero, no floats.
+no pivoting heuristics beyond first-nonzero.
+
+Products mod p run on float64 BLAS, exactly (the delayed reduction of
+FFLAS-FFPACK).  The exact-limb rule: a residue a < 2**31 splits into 16-bit
+limbs, a = hi * 2**16 + lo.  A limb times a limb is an integer below 2**32,
+so a contraction of at most 2**21 terms keeps every partial sum below 2**53,
+where float64 is exact whatever the order of summation; a limb times a whole
+residue is below 2**47, which allows 2**6 terms.  The limb products are
+joined and reduced mod p in int64.  On top of that product, row reduction
+absorbs the rows of a large matrix a block at a time into a reduced basis,
+forward reduction clears a panel of pivots at a time, and a dense multiplier
+becomes one product with its banded matrix; small matrices and the
+rationals keep the plain loops, which also serve the blocked forms as their
+base case.
 """
 
 from __future__ import annotations
@@ -18,8 +31,18 @@ from fractions import Fraction
 
 import numpy as np
 
-# Safe contraction length for the 16-bit split matmul below.
-_MAX_CONTRACT = 1 << 16
+# Longest contraction the 16-bit limb products keep below 2**53; up to
+# _WHOLE_CONTRACT terms the right factor need not be split at all.
+_MAX_CONTRACT = 1 << 21
+_WHOLE_CONTRACT = 1 << 6
+# Output entries per exact product, so its float temporaries stay bounded.
+_CHUNK = 1 << 12
+# Rows absorbed per step of the blocked row reduction; a prime-field matrix
+# of fewer than two blocks of rows keeps the per-pivot loop.
+_BLOCK = 32
+# A multiplier with more nonzero coefficients than this is one banded
+# product in np_shift_mul; sparser ones keep the shifted accumulation.
+_BAND_MIN = 4
 
 _to_fraction = np.frompyfunc(Fraction, 1, 1)
 
@@ -50,9 +73,18 @@ def _inv(v, p):
 def np_rref(a: np.ndarray, p):
     """Reduced row echelon form of a, in place.
 
-    Returns (a, pivots).  Mod p, entries stay in [0, p); intermediate
-    products fit in int64 because p < 2**31.
+    Returns (a, pivots).  Mod p, entries stay in [0, p).  A prime-field
+    matrix of at least two blocks of rows is absorbed a block at a time
+    (_blocked_rref); anything smaller, and every rational matrix, runs the
+    per-pivot loop.  The form is unique, so both give the same array.
     """
+    if p is None or a.shape[0] < 2 * _BLOCK:
+        return _rref_loop(a, p)
+    return _blocked_rref(a, p)
+
+
+def _rref_loop(a: np.ndarray, p):
+    """np_rref by one rank-1 update per pivot; products fit in int64."""
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
@@ -77,17 +109,96 @@ def np_rref(a: np.ndarray, p):
     return a, pivots
 
 
+def _blocked_rref(a: np.ndarray, p):
+    """np_rref mod p, absorbing _BLOCK rows at a time into a reduced basis.
+
+    The held rows are in reduced row echelon form.  One product clears their
+    pivots from the next block, the loop reduces what is left of the block
+    on its nonzero columns, and one product clears the new pivots from the
+    held rows.  A zero column stays zero under row operations, so the loop
+    never sees the cleared pivot columns.
+    """
+    rows, cols = a.shape
+    held = np.zeros((0, cols), dtype=a.dtype)
+    pivots: list[int] = []
+    for start in range(0, rows, _BLOCK):
+        if len(pivots) == cols:
+            break
+        block = a[start : start + _BLOCK]
+        if pivots:
+            block = _submod(block, np_matmul_mod(block[:, pivots], held, p), p)
+        block = block[block.any(axis=1)]
+        live = np.flatnonzero(block.any(axis=0))
+        if not live.size:
+            continue
+        red, piv = _rref_loop(block[:, live], p)
+        new = np.zeros((len(piv), cols), dtype=a.dtype)
+        new[:, live] = red[: len(piv)]
+        piv = live[piv].tolist()
+        held = _submod(held, np_matmul_mod(held[:, piv], new, p), p)
+        held, pivots = _merge(held, pivots, new, piv)
+    a[: len(pivots)] = held
+    a[len(pivots) :] = 0
+    return a, pivots
+
+
+def _merge(rows: np.ndarray, pivots: list, new: np.ndarray, piv: list):
+    """rows and new, echelon rows leading at pivots and piv, sorted by pivot."""
+    merged = pivots + piv
+    order = np.argsort(merged, kind="stable")
+    return np.vstack([rows, new])[order], [merged[i] for i in order]
+
+
 def np_forward_reduce(c: np.ndarray, h: np.ndarray, pivots: list, p) -> np.ndarray:
     """Clear, in place, the columns pivots[t] of c with the echelon rows h.
 
-    h[t] must lead at column pivots[t]; it need not be monic there.
+    h[t] must lead at column pivots[t]; it need not be monic there.  A
+    prime-field c of at least two blocks of rows is cleared a panel of
+    pivots at a time (_blocked_forward); anything smaller, and every
+    rational c, runs the per-pivot loop.
+    """
+    if p is None or c.shape[0] < 2 * _BLOCK:
+        _clear(c, h, pivots, p)
+        return c
+    return _blocked_forward(c, h, pivots, p)
+
+
+def _clear(c: np.ndarray, h: np.ndarray, pivots, p, x=None) -> None:
+    """np_forward_reduce by one rank-1 update per pivot.
+
+    With x given, the multiplier of h[t] for each row goes to x[:, t].
     """
     for t, col in enumerate(pivots):
         nz = np.nonzero(c[:, col])[0]
         if nz.size == 0:
             continue
         f = _reduce(c[nz, col] * _inv(h[t, col], p), p)
+        if x is not None:
+            x[nz, t] = f
         c[nz] = _reduce(c[nz] - np.outer(f, h[t]), p)
+
+
+def _blocked_forward(c: np.ndarray, h: np.ndarray, pivots: list, p) -> np.ndarray:
+    """np_forward_reduce mod p, with one product per panel of _BLOCK pivots.
+
+    Pivots left of the first nonzero column of c are skipped: rows that lead
+    further right never fill them.  In each panel the per-pivot loop runs on
+    the panel's columns alone and records its multipliers x; then one
+    product subtracts x times the panel's rows over the full width, on the
+    rows of c and the pivots that x touches.  The multipliers are those of
+    the loop over the full width, so c comes out the same.
+    """
+    piv = np.asarray(pivots, dtype=np.int64)
+    live = np.flatnonzero(c.any(axis=0))
+    start = int(np.searchsorted(piv, live[0])) if live.size else len(piv)
+    for s in range(start, len(piv), _BLOCK):
+        rows, cols = h[s : s + _BLOCK], piv[s : s + _BLOCK]
+        x = np.zeros((c.shape[0], len(cols)), dtype=np.int64)
+        _clear(c[:, cols], rows[:, cols], range(len(cols)), p, x)
+        hit = np.flatnonzero(x.any(axis=1))
+        keep = np.flatnonzero(x.any(axis=0))
+        if keep.size:
+            c[hit] = _submod(c[hit], np_matmul_mod(x[np.ix_(hit, keep)], rows[keep], p), p)
     return c
 
 
@@ -120,23 +231,88 @@ def np_solve(a: np.ndarray, b: np.ndarray, p):
 
 
 def np_matmul_mod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
-    """Exact a @ b, mod p via a 16-bit split that avoids int64 overflow."""
+    """Exact a @ b, mod p as 16-bit limb products on float64 BLAS.
+
+    Shapes follow a @ b.  The rows of a are taken _CHUNK output entries at
+    a time, so the float temporaries stay bounded.
+    """
     if p is None:
         return a @ b
-    if a.shape[-1] > _MAX_CONTRACT:
-        raise ValueError("contraction too long for the split matmul")
-    hi = a >> 16
-    lo = a & 0xFFFF
-    return ((hi @ b) % p * 65536 + (lo @ b) % p) % p
+    k = a.shape[-1]
+    if k > _MAX_CONTRACT:
+        raise ValueError("contraction too long for exact limb products")
+    a2 = a if a.ndim == 2 else a[None]
+    b2 = b if b.ndim == 2 else b[:, None]
+    if b2.shape[0] != k:
+        raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
+    limbs = _limbs(b2)
+    out = np.empty((a2.shape[0], b2.shape[1]), dtype=np.int64)
+    step = max(1, _CHUNK // max(b2.shape[1], k, 1))
+    for i in range(0, a2.shape[0], step):
+        out[i : i + step] = _mulmod(a2[i : i + step], limbs, p)
+    return out.reshape(a.shape[:-1] + b.shape[1:])
+
+
+def _limbs(b: np.ndarray) -> np.ndarray:
+    """The (k, n) residues b as the float64 right factor of _mulmod.
+
+    Up to _WHOLE_CONTRACT rows b stays whole; beyond, its 16-bit limbs
+    stand side by side, [hi | lo], a (k, 2n) array.
+    """
+    if b.shape[0] <= _WHOLE_CONTRACT:
+        return b.astype(np.float64)
+    return np.concatenate((b >> 16, b & 0xFFFF), axis=1).astype(np.float64)
+
+
+def _mulmod(a: np.ndarray, limbs: np.ndarray, p) -> np.ndarray:
+    """a @ b mod p for residues a, with limbs = _limbs(b): one BLAS product.
+
+    The limbs of a, stacked, meet limbs in one exact float product.  Its
+    parts are the digits of a @ b in base 2**16, most significant first,
+    and Horner's rule mod p in int64 joins them; no step passes 2**54.
+    """
+    m, k = a.shape
+    split = np.concatenate((a >> 16, a & 0xFFFF)).astype(np.float64)
+    prod = (split @ limbs).astype(np.int64)
+    hi, lo = prod[:m], prod[m:]
+    if k <= _WHOLE_CONTRACT:
+        digits = [hi, lo]
+    else:
+        n = hi.shape[1] // 2
+        digits = [hi[:, :n], hi[:, n:] + lo[:, :n], lo[:, n:]]
+    out = digits[0] % p
+    for digit in digits[1:]:
+        out <<= 16
+        out += digit
+        out %= p
+    return out
+
+
+def _submod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
+    """a - b mod p for residue arrays a and b."""
+    out = a - b
+    out[out < 0] += p
+    return out
 
 
 def np_shift_mul(rows: np.ndarray, h: np.ndarray, p) -> np.ndarray:
     """Multiply each row, read as a dense binary-form slice, by the form h.
 
     rows has width w (degree w-1 slice); the result has width w + len(h) - 1.
-    Plain shifted accumulation, one pass per nonzero coefficient of h, each
-    reduced mod p.  The lowest lands on zeros, so it is only scaled, and a
-    monomial h with coefficient one (x or y) costs a copy.
+    Mod p, an h with more than _BAND_MIN nonzero coefficients is one banded
+    product (_banded_mul); sparser ones, and the rationals, are shifted
+    accumulation (_shift_loop).
+    """
+    if p is not None and np.count_nonzero(h) > _BAND_MIN:
+        return _banded_mul(rows, h, p)
+    return _shift_loop(rows, h, p)
+
+
+def _shift_loop(rows: np.ndarray, h: np.ndarray, p) -> np.ndarray:
+    """np_shift_mul by one pass per nonzero coefficient of h, each reduced.
+
+    The lowest lands on zeros, so it is only scaled, and a monomial h with
+    coefficient one (x or y) costs a copy.
     """
     n, w = rows.shape
     m = h.shape[0]
@@ -149,6 +325,37 @@ def np_shift_mul(rows: np.ndarray, h: np.ndarray, p) -> np.ndarray:
             first = False
         elif c:
             out[:, k : k + w] = _reduce(out[:, k : k + w] + rows * c, p)
+    return out
+
+
+def _banded_mul(rows: np.ndarray, h: np.ndarray, p) -> np.ndarray:
+    """np_shift_mul mod p as one exact product with the banded matrix of h.
+
+    The output is cut into blocks of m = len(h) columns.  Block s is the
+    window of 2m - 1 input columns ending at its last column times one
+    Toeplitz matrix t, t[u, j] = h[j + m - 1 - u], the same for every block.
+    So the windows of all rows stack into one product with t, taken a few
+    rows at a time.
+    """
+    n, w = rows.shape
+    m = h.shape[0]
+    width = w + m - 1
+    blocks = -(-width // m)
+    # np_multiples of h has h[j] at (k, k + j); reversed both ways it is t.T
+    limbs = _limbs(np_multiples(h[None], m - 1)[0, ::-1, ::-1].T)
+    step = max(1, min(n, _CHUNK // (2 * width) + 1))
+    padded = np.zeros((step, (blocks + 1) * m - 1), dtype=np.int64)
+    rs, cs = padded.strides
+    out = np.empty((n, width), dtype=np.int64)
+    for i in range(0, n, step):
+        chunk = rows[i : i + step]
+        k = len(chunk)
+        padded[:k, m - 1 : m - 1 + w] = chunk
+        windows = np.lib.stride_tricks.as_strided(
+            padded, shape=(k, blocks, 2 * m - 1), strides=(rs, m * cs, cs)
+        )
+        prod = _mulmod(windows.reshape(-1, 2 * m - 1), limbs, p)
+        out[i : i + k] = prod.reshape(k, -1)[:, :width]
     return out
 
 
@@ -192,7 +399,16 @@ def from_np(a: np.ndarray, field) -> list:
 
 
 def rank(rows, field) -> int:
-    return len(np_rref(to_np(rows, field), modulus(field))[1])
+    return np_rank(to_np(rows, field), modulus(field))
+
+
+def np_rank(a: np.ndarray, p) -> int:
+    """Rank of an array of residues (or Fractions) that the caller owns.
+
+    a is row-reduced in place, which keeps its row space; nothing is copied
+    or reduced mod p again.
+    """
+    return len(np_rref(a, p)[1])
 
 
 def solve(rows, rhs, field):
@@ -234,10 +450,7 @@ class Echelon:
         block = np.array(rows, dtype=_dtype(p)).reshape(-1, self.rows.shape[1])
         red, piv = np_rref(np_forward_reduce(block, self.rows, self.pivots, p), p)
         self.new = red[: len(piv)]
-        merged = self.pivots + piv
-        order = np.argsort(merged, kind="stable")
-        self.rows = np.vstack([self.rows, self.new])[order]
-        self.pivots = [merged[i] for i in order]
+        self.rows, self.pivots = _merge(self.rows, self.pivots, self.new, piv)
         return len(piv)
 
     def add_row(self, row) -> bool:

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from curvemap import CertificationFailed, cli
+from curvemap.corpus import MAX_CORPUS_SIZE, MAX_SWEEP_DEGREE
+from curvemap.fiber import MAX_SAMPLES
 from curvemap.forms import MAX_DEGREE
 
 
@@ -232,6 +234,19 @@ def test_input_errors_exit_1(tmp_path, capsys):
     for cmd in (["analyze"], ["reparam"], ["core"], ["fiber", "--point", "1:1"]):
         code, out, err = run(capsys, [*cmd, str(path)])
         assert code == 1 and err.startswith("error:") and "UTF-8" in err, cmd
+    # counts past their named maxima, which bound the memory a run can take
+    path = write_instance(tmp_path, QUARTIC)
+    for argv, bound in (
+        (["analyze", path, "--samples", str(MAX_SAMPLES + 1)], MAX_SAMPLES),
+        (["reparam", path, "--samples", "1000000"], MAX_SAMPLES),
+        (["selftest", "--samples", str(MAX_SAMPLES + 1)], MAX_SAMPLES),
+        (["selftest", "--d-max", str(MAX_SWEEP_DEGREE + 1)], MAX_SWEEP_DEGREE),
+        (["selftest", "--d-max", "40"], MAX_SWEEP_DEGREE),
+        (["selftest", "--corpus-size", str(MAX_CORPUS_SIZE + 1)], MAX_CORPUS_SIZE),
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error:") and f"at most {bound}" in err, argv
 
 
 def test_missing_file_exits_1(capsys):

@@ -8,6 +8,7 @@ full slice, and tables that never fill all end where the elimination does.
 import json
 import random
 import time
+from math import comb
 
 from curvemap import (
     QQ,
@@ -151,13 +152,13 @@ def test_bad_pair_from_extraction_exits_2(tmp_path, capsys, monkeypatch, field):
     assert err.startswith("computation failed:") and "k[" in err
 
 
-def analyze_dense_plane_curve(tmp_path, capsys, d, seed):
-    """Seconds taken by analyze on three dense forms of degree d, report checked."""
-    rng = random.Random(f"dense-3-{d}")
+def analyze_dense(tmp_path, capsys, n, d, seed):
+    """Seconds taken by analyze on n dense forms of degree d, and the report."""
+    rng = random.Random(f"dense-{n}-{d}")
     p = 2147483647
     gens = [
         " + ".join(f"{rng.randrange(1, p)}*x^{d - i}*y^{i}" for i in range(d + 1))
-        for _ in range(3)
+        for _ in range(n)
     ]
     path = tmp_path / "dense.txt"
     path.write_text(f"field: prime 2147483647\nseed: {seed}\n" + "\n".join(gens) + "\n")
@@ -165,7 +166,12 @@ def analyze_dense_plane_curve(tmp_path, capsys, d, seed):
     code = cli.main(["analyze", str(path), "--deterministic"])
     elapsed = time.perf_counter() - t0
     assert code == 0
-    rep = json.loads(capsys.readouterr().out)
+    return elapsed, json.loads(capsys.readouterr().out)
+
+
+def analyze_dense_plane_curve(tmp_path, capsys, d, seed):
+    """Seconds taken by analyze on three dense forms of degree d, report checked."""
+    elapsed, rep = analyze_dense(tmp_path, capsys, 3, d, seed)
     assert rep["r"] == 1 and rep["eA"] == d and rep["birational"]
     assert rep["hfA"] == plane_curve_table(d)
     return elapsed
@@ -180,3 +186,14 @@ def test_dense_plane_curve_of_degree_200(tmp_path, capsys):
     # slices of I; a fresh elimination per degree took about 9 s on a 2-CPU
     # x86-64 box, the incremental one about 0.6 s
     assert analyze_dense_plane_curve(tmp_path, capsys, 200, 5) < 5.0
+
+
+def test_dense_space_curve_of_degree_60(tmp_path, capsys):
+    # the Hilbert table of A eliminates slices up to 60 j + 1 columns wide;
+    # with per-pivot loops and shifted products this took about 6 s on a
+    # 2-CPU x86-64 box, with blocked elimination on float64 BLAS about 1 s
+    d = 60
+    elapsed, rep = analyze_dense(tmp_path, capsys, 4, d, 3)
+    assert rep["r"] == 1 and rep["eA"] == d
+    assert rep["hfA"] == [min(comb(j + 3, 3), j * d + 1) for j in range(len(rep["hfA"]))]
+    assert elapsed < 3.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from curvemap import QQ, PrimeField
+from curvemap import linalg
 from curvemap.linalg import (
     Echelon,
     from_np,
@@ -12,6 +13,7 @@ from curvemap.linalg import (
     np_kernel,
     np_matmul_mod,
     np_multiples,
+    np_rank,
     np_rref,
     np_shift_mul,
     np_solve,
@@ -22,6 +24,9 @@ from curvemap.linalg import (
 )
 
 PRIMES = (2147483647, 2147483629, 1073741827)
+# Primes for the blocked kernels: the smallest ones make zero pivots and rank
+# drops common, the largest sit next to the 2**31 bound of the residues.
+BLOCKED_PRIMES = (2, 3, 65521, 1073741827, 2147483629, 2147483647)
 
 
 def random_matrix(rng, rows, cols, bound=10**6):
@@ -88,6 +93,22 @@ def test_np_matmul_mod_matches_python_bigints():
         for i in range(3)
     ]
     assert np_matmul_mod(a, b, p).tolist() == want
+    # contractions on both sides of 64 terms, where the right factor stops
+    # being whole, and 300 rows of a, several chunks of the product
+    rng = np.random.default_rng(11)
+    shapes = [(7, 6, 7), (5, 64, 3), (5, 65, 3), (4, 255, 2), (3, 1000, 2), (300, 50, 40), (0, 5, 3)]
+    for p in BLOCKED_PRIMES:
+        for m, k, n in shapes:
+            # residues near p make the largest limbs
+            a = p - 1 - rng.integers(0, min(p, 1000), (m, k))
+            b = p - 1 - rng.integers(0, min(p, 1000), (k, n))
+            want = (a.astype(object) @ b.astype(object)) % p
+            assert np.array_equal(np_matmul_mod(a, b, p), want.astype(np.int64)), (p, m, k, n)
+        # a matrix times a vector, as in the evaluation of phi
+        a, v = rng.integers(0, p, (6, 3)), rng.integers(0, p, 3)
+        assert np_matmul_mod(a, v, p).tolist() == [
+            sum(int(x) * int(y) for x, y in zip(row, v)) % p for row in a
+        ]
 
 
 def test_np_shift_mul_is_polynomial_multiplication():
@@ -260,3 +281,122 @@ def test_np_vandermonde_holds_the_powers_of_each_point():
     q = to_np([Fraction(1, 2), -3], QQ)[0]
     want = [[1, 1], [Fraction(1, 2), -3], [Fraction(1, 4), 9]]
     assert np_vandermonde(q, 2, None).tolist() == want
+
+
+def low_rank(rng, rows, cols, rank, p):
+    """A random rows x cols matrix mod p of rank at most `rank`."""
+    left = rng.integers(0, p, (rows, rank))
+    right = rng.integers(0, p, (rank, cols))
+    return np_matmul_mod(left, right, p)
+
+
+def blocked_shapes(rng, p):
+    """Matrices on both sides of the row threshold of the blocked np_rref."""
+    edge = 2 * linalg._BLOCK
+    yield low_rank(rng, 350, 181, 55, p)  # the largest dense-prime call
+    yield low_rank(rng, 90, 300, 70, p)  # wide
+    yield rng.integers(0, p, (edge - 1, 40))  # just below the threshold
+    yield rng.integers(0, p, (edge, 40))  # just at it
+    yield rng.integers(0, p, (edge + 1, edge + 1))  # square, full rank
+    yield rng.integers(0, p, (120, 100))  # tall, full column rank
+    zero_cols = rng.integers(0, p, (100, 60))
+    zero_cols[:, ::3] = 0
+    yield zero_cols
+    repeated = rng.integers(0, p, (100, 50))
+    repeated[50:] = repeated[:50]
+    yield repeated
+    yield np.zeros((edge + 5, 20), dtype=np.int64)
+
+
+def test_blocked_rref_matches_the_per_pivot_loop():
+    rng = np.random.default_rng(9)
+    for p in BLOCKED_PRIMES:
+        for a in blocked_shapes(rng, p):
+            want, want_piv = linalg._rref_loop(a.copy(), p)
+            got, piv = np_rref(a.copy(), p)
+            assert piv == want_piv, (p, a.shape)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (p, a.shape)
+    # over a large prime the tall product keeps the rank of its factors
+    a = low_rank(np.random.default_rng(1), 350, 181, 55, 2147483647)
+    assert len(np_rref(a, 2147483647)[1]) == 55
+
+
+def test_np_rank_reduces_its_owned_argument_in_place():
+    p = PRIMES[0]
+    a = low_rank(np.random.default_rng(2), 80, 30, 12, p)
+    before = a.copy()
+    assert np_rank(a, p) == 12
+    # the rows now hold the reduced echelon form, with the same span
+    assert np.array_equal(a, np_rref(before, p)[0])
+    assert np_rank(np.vstack([a, before]), p) == 12
+
+
+def echelon_rows(rng, r, cols, p):
+    """r rows mod p in row echelon form, sorted by pivot, not monic, not reduced."""
+    pivots = sorted(rng.choice(cols, r, replace=False).tolist())
+    h = rng.integers(0, p, (r, cols))
+    for t, col in enumerate(pivots):
+        h[t, :col] = 0
+        h[t, col] = rng.integers(1, p)
+    return h, pivots
+
+
+def test_blocked_forward_reduce_matches_the_per_pivot_loop():
+    rng = np.random.default_rng(12)
+    edge = 2 * linalg._BLOCK
+    for p in BLOCKED_PRIMES:
+        for k, r, cols in ((edge - 1, 40, 90), (edge, 40, 90), (150, 120, 200), (edge, 0, 30)):
+            h, pivots = echelon_rows(rng, r, cols, p)
+            c = rng.integers(0, p, (k, cols))
+            c[:, : cols // 3] = 0  # a zero prefix, as in the slices of A
+            c[::7] = 0
+            if r:
+                # rows already in the span of h reduce to zero
+                c[1::5] = np_matmul_mod(rng.integers(0, p, (len(c[1::5]), r)), h, p)
+            want = c.copy()
+            linalg._clear(want, h, pivots, p)
+            got = linalg.np_forward_reduce(c.copy(), h, pivots, p)
+            assert np.array_equal(got, want), (p, k, r, cols)
+            assert not got[:, pivots].any()
+
+
+def shift_cases(rng, p):
+    """(rows, h) on both sides of the nonzero-count threshold of np_shift_mul."""
+    band = linalg._BAND_MIN
+    for nnz in (1, 2, band, band + 1, 13, 61):
+        for n, w in ((1, 2), (3, 10), (40, 181), (70, 145)):
+            h = np.zeros(max(nnz, 2) + 2, dtype=np.int64)
+            spots = rng.choice(len(h) - 1, nnz, replace=False) + 1
+            h[spots] = rng.integers(1, p, nnz)
+            h[0] = rng.integers(1, p)  # the leading coefficient of Echelon.mul
+            yield rng.integers(0, p, (n, w)), h
+    # all p - 1, the largest residues, and a multiplier with no zero
+    yield np.full((30, 50), p - 1, dtype=np.int64), np.full(37, p - 1, dtype=np.int64)
+    # rows wide enough to take more than one chunk
+    yield rng.integers(0, p, (200, 400)), rng.integers(0, p, 25)
+    yield np.zeros((0, 9), dtype=np.int64), rng.integers(1, p, 8)
+
+
+def test_banded_shift_mul_matches_shifted_accumulation():
+    rng = np.random.default_rng(10)
+    for p in BLOCKED_PRIMES:
+        for rows, h in shift_cases(rng, p):
+            want = linalg._shift_loop(rows, h, p)
+            got = np_shift_mul(rows, h, p)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (p, rows.shape, h)
+
+
+def test_np_matmul_mod_is_exact_at_the_longest_contraction():
+    # every limb product at its largest, summed as often as the guard allows
+    k = linalg._MAX_CONTRACT
+    for p in (2147483647, 2147483629):
+        a = np.full((1, k), p - 1, dtype=np.int64)
+        b = np.full((k, 1), p - 1, dtype=np.int64)
+        want = (p - 1) ** 2 * k % p
+        assert np_matmul_mod(a, b, p).tolist() == [[want]]
+        assert np_matmul_mod(a[0], b[:, 0], p) == want
+    with pytest.raises(ValueError):
+        np_matmul_mod(np.ones((1, k + 1), dtype=np.int64), np.ones((k + 1, 1), dtype=np.int64), p)
+    # mismatched shapes fail like a @ b, even with no rows to multiply
+    with pytest.raises(ValueError):
+        np_matmul_mod(np.ones((0, 5), dtype=np.int64), np.ones(3, dtype=np.int64), p)
