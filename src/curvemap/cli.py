@@ -8,6 +8,7 @@ it), 3 self-test failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -35,6 +36,10 @@ from .selftest import run_selftest
 
 _INPUT_ERRORS = (InstanceError, ZeroIdeal, DegreeMismatch, NotMonomial)
 _COMPUTE_ERRORS = (CertificationFailed, ResamplingExhausted, ZeroRow, SlopeNotStabilized)
+# largest instance file read; comment and blank lines are not bounded by
+# forms.MAX_DEGREE, so without it a file such as /dev/zero is read to EOF
+MAX_INSTANCE_BYTES = 1 << 20
+_READ_CHUNK = 1 << 16
 
 
 def _parse_field_spec(spec: str):
@@ -64,15 +69,16 @@ def parse_instance(text: str):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key = line.split(":", 1)[0].strip().lower()
+        key, _, value = line.partition(":")
+        key = key.strip().lower()
         if key == "field":
             if field is not None:
                 raise InstanceError(f"line {lineno}: duplicate field line")
-            field = _parse_field_spec(line.split(":", 1)[1].strip())
+            field = _parse_field_spec(value.strip())
             continue
         if key == "seed":
             try:
-                seed = int(line.split(":", 1)[1].strip())
+                seed = int(value.strip())
             except ValueError:
                 raise InstanceError(f"line {lineno}: seed must be an integer")
             continue
@@ -90,10 +96,22 @@ def parse_instance(text: str):
 
 
 def load_instance(path: str):
+    # in chunks: one read of MAX_INSTANCE_BYTES + 1 would allocate that much
+    # on every call, however small the file
+    data = bytearray()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with Path(path).open("rb") as fh:
+            while len(data) <= MAX_INSTANCE_BYTES:
+                chunk = fh.read(min(_READ_CHUNK, MAX_INSTANCE_BYTES + 1 - len(data)))
+                if not chunk:
+                    break
+                data += chunk
     except OSError as exc:
         raise InstanceError(f"cannot read instance file: {exc}")
+    if len(data) > MAX_INSTANCE_BYTES:
+        raise InstanceError(f"instance file is larger than {MAX_INSTANCE_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InstanceError(f"instance file is not valid UTF-8: {exc}")
     return parse_instance(text)
@@ -289,6 +307,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# Built on the first call of main and reused: nothing in it depends on argv,
+# and parse_args gives every call a fresh Namespace.  The handlers look up
+# their module names (Analysis, fiber, run_selftest) when they run.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="curvemap",

@@ -8,6 +8,7 @@ carries the arithmetic; there is no wrapper element type.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InstanceError
 
@@ -23,6 +24,8 @@ _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _RATIONAL_BOX = 10**6
 
 
+# every command builds its field, so the verdict on a modulus is kept
+@lru_cache(maxsize=256)
 def is_prime(n: int) -> bool:
     """Deterministic primality test, exact for every integer below 3.3e24."""
     if n < 2:

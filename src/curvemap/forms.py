@@ -289,25 +289,19 @@ def li_dim(forms, degree: int | None = None) -> int:
 # text syntax
 
 _TOKEN = re.compile(r"\d+|[A-Za-z]|[\^*+/-]")
+# a character that is neither whitespace (\s is str.isspace) nor part of a token
+_BAD_CHAR = re.compile(r"[^\s\dA-Za-z^*+/-]")
 # largest total degree of a term in parsed input; a higher exponent is
 # rejected before its coefficient list is allocated
 MAX_DEGREE = 1000
 
 
 def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise InstanceError(f"unexpected character {text[pos]!r} in polynomial")
-        tokens.append(m.group(0))
-        pos = m.end()
-    return tokens
+    bad = _BAD_CHAR.search(text)
+    if bad:
+        raise InstanceError(f"unexpected character {bad.group()!r} in polynomial")
+    # every character left is whitespace, which findall skips, or part of a token
+    return _TOKEN.findall(text)
 
 
 def parse_form(field, text: str) -> BinaryForm:

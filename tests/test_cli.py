@@ -1,4 +1,7 @@
+import argparse
+import importlib
 import json
+import os
 
 import pytest
 
@@ -222,6 +225,8 @@ def test_input_errors_exit_1(tmp_path, capsys):
         f"field: prime 2147483647\nx^{MAX_DEGREE + 1}\ny^{MAX_DEGREE + 1}\n",
         f"field: prime 2147483647\nx^{MAX_DEGREE}*y\ny^{MAX_DEGREE + 1}\n",
         "field: prime 2147483647\nx^2\n" + "9" * 5000 + "*y^2\n",  # beyond int()
+        "field\nx\ny\n",  # a key line without its colon
+        "field: rational\nseed\nx\ny\n",
     ]
     for body in cases:
         path = write_instance(tmp_path, body)
@@ -321,3 +326,60 @@ def test_prime_beyond_kernel_bound_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, ["fiber", path, "--point", "1:1:1", "--deterministic"])
     assert code == 1 and out == ""
     assert err.startswith("error:") and "2**31" in err
+
+
+def test_instance_file_past_the_size_bound_exits_1(tmp_path, capsys, monkeypatch):
+    # three dense generators of degree MAX_DEGREE with ten-digit coefficients
+    term = "2147483646*x^{}*y^{}"
+    gens = " + ".join(term.format(MAX_DEGREE - i, i) for i in range(MAX_DEGREE + 1))
+    assert 3 * len(gens) < cli.MAX_INSTANCE_BYTES // 10
+    path = write_instance(tmp_path, QUARTIC)
+    size = len(QUARTIC.encode())
+    monkeypatch.setattr(cli, "MAX_INSTANCE_BYTES", size)
+    assert run(capsys, ["analyze", path, "--deterministic"])[0] == 0
+    # one blank line more: MAX_DEGREE bounds no blank or comment line
+    padded = write_instance(tmp_path, "\n" + QUARTIC, "padded.txt")
+    for cmd in (["analyze"], ["reparam"], ["core"], ["fiber", "--point", "1:1:1"]):
+        code, out, err = run(capsys, [*cmd, padded])
+        assert code == 1 and out == "", cmd
+        assert err == f"error: instance file is larger than {size} bytes\n", cmd
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_instance_file_exits_1(capsys):
+    code, out, err = run(capsys, ["analyze", "/dev/zero"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and str(cli.MAX_INSTANCE_BYTES) in err
+
+
+def test_main_reuses_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    path = write_instance(tmp_path, QUARTIC)
+    calls = [
+        ["analyze", path, "--deterministic", "--seed", "11", "--plain"],
+        ["analyze", path, "--deterministic"],
+        ["fiber", path, "--point", "1:1:1", "--deterministic"],
+        ["reparam", path, "--deterministic"],
+        ["core", path, "--deterministic"],
+        ["fiber", path],  # usage error: no --point
+        ["--help"],
+    ]
+    fresh = []
+    for argv in calls:
+        importlib.reload(cli)
+        fresh.append(run(capsys, argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 1, 0]
+
+    importlib.reload(cli)
+    run(capsys, ["core", path, "--deterministic"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    reused = [run(capsys, argv) for argv in calls]
+    assert built == []
+    for argv, again, first in zip(calls, reused, fresh):
+        assert again == first, argv
