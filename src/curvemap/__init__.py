@@ -22,7 +22,6 @@ from .errors import (
     InstanceError,
     InternalInvariantViolation,
     NotMonomial,
-    ResamplingExhausted,
     SlopeNotStabilized,
     ZeroIdeal,
     ZeroRow,
@@ -95,7 +94,6 @@ __all__ = [
     "QQ",
     "RationalField",
     "ReparamResult",
-    "ResamplingExhausted",
     "SlopeNotStabilized",
     "SyzygyMatrix",
     "ZeroIdeal",

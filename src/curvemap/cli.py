@@ -23,7 +23,6 @@ from .errors import (
     DegreeMismatch,
     InstanceError,
     NotMonomial,
-    ResamplingExhausted,
     SlopeNotStabilized,
     ZeroIdeal,
     ZeroRow,
@@ -35,7 +34,7 @@ from .param import Parameterization
 from .selftest import run_selftest
 
 _INPUT_ERRORS = (InstanceError, ZeroIdeal, DegreeMismatch, NotMonomial)
-_COMPUTE_ERRORS = (CertificationFailed, ResamplingExhausted, ZeroRow, SlopeNotStabilized)
+_COMPUTE_ERRORS = (CertificationFailed, ZeroRow, SlopeNotStabilized)
 # largest instance file read; comment and blank lines are not bounded by
 # forms.MAX_DEGREE, so without it a file such as /dev/zero is read to EOF
 MAX_INSTANCE_BYTES = 1 << 20

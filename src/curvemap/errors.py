@@ -36,9 +36,5 @@ class SlopeNotStabilized(CurvemapError):
     """The Hilbert function did not reach a stable slope below the cap."""
 
 
-class ResamplingExhausted(CurvemapError):
-    """The retry budget for generic point sampling ran out."""
-
-
 class InternalInvariantViolation(CurvemapError):
     """A structural identity that must hold by theorem failed to hold."""

@@ -10,10 +10,10 @@ r * e(A) = d gives the multiplicity e(A) of the homogeneous coordinate ring
 A of the image, and with it most of the Hilbert table of A.
 
 One evaluator forms the rows p * phi: _rows multiplies a batch of points by
-phi, one product per column.  fiber at a given point, the map-degree sample
-and the reparameterization pair (reparam.extract_reparam_basis) all read
-their fiber forms off it; the latter two draw seeded image points through
-_image_fibers.
+phi, one product per column.  fiber at a given point and the map-degree
+sample read their fiber forms off it; the sample draws seeded image points
+through _image_fibers, and its fibers of degree r span the pencil that
+gives the reparameterization pair (reparam.extract_reparam_basis).
 """
 
 from __future__ import annotations
@@ -319,28 +319,43 @@ class DegreeCertificate:
     new_gens: tuple
 
 
-def _sampled_fiber_degree(P: Parameterization, phi: SyzygyMatrix, seed, samples) -> int:
-    """Least fiber degree over the images of random points; never below r.
+def _sampled_fiber_degree(P: Parameterization, phi: SyzygyMatrix, seed, samples):
+    """(s, fibers): the least fiber degree s over the images of random
+    points, never below r, and the distinct fiber forms of degree s drawn.
 
-    A point whose row p * phi vanishes is redrawn, within samples + 16
-    draws in all.  The first batch draws all samples points at once, so
-    samples is at most MAX_SAMPLES.
+    s is the least degree over the first samples points whose row p * phi
+    does not vanish; a point whose row vanishes is redrawn.  For s > 1 the
+    stream goes on until two distinct forms of degree s are held, all within
+    samples + 16 draws.  The first batch draws all samples points at once,
+    so samples is at most MAX_SAMPLES.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"need between 1 and {MAX_SAMPLES} fiber samples")
     rng = random.Random(f"map-degree:{seed}")
-    degrees = []
+    s = None
+    fibers: dict = {}  # a dict keeps the forms distinct and in drawing order
+    drawn = 0
     for values, g in islice(_image_fibers(P, phi, rng, samples), samples + 16):
         if g is None:
             continue
         if g.degree < 1:
             point = ProjPointN.of(P.field, linalg.from_np(values, P.field))
             raise InternalInvariantViolation(f"image point {point} reported off the image")
-        degrees.append(g.degree)
-        if len(degrees) == samples:
-            return min(degrees)
+        if drawn < samples:
+            drawn += 1
+            if s is None or g.degree < s:
+                s, fibers = g.degree, {}
+        if g.degree == s:
+            fibers[g] = None
+        if drawn == samples and (s == 1 or len(fibers) >= 2):
+            return s, list(fibers)
+    why = (
+        "kept hitting degenerate points"
+        if drawn < samples
+        else f"found fewer than two distinct fiber forms of degree {s}"
+    )
     raise CertificationFailed(
-        "fiber sampling kept hitting degenerate points; "
+        f"fiber sampling {why} within {samples + 16} draws; "
         "retry with a different seed or a larger prime"
     )
 
@@ -351,16 +366,18 @@ def certify_map_degree(
     """Degree r of the map onto its image, sampled and then proved (Lueroth).
 
     Every fiber over an image point has degree >= r, so the least sampled
-    degree s bounds r from above, and s = 1 proves r = 1.  For s > 1, take
-    coprime f1, f2 of degree s (two row-ideal gcds from extract_reparam_basis):
-    if every g_i lies in k[f1, f2], the map factors through the degree-s
-    cover (f1 : f2), so r >= s and r = s.  The witness is returned, so the
-    reparameterization and the core reuse it.  As further checks s must
-    divide every column degree of phi and, when e is given, s * e = d.
+    degree s bounds r from above, and s = 1 proves r = 1.  For s > 1, f1, f2
+    is the reduced row echelon basis of the sampled fibers of degree s
+    (extract_reparam_basis), so it depends on the map, not on the seed: if
+    they are coprime and every g_i lies in k[f1, f2], the map factors
+    through the degree-s cover (f1 : f2), so r >= s and r = s.  The witness
+    is returned, so the reparameterization and the core reuse it.  As
+    further checks s must divide every column degree of phi and, when e is
+    given, s * e = d.
     """
     from .reparam import express_in_subring, extract_reparam_basis
 
-    s = _sampled_fiber_degree(P, phi, seed, samples)
+    s, fibers = _sampled_fiber_degree(P, phi, seed, samples)
     if any(D % s for D in phi.col_degrees) or (e is not None and s * e != P.d):
         raise CertificationFailed(
             f"sampled fiber degree {s} fails certification against "
@@ -371,8 +388,8 @@ def certify_map_degree(
     if s == 1:
         # each generator is its own coordinate form in (x, y)
         return DegreeCertificate(1, (monomial(field, 1, 0), monomial(field, 1, 1)), P.gens)
-    f1, f2 = extract_reparam_basis(P, phi, s, seed=seed)
-    if f1.degree != s or f2.degree != s or gcd_forms([f1, f2]).degree:
+    f1, f2 = extract_reparam_basis(fibers)
+    if gcd_forms([f1, f2]).degree:
         raise CertificationFailed(
             f"the pair ({format_form(f1)}, {format_form(f2)}) is not two coprime "
             f"forms of the sampled fiber degree {s}"

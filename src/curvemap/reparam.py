@@ -1,30 +1,27 @@
-"""Reparameterization through row-ideal gcds, and the core of the ideal.
+"""Reparameterization through the pencil of fibers, and the core of the ideal.
 
-The gcds f1, f2 of the row ideals at two general image points are coprime
-forms of degree r with k[(I)_d] contained in k[f1, f2].  Substituting new
-variables for f1, f2 rewrites the input as a birational parameterization of
-degree d/r, and the core of the ideal has the closed form
-(f1, f2)^(2d/r - 1).
+Every fiber of degree r over an image point lies in one pencil
+span(f1, f2), and f1, f2 are coprime forms of degree r with k[(I)_d]
+contained in k[f1, f2].  The pair is the reduced row echelon basis of that
+pencil, so it depends only on the map.  Substituting new variables for
+f1, f2 rewrites the input as a birational parameterization of degree d/r,
+and the core of the ideal has the closed form (f1, f2)^(2d/r - 1).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import islice
 
 from . import linalg
-from .errors import DegreeMismatch, ResamplingExhausted
-from .fiber import _image_fibers, map_degree
-from .forms import BinaryForm, form, format_form, gcd_forms, monomial
+from .errors import CertificationFailed, DegreeMismatch
+from .fiber import map_degree
+from .forms import BinaryForm, form, format_form, gcd_forms
 from .ideals import GradedIdeal, ideal_equals, maximal_ideal_power
 from .monomial import newton_closure
 from .param import Parameterization
 from .syzygy import SyzygyMatrix, hilbert_burch
 
 NEW_VARIABLES = ("X", "Y")
-# random image points tried for a coprime degree-r gcd pair
-PAIR_BUDGET = 32
 
 
 @dataclass(frozen=True)
@@ -80,47 +77,25 @@ class CoreReport:
         }
 
 
-def _in_span(pair, h: BinaryForm) -> bool:
-    rows = [[f.coeffs[i] for f in pair] for i in range(h.degree + 1)]
-    return linalg.solve(rows, list(h.coeffs), h.field) is not None
+def extract_reparam_basis(fibers):
+    """The reduced row echelon basis (f1, f2) of the span of fibers.
 
-
-def _lex_key(h: BinaryForm):
-    # coefficients read from the y^r end, so x^r sorts before y^r
-    return tuple(reversed(h.coeffs))
-
-
-def extract_reparam_basis(P: Parameterization, phi: SyzygyMatrix, r: int, seed=0):
-    """Two coprime degree-r row-ideal gcds at random image points.
-
-    Resamples until both gcds have degree exactly r and are coprime; monic,
-    ordered by coefficient lex.  When x^r and y^r both lie in their span the
-    pair is normalized to (x^r, y^r) -- the same ideal, and it keeps the
-    downstream core monomial whenever the input is monomial.
+    fibers are forms of one degree r, such as the sampled fiber forms of
+    degree r; their span must be a pencil.  The basis depends only on the
+    pencil, not on the forms that span it, and it is (x^r, y^r) whenever
+    both lie in the pencil, which keeps the core monomial whenever the input
+    is monomial.
     """
-    field = P.field
-    rng = random.Random(f"reparam:{seed}")
-    first = None
-    # two points are the least a pair needs
-    for _, g in islice(_image_fibers(P, phi, rng, 2), PAIR_BUDGET):
-        if g is None or g.degree != r:
-            continue
-        if first is None:
-            first = g
-            continue
-        if g == first or gcd_forms([first, g]).degree != 0:
-            continue
-        xr = monomial(field, r, 0)
-        yr = monomial(field, r, r)
-        pair = [first, g]
-        if _in_span(pair, xr) and _in_span(pair, yr):
-            pair = [xr, yr]
-        pair.sort(key=_lex_key)
-        return pair[0], pair[1]
-    raise ResamplingExhausted(
-        f"no coprime degree-{r} gcd pair within {PAIR_BUDGET} samples; "
-        "retry with a different seed or a larger prime"
-    )
+    field = fibers[0].field
+    p = linalg.modulus(field)
+    rows, pivots = linalg.np_rref(linalg.to_np([f.coeffs for f in fibers], field), p)
+    if len(pivots) != 2:
+        raise CertificationFailed(
+            f"the sampled fiber forms of degree {fibers[0].degree} span "
+            f"{len(pivots)} dimensions, not a pencil"
+        )
+    f1, f2 = linalg.from_np(rows[:2], field)
+    return form(field, f1), form(field, f2)
 
 
 def _pair_power_products(f1: BinaryForm, f2: BinaryForm, m: int) -> list:

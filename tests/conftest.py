@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from curvemap import DEFAULT_PRIME, Parameterization, PrimeField, parse_form
+from curvemap import DEFAULT_PRIME, QQ, Parameterization, PrimeField, parse_form
 
 # one line per acceptance criterion, filled in by tests/test_acceptance.py and
 # echoed after the run so the pass/fail verdicts are visible in plain output
@@ -14,6 +14,11 @@ _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 @pytest.fixture(scope="session")
 def field():
     return PrimeField(DEFAULT_PRIME)
+
+
+@pytest.fixture(params=["prime", "rational"])
+def any_field(request, field):
+    return field if request.param == "prime" else QQ
 
 
 @pytest.fixture(scope="session")

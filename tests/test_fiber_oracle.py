@@ -14,8 +14,8 @@ import pytest
 from curvemap import (
     QQ,
     ProjPointN,
+    certify_map_degree,
     dense_corpus,
-    extract_reparam_basis,
     fiber,
     hilbert_burch,
     map_degree,
@@ -78,11 +78,6 @@ def cases(field):
     return out
 
 
-@pytest.fixture(params=["prime", "rational"])
-def any_field(request, field):
-    return field if request.param == "prime" else QQ
-
-
 def test_fiber_matches_sympy_on_and_off_the_image(any_field):
     field = any_field
     rng = random.Random("fiber-oracle-points")
@@ -115,7 +110,7 @@ def test_sampled_fiber_degree_matches_sympy(any_field):
                 g = oracle_gcd(phi, image(P, field.rand(rng)))
                 if g is not None:
                     degrees.append(g.total_degree())
-            assert _sampled_fiber_degree(P, phi, seed, samples) == min(degrees), P
+            assert _sampled_fiber_degree(P, phi, seed, samples)[0] == min(degrees), P
 
 
 def coefficient_rank(polys, degree, field):
@@ -140,7 +135,7 @@ def test_reparam_pair_lies_in_the_pencil_of_sympy_gcds(any_field):
         assert {g.total_degree() for g in pencil} == {r}
         assert coefficient_rank(pencil, r, field) == 2
         for seed in (0, 3):
-            f1, f2 = extract_reparam_basis(P, phi, r, seed=seed)
+            f1, f2 = certify_map_degree(P, phi, seed=seed).pair
             got = [to_poly(f, field) for f in (f1, f2)]
             assert got[0].gcd(got[1]).total_degree() == 0
             assert coefficient_rank(got, r, field) == 2

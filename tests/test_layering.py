@@ -5,6 +5,8 @@ other module reaches the field through its methods and through
 linalg.modulus, so a second, field-specific code path cannot come back
 unnoticed.  Only linalg names np_forward_reduce: incremental elimination
 goes through linalg.Echelon, not through a hand-written loop elsewhere.
+Only fiber names _image_fibers: the map-degree sample is the one seeded
+stream of image points, and the reparameterization pair is read off it.
 """
 
 import ast
@@ -42,3 +44,7 @@ def test_prime_field_is_named_only_at_the_edges():
 
 def test_only_linalg_grows_an_echelon():
     assert _users("np_forward_reduce") == {"linalg.py"}
+
+
+def test_only_fiber_draws_image_points():
+    assert _users("_image_fibers") == {"fiber.py"}
