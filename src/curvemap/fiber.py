@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from math import comb, gcd
 
 import numpy as np
@@ -43,7 +43,7 @@ from .forms import (
 )
 from .ideals import GradedIdeal
 from .param import Parameterization
-from .syzygy import SyzygyMatrix, _gens_array
+from .syzygy import SyzygyMatrix, _gens_array, _sandwich
 
 # Largest number of fiber samples behind the map degree, all drawn in one
 # batch: 10^4 took 0.5 s and about 10 MB on a cubic, 10^6 took 52 s and 880 MB.
@@ -222,18 +222,26 @@ def _table_monomial(P: Parameterization, cap: int):
 
 
 def _slices(P: Parameterization):
-    """HF_A(1), HF_A(2), ... by incremental elimination.
+    """HF_A(1), HF_A(2), ... by exact elimination (_image_ranks)."""
+    return _image_ranks(_gens_array(P), P.field)
+
+
+def _image_ranks(G: np.ndarray, field):
+    """HF(1), HF(2), ... of the ring the generator rows G span over field.
 
     A_(j+1) = h * A_j + sum of g_i * A_j over the other generators, with h a
     generator not divisible by y.  Only the rows new in A_j need the other
     generators: the rest are h-multiples from A_(j-1), whose products are
-    already in h * A_j.
+    already in h * A_j.  With no such h nothing is yielded; that happens
+    only to generators reduced mod q, since over their own field they
+    would share the factor y.
     """
-    p = linalg.modulus(P.field)
-    G = _gens_array(P)
-    hrow = next(i for i in range(P.n) if G[i, 0])
+    p = linalg.modulus(field)
+    hrow = next((i for i in range(len(G)) if G[i, 0]), None)
+    if hrow is None:
+        return
     others = [g for i, g in enumerate(G) if i != hrow]
-    ech = linalg.Echelon(P.d + 1, P.field)
+    ech = linalg.Echelon(G.shape[1], field)
     ech.add_rows(G)
     yield ech.rank
     while True:
@@ -267,8 +275,16 @@ def hilbert_table_a(P: Parameterization, e=None):
     degree e in the new variables, generate every form of degree >= 2e - 1,
     so A_(j+1) = A_j * A_1 is full as well.
 
+    Over QQ with e given and n >= 4, each slice is first ranked mod q
+    (syzygy._sandwich).  A_j is spanned by the C(j+n-1, n-1) products of j
+    generators and lies in k[f1, f2]_(je), of dimension j*e + 1, so
+    min(C(j+n-1, n-1), j*e + 1) bounds HF_A(j), and a rank mod q that meets
+    it is proved; from the first miss on the slices are eliminated exactly.
+    The second bound holds only when e is the certified e(A).
+
     e is trusted, not verified: a wrong e gives a wrong table for n = 3, and
-    may for n >= 4 once a slice happens to read j*e + 1.  Only the monomial
+    may for n >= 4 once a slice happens to read j*e + 1, over QQ also when a
+    rank mod q happens to meet the wrong bound.  Only the monomial
     route, and a table whose slope never reaches e, turn a wrong e into an
     error.  Without e the whole table is eliminated, which certify_map_degree
     can then check through r * e = d.
@@ -283,6 +299,9 @@ def hilbert_table_a(P: Parameterization, e=None):
         return got, hf
     if e is not None and P.n == 3:
         values = _plane_curve(e)
+    elif e is not None and not P.field.modular:
+        bounds = (min(comb(j + P.n - 1, P.n - 1), j * e + 1) for j in count(1))
+        values = _sandwich(P, _image_ranks, bounds)
     else:
         values = _slices(P)
     hf = [1]

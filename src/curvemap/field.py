@@ -161,6 +161,17 @@ class RationalField:
     def rand(self, rng):
         return Fraction(rng.randint(-_RATIONAL_BOX, _RATIONAL_BOX))
 
+    def reduction(self, rows):
+        """(F_q, rows mod q) for q = DEFAULT_PRIME, or None when q divides a denominator.
+
+        Scaling rows by denominators prime to q makes them integral without
+        changing a rank on either side, and a minor that is nonzero mod q is
+        nonzero, so a rank mod q is never above the rank over QQ.
+        """
+        if any(v.denominator % _REDUCTION.p == 0 for row in rows for v in row):
+            return None
+        return _REDUCTION, [[_REDUCTION.conv(v) for v in row] for row in rows]
+
     def fmt(self, a) -> str:
         return str(a)
 
@@ -178,3 +189,4 @@ class RationalField:
 
 
 QQ = RationalField()
+_REDUCTION = PrimeField(DEFAULT_PRIME)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InstanceError, NotMonomial
-from .forms import BinaryForm, form, monomial
+from .forms import form, monomial
 from .ideals import GradedIdeal
 from .param import Parameterization
 from .syzygy import SyzygyMatrix

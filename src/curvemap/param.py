@@ -6,10 +6,10 @@ n >= 3 (for n = 2 the map is a branched cover of P^1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .errors import InstanceError
-from .forms import BinaryForm, format_form, gcd_forms, li_dim
+from .forms import format_form, gcd_forms, li_dim
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ and the generators are recovered as signed maximal minors up to one unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -69,9 +70,8 @@ def syzygies_in_degree(P: Parameterization, t: int) -> np.ndarray:
 def _ideal_slice_dims(P: Parameterization):
     """dim I_(d+t) of the ideal (g_1, ..., g_n), for t = 1, 2, ...
 
-    Non-monomial input keeps one growing echelon of the slice:
-    I_(d+t) = x * I_(d+t-1) + y^t * (g_1, ..., g_n), so each step multiplies
-    the echelon by x and adds the n rows y^t * g_i.
+    Monomial input counts exponent intervals; the rest is eliminated exactly
+    (_ideal_ranks).
     """
     n, d = P.n, P.d
     if P.is_monomial:
@@ -82,10 +82,20 @@ def _ideal_slice_dims(P: Parameterization):
         while True:
             t += 1
             yield t + 1 + sum(min(t + 1, a[i + 1] - a[i]) for i in range(n - 1))
-    p = linalg.modulus(P.field)
-    x, y = linalg.to_np([[1, 0], [0, 1]], P.field)
-    new = _gens_array(P)
-    ech = linalg.Echelon(d + 1, P.field)
+    yield from _ideal_ranks(_gens_array(P), P.field)
+
+
+def _ideal_ranks(G: np.ndarray, field):
+    """dim I_(d+t), t = 1, 2, ..., of the ideal of the generator rows G over field.
+
+    One growing echelon of the slice: I_(d+t) = x * I_(d+t-1) + y^t * (g_1,
+    ..., g_n), so each step multiplies the echelon by x and adds the n rows
+    y^t * g_i.
+    """
+    p = linalg.modulus(field)
+    x, y = linalg.to_np([[1, 0], [0, 1]], field)
+    new = G
+    ech = linalg.Echelon(G.shape[1], field)
     ech.add_rows(new)
     while True:
         ech.mul(x)
@@ -94,15 +104,50 @@ def _ideal_slice_dims(P: Parameterization):
         yield ech.rank
 
 
+def _sandwich(P: Parameterization, ranks, bounds):
+    """ranks(G, field) on the generators of P over QQ, through one prime.
+
+    ranks yields the slice ranks of a ring or ideal built from the generator
+    rows G; bounds yields an upper bound on each exact rank.  The generators
+    are reduced once mod q (RationalField.reduction).  Every slice matrix has
+    entries that are integer polynomials in their coefficients, so its rank
+    mod q is never above its rank over QQ, which is never above the bound: a
+    rank mod q that meets its bound is the exact rank.  From the first miss
+    on, the exact elimination yields the ranks, and it yields all of them
+    when a denominator is divisible by q or the modular ranks stop early.
+    It grows one echelon from the first slice, so the ranks already proved
+    are recomputed and skipped.
+    """
+    proved = 0
+    reduced = P.field.reduction([list(g.coeffs) for g in P.gens])
+    if reduced is not None:
+        field, rows = reduced
+        for value, bound in zip(ranks(linalg.to_np(rows, field), field), bounds):
+            if value != bound:
+                break
+            yield value
+            proved += 1
+    yield from islice(ranks(_gens_array(P), P.field), proved, None)
+
+
 def _column_degree_counts(P: Parameterization) -> dict:
     """Multiplicity of each column degree, read off the ideal's Hilbert function.
 
     The syzygy module of an m-primary ideal in two variables is free, so
     dim Syz_t = sum_j max(0, t - D_j + 1); the second difference of that
     sequence counts the columns of degree exactly t.
+
+    Over QQ, non-monomial input reads dim I_(d+t) mod q where it can
+    (_sandwich): I_(d+t) is spanned by the n (t+1) multiples x^(t-k) y^k g_i
+    and lies in the d+t+1 forms of degree d+t, so min(n (t+1), d+t+1)
+    bounds it.  Unlike the bound of the Hilbert table of A, which needs the
+    certified e(A), this one holds for every input.
     """
     n, d = P.n, P.d
-    dims = _ideal_slice_dims(P)
+    if P.field.modular or P.is_monomial:
+        dims = _ideal_slice_dims(P)
+    else:
+        dims = _sandwich(P, _ideal_ranks, (min(n * (t + 1), d + t + 1) for t in count(1)))
     counts: dict = {}
     found = 0
     weighted = 0
