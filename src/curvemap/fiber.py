@@ -113,17 +113,20 @@ def row_combination(phi: SyzygyMatrix, p: ProjPointN) -> list:
 def _image_fibers(P: Parameterization, phi: SyzygyMatrix, rng, batch: int):
     """(values, fiber form or None) over the images of points (1 : t), t from rng.
 
-    The points are drawn batch at a time.  One Vandermonde product evaluates
-    every generator at a batch, values[i] = g_i(1, t), and _rows gives every
-    row values * phi; the fiber form is the gcd of its entries, None when
-    the row vanishes.
+    The points are drawn min(2, batch) first, then batch at a time; the
+    stream of points is the same either way.  One Vandermonde product
+    evaluates every generator at a batch, values[i] = g_i(1, t), and _rows
+    gives every row values * phi; the fiber form is the gcd of its entries,
+    None when the row vanishes.
     """
     field = P.field
     p = linalg.modulus(field)
     G = _gens_array(P)
     cols = _column_arrays(phi)
+    size = min(2, batch)
     while True:
-        points = linalg.to_np([field.rand(rng) for _ in range(batch)], field)[0]
+        points = linalg.to_np([field.rand(rng) for _ in range(size)], field)[0]
+        size = batch
         vals = linalg.np_matmul_mod(G, linalg.np_vandermonde(points, P.d, p), p)
         for s, row in enumerate(_rows(phi, cols, vals)):
             entries = [e for e in row if not e.is_zero]
@@ -345,8 +348,13 @@ def _sampled_fiber_degree(P: Parameterization, phi: SyzygyMatrix, seed, samples)
     s is the least degree over the first samples points whose row p * phi
     does not vanish; a point whose row vanishes is redrawn.  For s > 1 the
     stream goes on until two distinct forms of degree s are held, all within
-    samples + 16 draws.  The first batch draws all samples points at once,
-    so samples is at most MAX_SAMPLES.
+    samples + 16 draws.  No fiber has degree below 1, so two distinct forms
+    of degree 1 stop the stream at once, whatever samples is: s = 1 proves
+    r = 1, and the two span the pencil (x, y).  So a birational map whose
+    first two rows give distinct fibers draws just those two points, the
+    first batch of _image_fibers, and no later point gets the off-image
+    check.  Later batches draw samples points at once, so samples is at
+    most MAX_SAMPLES.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"need between 1 and {MAX_SAMPLES} fiber samples")
@@ -366,7 +374,8 @@ def _sampled_fiber_degree(P: Parameterization, phi: SyzygyMatrix, seed, samples)
                 s, fibers = g.degree, {}
         if g.degree == s:
             fibers[g] = None
-        if drawn == samples and (s == 1 or len(fibers) >= 2):
+        full = drawn == samples
+        if s == 1 and (full or len(fibers) >= 2) or full and len(fibers) >= 2:
             return s, list(fibers)
     why = (
         "kept hitting degenerate points"

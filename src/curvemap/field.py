@@ -17,16 +17,17 @@ MIN_PRIME = 1 << 20
 # the int64 kernels in linalg multiply two residues, so p must stay below 2**31
 MAX_PRIME = (1 << 31) - 1
 
-# Witness set making Miller-Rabin deterministic for all n < 3.3 * 10**24.
+# Witness set making Miller-Rabin deterministic for all n < 3.3 * 10**24;
+# its first four already decide every n < 3,215,031,751, so every modulus
+# below 2**31 (Pomerance, Selfridge, Wagstaff 1980).
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_FOUR_WITNESSES_BELOW = 3_215_031_751
 
 # Coordinate box for random sampling in rational mode.
 _RATIONAL_BOX = 10**6
 
 
-# every command builds its field, so the verdict on a modulus is kept
-@lru_cache(maxsize=256)
-def is_prime(n: int) -> bool:
+def _is_prime(n: int) -> bool:
     """Deterministic primality test, exact for every integer below 3.3e24."""
     if n < 2:
         return False
@@ -37,7 +38,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _WITNESSES:
+    for a in _WITNESSES[:4] if n < _FOUR_WITNESSES_BELOW else _WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -48,6 +49,23 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+# every command builds its field, so the verdict on a modulus is kept
+is_prime = lru_cache(maxsize=256)(_is_prime)
+
+
+def reduction_primes():
+    """DEFAULT_PRIME, then each prime below it down to MIN_PRIME, in decreasing order.
+
+    Found lazily by the uncached test, one at a time: nothing is searched at
+    import, and the verdicts that is_prime keeps stay those of the moduli
+    commands name.
+    """
+    yield DEFAULT_PRIME
+    for q in range(DEFAULT_PRIME - 2, MIN_PRIME - 1, -2):
+        if _is_prime(q):
+            yield q
 
 
 class PrimeField:
@@ -161,16 +179,24 @@ class RationalField:
     def rand(self, rng):
         return Fraction(rng.randint(-_RATIONAL_BOX, _RATIONAL_BOX))
 
-    def reduction(self, rows):
-        """(F_q, rows mod q) for q = DEFAULT_PRIME, or None when q divides a denominator.
+    def reduction(self, rows, q=DEFAULT_PRIME):
+        """(F_q, rows mod q) for a prime q of reduction_primes(), or None when q
+        divides a denominator.
 
         Scaling rows by denominators prime to q makes them integral without
         changing a rank on either side, and a minor that is nonzero mod q is
         nonzero, so a rank mod q is never above the rank over QQ.
         """
-        if any(v.denominator % _REDUCTION.p == 0 for row in rows for v in row):
+        if any(v.denominator % q == 0 for row in rows for v in row):
             return None
-        return _REDUCTION, [[_REDUCTION.conv(v) for v in row] for row in rows]
+        if q == DEFAULT_PRIME:
+            k = _REDUCTION
+        else:
+            # q comes proved from reduction_primes, so the check in __init__,
+            # and the cached verdict it would leave, are skipped
+            k = PrimeField.__new__(PrimeField)
+            k.p = q
+        return k, [[k.conv(v) for v in row] for row in rows]
 
     def fmt(self, a) -> str:
         return str(a)

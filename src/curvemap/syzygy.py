@@ -10,12 +10,15 @@ and the generators are recovered as signed maximal minors up to one unit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import count, islice
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
 from . import linalg
 from .errors import CertificationFailed, InternalInvariantViolation
+from .field import reduction_primes
 from .forms import BinaryForm, form, format_form
 from .param import Parameterization
 
@@ -57,14 +60,135 @@ def _multiplication_matrix(G: np.ndarray, t: int) -> np.ndarray:
     return linalg.np_multiples(G, t).reshape(n * (t + 1), w + t).T
 
 
+def _integral(values) -> np.ndarray:
+    """The rationals values times the lcm of their denominators, as Python ints.
+
+    A common factor changes neither a kernel nor whether a vector is a syzygy.
+    """
+    scale = lcm(*(v.denominator for v in values))
+    return np.array([v.numerator * (scale // v.denominator) for v in values], dtype=object)
+
+
+def _integer_gens(P: Parameterization) -> np.ndarray:
+    """The generator rows over QQ, all times one lcm of their denominators."""
+    return _integral([c for g in P.gens for c in g.coeffs]).reshape(P.n, P.d + 1)
+
+
 def syzygies_in_degree(P: Parameterization, t: int) -> np.ndarray:
     """Basis of the degree-t syzygies, one array row per vector.
 
     Row entry i*(t+1) + k is the coefficient of x^(t-k) y^k in the i-th
-    component; the rows are the kernel basis in echelon order.
+    component; the rows are the reduced kernel basis of M =
+    _multiplication_matrix in echelon order: the row for the free column c
+    of M is one at c and zero at every other free column.
+
+    Over QQ the kernel K is first lifted from primes (_lifted_kernel) and
+    returned only after two exact checks (_proves_kernel):
+
+    - shape: K is the identity on the free set F of one prime's reduced
+      echelon form, and its row for c in F is zero on every column after c;
+    - product: M_int @ K_int^T == 0 in Python integers, where M_int is M
+      times the lcm of its denominators and K_int is each row of K times
+      the lcm of its own.
+
+    Together they prove that K is the QQ kernel, byte for byte.  Its |F|
+    rows are independent syzygies, so the QQ nullity is at least |F|, the
+    nullity mod that prime, which is never below the QQ nullity: they are
+    equal.  The row for c writes column c of M as a QQ combination of the
+    columns before it, so each c in F is free over QQ, and F is the QQ free
+    set.  The QQ kernel vector that is one at c and zero on the rest of F is
+    unique, and it is the row for c.  When the lift fails, the exact
+    elimination gives the kernel; it stays the reference.
     """
+    if not P.field.modular:
+        k = _lifted_kernel(P, t)
+        if k is not None:
+            return k
     m = _multiplication_matrix(_gens_array(P), t)
     return linalg.np_kernel(m, linalg.modulus(P.field))
+
+
+def _lifted_kernel(P: Parameterization, t: int):
+    """The QQ kernel of syzygies_in_degree through primes, proved, or None.
+
+    The generators are reduced mod q = DEFAULT_PRIME, then mod each prime
+    below it (reduction_primes, RationalField.reduction), and np_kernel
+    gives the residue kernel of M, the identity on its free set F.  The rank
+    of every leading block of columns of M mod a prime is at most its rank
+    over QQ, so no prime has fewer free columns than QQ, and one with as
+    many has each of them at or before the QQ one.  So a prime whose F has
+    fewer columns, or as many but lexicographically later ones, restarts the
+    combination, a worse one is skipped, and residue kernels with the same F
+    are combined by CRT.  After each prime every entry is reconstructed as a
+    fraction (Wang 1981), and the candidate is returned once _proves_kernel
+    holds.
+
+    Each entry of the reduced kernel is a ratio of two minors of M_int, both
+    at most its Hadamard bound H, so once the primes combined with the QQ
+    free set multiply past 2 H^2, reconstruction cannot fail.  None is
+    returned, for the exact route, when a prime divides a denominator, when
+    the combined modulus passes 2 H^2 with nothing proved, or when the
+    primes run out.
+    """
+    rows = [list(g.coeffs) for g in P.gens]
+    gens = _integer_gens(P)
+    m_int = _multiplication_matrix(gens, t)
+    # column i*(t+1) + k of M_int is the i-th generator row, shifted by k
+    bound = 2 * prod(max(1, sum(c * c for c in g)) ** (t + 1) for g in gens.tolist())
+    best = None
+    for q in reduction_primes():
+        reduced = P.field.reduction(rows, q)
+        if reduced is None:
+            return None
+        field_q, residues_q = reduced
+        k = linalg.np_kernel(_multiplication_matrix(linalg.to_np(residues_q, field_q), t), q)
+        # the last nonzero of a reduced kernel row is its free column
+        free = [int(np.flatnonzero(v)[-1]) for v in k]
+        key = (-len(free), free)
+        if best is None or key > best:
+            best, residues, modulus = key, k.astype(object), q
+        elif key == best:
+            residues += modulus * ((k - residues) * pow(modulus, -1, q) % q)
+            modulus *= q
+        else:
+            continue
+        lifted = _reconstructed(residues, modulus)
+        if lifted is not None and _proves_kernel(m_int, lifted, free):
+            return lifted
+        if modulus > bound:
+            return None
+    return None
+
+
+def _reconstructed(residues: np.ndarray, m: int):
+    """Each residue u mod m as the fraction a/b = u mod m with |a|, b <= sqrt(m/2).
+
+    Wang's rational reconstruction: the extended Euclidean remainders of
+    (m, u) stop at the first r <= sqrt(m/2), and its cofactor s must be at
+    most the same bound and prime to r.  Such a fraction is unique, and
+    None is returned when an entry has none.
+    """
+    bound = isqrt(m // 2)
+    out = []
+    for u in residues.flat:
+        r0, r1, s0, s1 = m, u, 0, 1
+        while r1 > bound:
+            f = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - f * r1, s1, s0 - f * s1
+        if abs(s1) > bound or gcd(r1, s1) != 1:
+            return None
+        out.append(Fraction(r1, s1))
+    return np.array(out, dtype=object).reshape(residues.shape)
+
+
+def _proves_kernel(m_int: np.ndarray, k: np.ndarray, free: list) -> bool:
+    """The shape check on k and free, and the product m_int @ k_int^T == 0
+    (see syzygies_in_degree)."""
+    for i, c in enumerate(free):
+        if k[i, c] != 1 or k[i, c + 1 :].any() or any(k[i, f] for f in free[:i]):
+            return False
+    ints = np.array([_integral(row) for row in k], dtype=object).reshape(k.shape)
+    return not (m_int @ ints.T).any()
 
 
 def _ideal_slice_dims(P: Parameterization):
@@ -190,9 +314,15 @@ def _certify(P: Parameterization, cols: list) -> None:
     signed maximal minors, and deg Delta_i = d with gcd(g) = 1 makes lambda
     a constant.  The d+1 points are distinct because p > d+1, so minors of
     degree d cannot all vanish at every one of them.
+
+    Over QQ the syzygy check is one product in integers, of the generators
+    times the lcm of their denominators and each column times the lcm of
+    its own.  The rank is sought first mod q = DEFAULT_PRIME, on the entries
+    reduced by RationalField.reduction: a minor that is nonzero mod q is
+    nonzero over QQ.  When q divides a denominator of phi, or no point gives
+    rank n-1 mod q, the points are tried again over QQ.
     """
     field = P.field
-    p = linalg.modulus(field)
     n, d = P.n, P.d
     degrees = [D for D, _ in cols]
     if len(cols) != n - 1 or sum(degrees) != d:
@@ -204,16 +334,19 @@ def _certify(P: Parameterization, cols: list) -> None:
     # values at x = 1 stay the same
     top = max(degrees)
     zero = field.zero
-    entries = linalg.to_np(
-        [
-            v[i * (D + 1) : (i + 1) * (D + 1)] + [zero] * (top - D)
-            for D, v in cols
-            for i in range(n)
-        ],
-        field,
-    )
+    comps = [
+        v[i * (D + 1) : (i + 1) * (D + 1)] + [zero] * (top - D) for D, v in cols for i in range(n)
+    ]
+    if field.modular:
+        gens = _gens_array(P)
+        flat = linalg.to_np(comps, field).reshape(n - 1, n * (top + 1))
+    else:
+        gens = _integer_gens(P)
+        flat = np.array(
+            [_integral(sum(comps[j * n : (j + 1) * n], [])) for j in range(n - 1)], dtype=object
+        )
     residue = linalg.np_matmul_mod(
-        _multiplication_matrix(_gens_array(P), top), entries.reshape(n - 1, n * (top + 1)).T, p
+        _multiplication_matrix(gens, top), flat.T, linalg.modulus(field)
     )
     bad = np.nonzero(residue.any(axis=0))[0]
     if bad.size:
@@ -221,11 +354,15 @@ def _certify(P: Parameterization, cols: list) -> None:
         raise CertificationFailed(
             f"column {j + 1} of phi, of degree {degrees[j]}, is not a syzygy of the generators"
         )
-    for s in range(1, d + 2):
-        point = linalg.to_np([s], field)[0]
-        vals = linalg.np_matmul_mod(entries, linalg.np_vandermonde(point, top, p), p)
-        if len(linalg.np_rref(vals.reshape(n - 1, n), p)[1]) == n - 1:
-            return
+    reduced = None if field.modular else field.reduction(comps)
+    for k, rows in ([reduced] if reduced else []) + [(field, comps)]:
+        p = linalg.modulus(k)
+        entries = linalg.to_np(rows, k)
+        for s in range(1, d + 2):
+            point = linalg.to_np([s], k)[0]
+            vals = linalg.np_matmul_mod(entries, linalg.np_vandermonde(point, top, p), p)
+            if len(linalg.np_rref(vals.reshape(n - 1, n), p)[1]) == n - 1:
+                return
     raise CertificationFailed(
         f"phi has rank below {n - 1} at every point (1 : s), s = 1..{d + 1}, "
         "so its minors cannot give the generators"
@@ -242,6 +379,9 @@ def hilbert_burch(P: Parameterization) -> SyzygyMatrix:
     columns, in kernel basis order, which makes the output deterministic:
     one row-rank-profile elimination of [multiples; kernel vectors] picks
     them.  The columns are scaled so their first nonzero coefficient is one.
+
+    Over QQ each kernel is lifted from primes and proved exactly
+    (syzygies_in_degree); admission stays exact.
 
     The result is certified before it is returned: every column is a
     syzygy, the degrees sum to d and phi has rank n-1 at a point, which

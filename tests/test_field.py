@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from curvemap import DEFAULT_PRIME, QQ, InstanceError, PrimeField
-from curvemap.field import is_prime
+from curvemap.field import _is_prime, is_prime, reduction_primes
 
 
 def test_default_prime_is_a_large_prime():
@@ -20,6 +21,27 @@ def test_is_prime_on_known_values():
     assert not is_prime(1)
     assert not is_prime(2147483649)
     assert not is_prime(2**31)
+
+
+def trial_division(n):
+    return n >= 2 and all(n % k for k in range(2, int(n**0.5) + 1))
+
+
+def test_four_witnesses_decide_below_their_bound():
+    # strong pseudoprimes to the bases 2, 3, 5 and to 2, 3, 5, 7: the first
+    # is caught by the fourth witness, the second lies above its bound
+    assert not is_prime(25326001) and not _is_prime(3215031751)
+    rng = random.Random("witnesses")
+    for n in [rng.randrange(2**31) for _ in range(300)] + list(range(2000)):
+        assert _is_prime(n) == trial_division(n), n
+
+
+def test_reduction_primes_are_the_primes_below_the_default():
+    primes = list(islice(reduction_primes(), 40))
+    assert primes[:3] == [DEFAULT_PRIME, 2147483629, 2147483587]
+    for q, below in zip(primes, primes[1:]):
+        assert not any(trial_division(k) for k in range(below + 1, q)), q
+    assert all(trial_division(q) for q in primes)
 
 
 def test_prime_field_rejects_small_or_composite_modulus():
