@@ -10,7 +10,7 @@ r * e(A) = d gives the multiplicity e(A) of the homogeneous coordinate ring
 A of the image, and with it most of the Hilbert table of A.
 
 One evaluator forms the rows p * phi: _rows multiplies a batch of points by
-phi, one product per column.  fiber at a given point and the map-degree
+phi, one product for every column.  fiber at a given point and the map-degree
 sample read their fiber forms off it; the sample draws seeded image points
 through _image_fibers, and its fibers of degree r span the pencil that
 gives the reparameterization pair (reparam.extract_reparam_basis).
@@ -83,47 +83,55 @@ def apply_map(P: Parameterization, q: ProjPoint1) -> ProjPointN:
     return ProjPointN.of(P.field, vals)
 
 
-def _column_arrays(phi: SyzygyMatrix) -> list:
-    """Each column of phi as an n x (D+1) coefficient array."""
+def _column_arrays(phi: SyzygyMatrix):
+    """(C, spans): the columns of phi side by side as one n x sum(D+1)
+    coefficient array, and the slice of C that holds each column."""
     field = phi.field
-    return [
-        linalg.to_np([e.coeffs or [field.zero] * (D + 1) for e in col], field)
-        for D, col in zip(phi.col_degrees, phi.columns)
+    widths = [D + 1 for D in phi.col_degrees]
+    rows = [
+        [c for w, col in zip(widths, phi.columns) for c in col[i].coeffs or [field.zero] * w]
+        for i in range(phi.n)
     ]
+    ends = np.cumsum(widths).tolist()
+    return linalg.to_np(rows, field), list(zip([0] + ends[:-1], ends))
 
 
-def _rows(phi: SyzygyMatrix, cols: list, vals: np.ndarray) -> list:
-    """For each column p of the n x m array vals, the n-1 entries of p * phi.
+def _rows(phi: SyzygyMatrix, cols, vals: np.ndarray):
+    """For each column p of the n x m array vals, in turn, the n-1 entries of p * phi.
 
-    cols is _column_arrays(phi); one product per column of phi serves every
-    point at once.
+    cols is _column_arrays(phi); one product serves every point and every
+    column of phi at once, and the forms of a point are made when it is
+    reached.
     """
     field = phi.field
-    p = linalg.modulus(field)
-    rows = [linalg.from_np(linalg.np_matmul_mod(vals.T, C, p), field) for C in cols]
-    return [[form(field, row[s]) for row in rows] for s in range(vals.shape[1])]
+    C, spans = cols
+    for values in linalg.np_matmul_mod(vals.T, C, linalg.modulus(field)):
+        row = linalg.from_np(values, field)
+        yield [form(field, row[a:b]) for a, b in spans]
 
 
 def row_combination(phi: SyzygyMatrix, p: ProjPointN) -> list:
     """The n-1 entries of the row vector p * phi."""
     vals = linalg.to_np([[c] for c in p.coords], phi.field)
-    return _rows(phi, _column_arrays(phi), vals)[0]
+    return next(_rows(phi, _column_arrays(phi), vals))
 
 
 def _image_fibers(P: Parameterization, phi: SyzygyMatrix, rng, batch: int):
     """(values, fiber form or None) over the images of points (1 : t), t from rng.
 
-    The points are drawn min(2, batch) first, then batch at a time; the
-    stream of points is the same either way.  One Vandermonde product
-    evaluates every generator at a batch, values[i] = g_i(1, t), and _rows
-    gives every row values * phi; the fiber form is the gcd of its entries,
-    None when the row vanishes.
+    The points are drawn batch at a time, and the first batch is only
+    min(2, batch) points when the column degrees of phi are coprime: r
+    divides each of them, so then r = 1, and two distinct fibers of degree 1
+    end the map-degree sample.  The stream of points is the same either
+    way.  One Vandermonde product evaluates every generator at a batch,
+    values[i] = g_i(1, t), and _rows gives every row values * phi; the
+    fiber form is the gcd of its entries, None when the row vanishes.
     """
     field = P.field
     p = linalg.modulus(field)
     G = _gens_array(P)
     cols = _column_arrays(phi)
-    size = min(2, batch)
+    size = min(2, batch) if gcd(*phi.col_degrees) == 1 else batch
     while True:
         points = linalg.to_np([field.rand(rng) for _ in range(size)], field)[0]
         size = batch
@@ -350,11 +358,11 @@ def _sampled_fiber_degree(P: Parameterization, phi: SyzygyMatrix, seed, samples)
     stream goes on until two distinct forms of degree s are held, all within
     samples + 16 draws.  No fiber has degree below 1, so two distinct forms
     of degree 1 stop the stream at once, whatever samples is: s = 1 proves
-    r = 1, and the two span the pencil (x, y).  So a birational map whose
-    first two rows give distinct fibers draws just those two points, the
-    first batch of _image_fibers, and no later point gets the off-image
-    check.  Later batches draw samples points at once, so samples is at
-    most MAX_SAMPLES.
+    r = 1, and the two span the pencil (x, y).  Then no later point gets
+    the off-image check or a fiber gcd, and when the column degrees of phi
+    are coprime, no later point is drawn: the first batch of _image_fibers
+    is two points.  The other batches draw samples points at once, so
+    samples is at most MAX_SAMPLES.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"need between 1 and {MAX_SAMPLES} fiber samples")

@@ -9,6 +9,7 @@ exact route is forced, unlucky primes are shown to be restarted or skipped,
 and the map-degree sample is shown to stop at two fibers of degree 1.
 """
 
+import importlib
 import random
 import time
 from fractions import Fraction
@@ -34,6 +35,8 @@ from test_degree_certificate import composed_map, dense_map
 from test_rational_sandwich import qq_param
 
 Q = DEFAULT_PRIME
+# the package exports the function fiber under the module's name
+fiber_module = importlib.import_module("curvemap.fiber")
 
 
 def exact_kernel(P, t):
@@ -322,14 +325,24 @@ def draws(monkeypatch):
     return count
 
 
-def test_birational_sample_stops_at_two_fibers_of_degree_one(field, draws):
+def test_birational_sample_stops_at_two_fibers_of_degree_one(field, draws, monkeypatch):
+    gcds = [0]
+    real = fiber_module.gcd_forms
+
+    def counted(forms):
+        gcds[0] += 1
+        return real(forms)
+
+    monkeypatch.setattr(fiber_module, "gcd_forms", counted)
     rng = random.Random("early-stop")
-    for n, d in [(3, 4), (4, 7), (5, 9)]:
+    # coprime column degrees (2, 3), (2, 2, 3), (2, 2, 2, 3) make r = 1, so the
+    # first batch is two points; (2, 2) draws a whole batch of seven
+    for n, d, drawn in [(3, 5, 2), (4, 7, 2), (5, 9, 2), (3, 4, 7)]:
         P = dense_map(field, rng, n, d)
         phi = hilbert_burch(P)
-        draws[0] = 0
+        draws[0] = gcds[0] = 0
         cert = certify_map_degree(P, phi, seed=1, samples=7)
-        assert (cert.r, draws[0]) == (1, 2), P
+        assert (cert.r, draws[0], gcds[0]) == (1, drawn, 2), P
 
 
 def test_composed_sample_still_draws_every_sample(any_field, draws):
