@@ -25,7 +25,6 @@ from curvemap import (
     PrimeField,
     certify_map_degree,
     dense_corpus,
-    form,
     hilbert_burch,
     linalg,
     syzygy,
@@ -136,11 +135,16 @@ def test_kernel_matches_sympy_nullspace():
             assert syzygy.syzygies_in_degree(P, t).tolist() == want, (P, t)
 
 
-def test_map_degenerate_only_mod_q_restarts_at_the_next_prime(kernels, monkeypatch):
+def degenerate_mod_q_map():
+    """g4 = g3 + q x^5: mod q the map has only three distinct generators."""
     rng = random.Random("lift-mod-q")
     rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(3)]
-    rows.append([rows[2][0] + Q] + rows[2][1:])  # g4 = g3 + q x^5
-    P = qq_param(*rows)
+    rows.append([rows[2][0] + Q] + rows[2][1:])
+    return qq_param(*rows)
+
+
+def test_map_degenerate_only_mod_q_restarts_at_the_next_prime(kernels, monkeypatch):
+    P = degenerate_mod_q_map()
     phi = hilbert_burch(P)
     # degree 1: mod q, g4 = g3 adds a free column, so the next prime restarts
     first = [free for p, free in kernels if p == Q][0]
@@ -234,10 +238,7 @@ def test_proof_rejects_a_wrong_shape_or_a_non_syzygy():
 
 def test_certify_seeks_the_rank_over_qq_when_q_divides_a_denominator(monkeypatch):
     # phi of the map degenerate mod q has denominators divisible by q
-    rng = random.Random("lift-mod-q")
-    rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(3)]
-    rows.append([rows[2][0] + Q] + rows[2][1:])
-    P = qq_param(*rows)
+    P = degenerate_mod_q_map()
     phi = hilbert_burch(P)
     assert any(c.denominator % Q == 0 for col in phi.columns for e in col for c in e.coeffs)
     rank_moduli = spy_ranks(monkeypatch)
