@@ -70,11 +70,15 @@ def ran_exact(log):
     return any(p is None for p, _ in log)
 
 
-def rational_map(rng, n, d, box):
-    """n random forms of degree d over QQ, integer coefficients in [-box, box]."""
+def rational_map(rng, n, d, box, den=1):
+    """n random forms of degree d over QQ, coefficients a/b with |a| <= box, 1 <= b <= den."""
     while True:
+        rows = [
+            [Fraction(rng.randint(-box, box), rng.randint(1, den)) for _ in range(d + 1)]
+            for _ in range(n)
+        ]
         try:
-            return qq_param(*[[rng.randint(-box, box) for _ in range(d + 1)] for _ in range(n)])
+            return qq_param(*rows)
         except CurvemapError:
             continue
 
@@ -91,6 +95,8 @@ def test_lifted_kernel_equals_the_exact_kernel(kernels):
     for box in (10**6, 9):
         for n in (3, 4, 5, 5):
             cases.append(rational_map(rng, n, rng.randint(n, 7), box))
+    # denominators up to 12: M is scaled to integers for the product
+    cases += [rational_map(rng, n, rng.randint(n, 7), 9, den=12) for n in (3, 4, 5)]
     used = []
     for P in cases:
         for t in degrees(P):
