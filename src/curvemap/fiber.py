@@ -43,7 +43,7 @@ from .forms import (
 )
 from .ideals import GradedIdeal
 from .param import Parameterization
-from .syzygy import SyzygyMatrix, _gens_array, _sandwich
+from .syzygy import SyzygyMatrix, _gens_array, hilbert_burch
 
 # Largest number of fiber samples behind the map degree, all drawn in one
 # batch: 10^4 took 0.5 s and about 10 MB on a cubic, 10^6 took 52 s and 880 MB.
@@ -262,6 +262,31 @@ def _image_ranks(G: np.ndarray, field):
         yield ech.rank
 
 
+def _sandwich(P: Parameterization, bounds):
+    """_image_ranks on the generators of P over QQ, through one prime.
+
+    bounds yields an upper bound on each exact rank.  The generators are
+    reduced once mod q (RationalField.reduction).  Every slice matrix has
+    entries that are integer polynomials in their coefficients, so its rank
+    mod q is never above its rank over QQ, which is never above the bound: a
+    rank mod q that meets its bound is the exact rank.  From the first miss
+    on, the exact elimination yields the ranks, and it yields all of them
+    when a denominator is divisible by q or the modular ranks stop early.
+    It grows one echelon from the first slice, so the ranks already proved
+    are recomputed and skipped.
+    """
+    proved = 0
+    reduced = P.field.reduction([list(g.coeffs) for g in P.gens])
+    if reduced is not None:
+        field, rows = reduced
+        for value, bound in zip(_image_ranks(linalg.to_np(rows, field), field), bounds):
+            if value != bound:
+                break
+            yield value
+            proved += 1
+    yield from islice(_image_ranks(_gens_array(P), P.field), proved, None)
+
+
 def _plane_curve(e: int):
     """HF_A(1), HF_A(2), ... of a plane curve of degree e: C(j+2,2) - C(j-e+2,2)."""
     j = 0
@@ -287,7 +312,7 @@ def hilbert_table_a(P: Parameterization, e=None):
     so A_(j+1) = A_j * A_1 is full as well.
 
     Over QQ with e given and n >= 4, each slice is first ranked mod q
-    (syzygy._sandwich).  A_j is spanned by the C(j+n-1, n-1) products of j
+    (_sandwich).  A_j is spanned by the C(j+n-1, n-1) products of j
     generators and lies in k[f1, f2]_(je), of dimension j*e + 1, so
     min(C(j+n-1, n-1), j*e + 1) bounds HF_A(j), and a rank mod q that meets
     it is proved; from the first miss on the slices are eliminated exactly.
@@ -312,7 +337,7 @@ def hilbert_table_a(P: Parameterization, e=None):
         values = _plane_curve(e)
     elif e is not None and not P.field.modular:
         bounds = (min(comb(j + P.n - 1, P.n - 1), j * e + 1) for j in count(1))
-        values = _sandwich(P, _image_ranks, bounds)
+        values = _sandwich(P, bounds)
     else:
         values = _slices(P)
     hf = [1]
@@ -447,8 +472,6 @@ def map_degree(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, e=None
 
 def j_multiplicity(P: Parameterization, phi=None, seed=0, samples=7) -> int:
     """j-multiplicity of the ideal: d * r * e(A), always d^2 here."""
-    from .syzygy import hilbert_burch
-
     if phi is None:
         phi = hilbert_burch(P)
     e = multiplicity_a(P)

@@ -424,8 +424,8 @@ class Echelon:
 
     The one incremental elimination of the package: each block of rows is
     cleared against the held rows, what is left is row-reduced, and its
-    pivots are merged in.  Both graded Hilbert functions (of the ideal in
-    syzygy, of the image ring in fiber) grow their slices through it.
+    pivots are merged in.  The Hilbert function of the image ring (fiber)
+    grows its slices through it.
     """
 
     def __init__(self, ncols: int, field):
@@ -460,8 +460,7 @@ class Echelon:
         """Multiply every held row, read as a binary form, by the form h.
 
         h[0], the x-leading coefficient, must be nonzero: then each row keeps
-        its leading column and the rows stay in echelon form.  Times x
-        (h = [1, 0]) appends a zero column.
+        its leading column and the rows stay in echelon form.
         """
         if not h[0]:
             raise ValueError("the multiplier must not be divisible by y")

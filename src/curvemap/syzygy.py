@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
 from math import gcd, isqrt, lcm, prod
 
 import numpy as np
@@ -191,67 +190,20 @@ def _proves_kernel(m_int: np.ndarray, k: np.ndarray, free: list) -> bool:
     return not (m_int @ ints.T).any()
 
 
-def _ideal_slice_dims(P: Parameterization):
-    """dim I_(d+t) of the ideal (g_1, ..., g_n), for t = 1, 2, ...
+def _ideal_dims(G: np.ndarray, field, top: int) -> list:
+    """[dim I_d, dim I_(d+1), ..., dim I_(d+top)] of the ideal of the generator rows G.
 
-    Monomial input counts exponent intervals; the rest is eliminated exactly
-    (_ideal_ranks).
+    One row reduction of _multiplication_matrix(G, top), its columns ordered
+    by k, then by i: column k*n + i is x^(top-k) y^k g_i.  The first
+    n (t+1) columns, those with k <= t, span x^(top-t) I_(d+t), which has
+    the dimension of I_(d+t), so dim I_(d+t) is the number of pivots before
+    column n (t+1).
     """
-    n, d = P.n, P.d
-    if P.is_monomial:
-        # the multiples of x^a y^(d-a) in degree d+t occupy [a, a+t] in
-        # y-shift; count the union of those intervals over sorted exponents
-        a = sorted(d - g.y_order for g in P.gens)
-        t = 0
-        while True:
-            t += 1
-            yield t + 1 + sum(min(t + 1, a[i + 1] - a[i]) for i in range(n - 1))
-    yield from _ideal_ranks(_gens_array(P), P.field)
-
-
-def _ideal_ranks(G: np.ndarray, field):
-    """dim I_(d+t), t = 1, 2, ..., of the ideal of the generator rows G over field.
-
-    One growing echelon of the slice: I_(d+t) = x * I_(d+t-1) + y^t * (g_1,
-    ..., g_n), so each step multiplies the echelon by x and adds the n rows
-    y^t * g_i.
-    """
-    p = linalg.modulus(field)
-    x, y = linalg.to_np([[1, 0], [0, 1]], field)
-    new = G
-    ech = linalg.Echelon(G.shape[1], field)
-    ech.add_rows(new)
-    while True:
-        ech.mul(x)
-        new = linalg.np_shift_mul(new, y, p)
-        ech.add_rows(new)
-        yield ech.rank
-
-
-def _sandwich(P: Parameterization, ranks, bounds):
-    """ranks(G, field) on the generators of P over QQ, through one prime.
-
-    ranks yields the slice ranks of a ring or ideal built from the generator
-    rows G; bounds yields an upper bound on each exact rank.  The generators
-    are reduced once mod q (RationalField.reduction).  Every slice matrix has
-    entries that are integer polynomials in their coefficients, so its rank
-    mod q is never above its rank over QQ, which is never above the bound: a
-    rank mod q that meets its bound is the exact rank.  From the first miss
-    on, the exact elimination yields the ranks, and it yields all of them
-    when a denominator is divisible by q or the modular ranks stop early.
-    It grows one echelon from the first slice, so the ranks already proved
-    are recomputed and skipped.
-    """
-    proved = 0
-    reduced = P.field.reduction([list(g.coeffs) for g in P.gens])
-    if reduced is not None:
-        field, rows = reduced
-        for value, bound in zip(ranks(linalg.to_np(rows, field), field), bounds):
-            if value != bound:
-                break
-            yield value
-            proved += 1
-    yield from islice(ranks(_gens_array(P), P.field), proved, None)
+    n = G.shape[0]
+    # column i*(top+1) + k of the matrix moves to k*n + i
+    order = np.arange(n * (top + 1)).reshape(n, top + 1).T.ravel()
+    pivots = linalg.np_rref(_multiplication_matrix(G, top)[:, order], linalg.modulus(field))[1]
+    return np.searchsorted(pivots, n * np.arange(1, top + 2)).tolist()
 
 
 def _column_degree_counts(P: Parameterization) -> dict:
@@ -259,34 +211,45 @@ def _column_degree_counts(P: Parameterization) -> dict:
 
     The syzygy module of an m-primary ideal in two variables is free, so
     dim Syz_t = sum_j max(0, t - D_j + 1); the second difference of that
-    sequence counts the columns of degree exactly t.
+    sequence counts the columns of degree exactly t.  The n - 1 column
+    degrees are positive and sum to d, so none passes top = d - n + 2, and
+    dim I_(d+t) for t <= top comes from one elimination (_ideal_dims).
+    Monomial input counts exponent intervals instead.
 
-    Over QQ, non-monomial input reads dim I_(d+t) mod q where it can
-    (_sandwich): I_(d+t) is spanned by the n (t+1) multiples x^(t-k) y^k g_i
-    and lies in the d+t+1 forms of degree d+t, so min(n (t+1), d+t+1)
-    bounds it.  Unlike the bound of the Hilbert table of A, which needs the
+    Over QQ, non-monomial input is eliminated mod q first, on the generators
+    reduced by RationalField.reduction.  I_(d+t) is spanned by the n (t+1)
+    multiples x^(t-k) y^k g_i and lies in the d+t+1 forms of degree d+t, so
+    min(n (t+1), d+t+1) bounds it, and a rank mod q is never above the rank
+    over QQ: when every dim mod q meets its bound, they are the exact dims.
+    Otherwise, or when q divides a denominator, one exact elimination gives
+    them.  Unlike the bound of the Hilbert table of A, which needs the
     certified e(A), this one holds for every input.
     """
     n, d = P.n, P.d
-    if P.field.modular or P.is_monomial:
-        dims = _ideal_slice_dims(P)
+    top = d - n + 2
+    if P.is_monomial:
+        # the multiples of x^a y^(d-a) in degree d+t occupy [a, a+t] in
+        # y-shift; count the union of those intervals over sorted exponents
+        a = sorted(d - g.y_order for g in P.gens)
+        dims = [
+            t + 1 + sum(min(t + 1, a[i + 1] - a[i]) for i in range(n - 1))
+            for t in range(top + 1)
+        ]
+    elif P.field.modular:
+        dims = _ideal_dims(_gens_array(P), P.field, top)
     else:
-        dims = _sandwich(P, _ideal_ranks, (min(n * (t + 1), d + t + 1) for t in count(1)))
-    counts: dict = {}
-    found = 0
-    weighted = 0
-    s_prev2 = s_prev = 0
-    t = 0
-    while found < n - 1 and t < d:
-        t += 1
-        s_t = n * (t + 1) - next(dims)
-        c_t = (s_t - s_prev) - (s_prev - s_prev2)
-        if c_t:
-            counts[t] = c_t
-            found += c_t
-            weighted += t * c_t
-        s_prev2, s_prev = s_prev, s_t
-    if found != n - 1 or weighted != d:
+        bounds = [min(n * (t + 1), d + t + 1) for t in range(top + 1)]
+        reduced = P.field.reduction([list(g.coeffs) for g in P.gens])
+        dims = None
+        if reduced is not None:
+            field, rows = reduced
+            dims = _ideal_dims(linalg.to_np(rows, field), field, top)
+        if dims != bounds:
+            dims = _ideal_dims(_gens_array(P), P.field, top)
+    # syz[t + 1] = dim Syz_t, with dim Syz_(-1) = 0
+    syz = [0] + [n * (t + 1) - dims[t] for t in range(top + 1)]
+    counts = {t: c for t in range(1, top + 1) if (c := syz[t + 1] - 2 * syz[t] + syz[t - 1])}
+    if sum(counts.values()) != n - 1 or sum(t * c for t, c in counts.items()) != d:
         raise InternalInvariantViolation(
             f"column degrees {counts} do not give {n - 1} columns summing to {d}"
         )
@@ -373,7 +336,7 @@ def hilbert_burch(P: Parameterization) -> SyzygyMatrix:
     """The minimal syzygy matrix: n-1 columns, degrees summing to d.
 
     Column degrees come first, from the Hilbert function of the ideal, read
-    off one incremental elimination of its slices.  Then one kernel
+    off the pivots of one elimination (_column_degree_counts).  Then one kernel
     computation per distinct degree.  At each degree, kernel vectors are
     admitted only when independent of the multiples of the already-accepted
     columns, in kernel basis order, which makes the output deterministic:

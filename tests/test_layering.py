@@ -5,8 +5,12 @@ other module reaches the field through its methods and through
 linalg.modulus, so a second, field-specific code path cannot come back
 unnoticed.  Only linalg names np_forward_reduce: incremental elimination
 goes through linalg.Echelon, not through a hand-written loop elsewhere.
-Only fiber names _image_fibers: the map-degree sample is the one seeded
-stream of image points, and the reparameterization pair is read off it.
+Only linalg and fiber name Echelon: the Hilbert table of A is its one
+consumer, and the Hilbert function of the ideal is one elimination, so a
+second incremental path cannot come back unnoticed.  Only fiber names
+_image_fibers: the map-degree sample is the one seeded stream of image
+points, and the reparameterization pair is read off it.  Every name a
+module imports at its top level is used in it.
 """
 
 import ast
@@ -23,15 +27,17 @@ def _names(tree):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr
-        elif isinstance(node, ast.alias):
+        elif isinstance(node, (ast.alias, ast.ClassDef, ast.FunctionDef)):
             yield node.name
 
 
+SRC = Path(curvemap.__file__).parent
+
+
 def _users(name):
-    src = Path(curvemap.__file__).parent
     return {
         path.name
-        for path in sorted(src.glob("*.py"))
+        for path in sorted(SRC.glob("*.py"))
         if name in _names(ast.parse(path.read_text()))
     }
 
@@ -48,3 +54,25 @@ def test_only_linalg_grows_an_echelon():
 
 def test_only_fiber_draws_image_points():
     assert _users("_image_fibers") == {"fiber.py"}
+
+
+def test_only_fiber_uses_the_echelon():
+    assert _users("Echelon") == {"linalg.py", "fiber.py"}
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert not unused, unused

@@ -1,12 +1,15 @@
 """Over QQ, the Hilbert table of A and the column degrees of phi through one prime.
 
-Each slice rank is first taken mod q = DEFAULT_PRIME and kept only while it
-meets its upper bound; from the first miss on the exact Fraction
-elimination takes over.  Here both routes are compared with the exact
-references fiber._slices and syzygy._ideal_slice_dims, and each way of
+Each slice rank of the table is first taken mod q = DEFAULT_PRIME and kept
+only while it meets its upper bound; from the first miss on the exact
+Fraction elimination takes over.  The dims of the ideal come from one
+elimination mod q, kept only when every one meets its bound, and otherwise
+from one exact elimination.  Here both routes are compared with the exact
+references fiber._slices and one exact syzygy._ideal_dims, and each way of
 falling back is forced: a slice below its bound over QQ (an image on a
-quadric), a map that degenerates only mod q, a denominator divisible by q
-and generators whose x^d coefficients all vanish mod q.
+quadric, a composed map with unbalanced column degrees), a map that
+degenerates only mod q, a denominator divisible by q and generators whose
+x^d coefficients all vanish mod q.
 """
 
 import importlib
@@ -34,26 +37,29 @@ from test_degree_certificate import composed_map
 # the package exports the function fiber under the module's name
 fiber = importlib.import_module("curvemap.fiber")
 Q = DEFAULT_PRIME
+IDEAL_DIMS = syzygy._ideal_dims
 
 
 @pytest.fixture
 def routes(monkeypatch):
-    """Every rank generator started, per stage: [field, values it yielded]."""
+    """Every elimination started, per stage: [field, values it gave]."""
     calls = {"table": [], "ideal": []}
-    for stage, module, name in (
-        ("table", fiber, "_image_ranks"),
-        ("ideal", syzygy, "_ideal_ranks"),
-    ):
-        original = getattr(module, name)
+    original = fiber._image_ranks
 
-        def spy(G, field, original=original, log=calls[stage]):
-            record = [field, 0]
-            log.append(record)
-            for value in original(G, field):
-                record[1] += 1
-                yield value
+    def table_spy(G, field):
+        record = [field, 0]
+        calls["table"].append(record)
+        for value in original(G, field):
+            record[1] += 1
+            yield value
 
-        monkeypatch.setattr(module, name, spy)
+    def ideal_spy(G, field, top):
+        dims = IDEAL_DIMS(G, field, top)
+        calls["ideal"].append([field, len(dims)])
+        return dims
+
+    monkeypatch.setattr(fiber, "_image_ranks", table_spy)
+    monkeypatch.setattr(syzygy, "_ideal_dims", ideal_spy)
     return calls
 
 
@@ -68,15 +74,27 @@ def ran_mod_q(log):
 def exact_table(P, e, monkeypatch):
     """hilbert_table_a(P, e) with every slice from fiber._slices."""
     with monkeypatch.context() as m:
-        m.setattr(fiber, "_sandwich", lambda P, ranks, bounds: fiber._slices(P))
+        m.setattr(fiber, "_sandwich", lambda P, bounds: fiber._slices(P))
         return hilbert_table_a(P, e=e)
 
 
 def exact_counts(P, monkeypatch):
-    """syzygy._column_degree_counts(P) with every slice from _ideal_slice_dims."""
+    """syzygy._column_degree_counts(P) from one exact _ideal_dims call.
+
+    With no reduction mod q the exact call is made at once.
+    """
+    fields = []
+
+    def exact(G, field, top):
+        fields.append(field)
+        return IDEAL_DIMS(G, field, top)
+
     with monkeypatch.context() as m:
-        m.setattr(syzygy, "_sandwich", lambda P, ranks, bounds: syzygy._ideal_slice_dims(P))
-        return syzygy._column_degree_counts(P)
+        m.setattr(type(QQ), "reduction", lambda self, rows, q=Q: None)
+        m.setattr(syzygy, "_ideal_dims", exact)
+        counts = syzygy._column_degree_counts(P)
+    assert fields == [QQ]
+    return counts
 
 
 def qq_param(*rows):
@@ -148,6 +166,7 @@ def test_map_degenerate_only_mod_q_falls_back_to_exact(routes, monkeypatch):
     report = a.report()
     # mod q, g4 = g3: the first slice has rank 3 < 4 in both eliminations
     assert routes["table"][0][0].modular and routes["ideal"][0][0].modular
+    assert [field.modular for field, _ in routes["ideal"]] == [True, False]
     assert ran_exact(routes["table"]) and ran_exact(routes["ideal"])
     assert (a.e, report["hfA"]) == exact_table(P, a.e, monkeypatch) == hilbert_table_a(P)
     counts = exact_counts(P, monkeypatch)
@@ -178,6 +197,9 @@ def test_no_x_power_mod_q_takes_the_exact_route(routes, monkeypatch):
     mod_q = [values for field, values in routes["table"] if field.modular]
     assert mod_q == [0] and ran_exact(routes["table"])
     assert (a.e, hf) == exact_table(P, a.e, monkeypatch)
+    # mod q every generator is divisible by y, so I_(d+t) misses d+t+1
+    assert [field.modular for field, _ in routes["ideal"]] == [True, False]
+    assert syzygy._column_degree_counts(P) == exact_counts(P, monkeypatch)
 
 
 def test_rational_quartic_of_degree_16_analyzes_quickly():

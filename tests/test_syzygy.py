@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -145,16 +146,22 @@ def slice_dim(P, t):
     return len(np_rref(to_np(rows, P.field), modulus(P.field))[1])
 
 
-def reference_hilbert_burch(P):
-    """hilbert_burch with column degrees from direct ranks and one-by-one admission."""
-    field, n, d = P.field, P.n, P.d
+def reference_counts(P):
+    """The column degree counts of phi, from direct ranks of every slice up to d."""
+    n, d = P.n, P.d
     dims = [n] + [slice_dim(P, t) for t in range(1, d + 1)]
     syz = [n * (t + 1) - dims[t] for t in range(d + 1)]
-    counts = {
+    return {
         t: c
         for t in range(1, d + 1)
         if (c := syz[t] - 2 * syz[t - 1] + (syz[t - 2] if t >= 2 else 0))
     }
+
+
+def reference_hilbert_burch(P):
+    """hilbert_burch with column degrees from direct ranks and one-by-one admission."""
+    field, n = P.field, P.n
+    counts = reference_counts(P)
     accepted = []
     for t in sorted(counts):
         ech = Echelon(n * (t + 1), field)
@@ -180,13 +187,41 @@ def reference_hilbert_burch(P):
     return SyzygyMatrix(field, n, tuple(D for D, _ in accepted), tuple(columns))
 
 
-def test_incremental_slice_dims_match_direct_ranks(field):
+def test_ideal_dims_match_direct_ranks(field):
     cases = dense_corpus(field, 24, seed=5, d_max=12) + dense_corpus(QQ, 10, seed=5, d_max=7)
     assert {P.n for P in cases if P.field == field} == {P.n for P in cases if P.field == QQ}
     assert {P.n for P in cases} == {2, 3, 4, 5, 6}
     for P in cases:
-        dims = syzygy._ideal_slice_dims(P)
-        assert [next(dims) for _ in range(P.d)] == [slice_dim(P, t) for t in range(1, P.d + 1)], P
+        top = P.d - P.n + 2
+        dims = syzygy._ideal_dims(syzygy._gens_array(P), P.field, top)
+        assert dims == [slice_dim(P, t) for t in range(top + 1)], P
+
+
+def test_column_degrees_of_unbalanced_composed_maps(field):
+    # n - 1 does not divide e, so the inner column degrees differ, and
+    # composing with a pair of degree r multiplies each of them by r
+    rng = random.Random("syzygy-unbalanced")
+    for k in (field, QQ):
+        for n, r, e, degrees in [(3, 2, 5, {4, 6}), (3, 2, 3, {2, 4}), (4, 2, 4, {2, 4})]:
+            P = composed_map(k, rng, n, r, e)[0]
+            counts = syzygy._column_degree_counts(P)
+            assert set(counts) == degrees, P
+            assert counts == reference_counts(P), P
+
+
+def test_sylvester_case_of_degree_200_is_quick(field):
+    # n = 2 is the widest matrix of _ideal_dims, top = d; on a 2-CPU x86-64
+    # box a growing echelon of the slices of I took 0.7-0.9 s, one
+    # elimination takes about 0.25 s
+    rng = random.Random("syzygy-sylvester")
+    P = Parameterization.build(
+        field, [form(field, [field.rand(rng) for _ in range(201)]) for _ in range(2)]
+    )
+    start = time.perf_counter()
+    phi = hilbert_burch(P)
+    elapsed = time.perf_counter() - start
+    assert phi.col_degrees == (200,)
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def test_hilbert_burch_matches_one_by_one_admission(field):
