@@ -156,8 +156,45 @@ def _emit(args, report: dict, renderer) -> int:
     if args.plain:
         renderer(report)
     else:
-        print(json.dumps(report, indent=2))
+        print(_indented_json(report))
     return 0
+
+
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _indented_json(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte.
+
+    With indent set, json.dumps takes its pure-Python encoder; here the
+    nesting is recursion and every leaf goes through json's C encoders:
+    strings through encode_basestring_ascii, floats through json.dumps.
+    Reports have string keys only; any other key raises TypeError.
+    """
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_indented_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_json_string(k)}: {_indented_json(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _flag(value: bool) -> str:

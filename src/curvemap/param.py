@@ -7,6 +7,7 @@ n >= 3 (for n = 2 the map is a branched cover of P^1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InstanceError
 from .forms import format_form, gcd_forms, li_dim
@@ -45,8 +46,9 @@ class Parameterization:
             )
         return cls(field, gens, d, n, tuple(variables))
 
-    @property
+    @cached_property
     def is_monomial(self) -> bool:
+        # read per degree by hilbert_burch; computed once per instance
         return all(g.is_monomial for g in self.gens)
 
     def gen_strings(self) -> list:

@@ -98,13 +98,97 @@ def syzygies_in_degree(P: Parameterization, t: int) -> np.ndarray:
     set.  The QQ kernel vector that is one at c and zero on the rest of F is
     unique, and it is the row for c.  When the lift fails, the exact
     elimination gives the kernel; it stays the reference.
+
+    Monomial input, over either field, needs no elimination: the same
+    reduced kernel has a closed form (_monomial_kernel).
     """
+    if P.is_monomial:
+        return _monomial_kernel(P, t)
     if not P.field.modular:
         k = _lifted_kernel(P, t)
         if k is not None:
             return k
     m = _multiplication_matrix(_gens_array(P), t)
     return linalg.np_kernel(m, linalg.modulus(P.field))
+
+
+def _monomial_kernel(P: Parameterization, t: int) -> np.ndarray:
+    """np_kernel(M, p) for monomial generators, entry for entry, without elimination.
+
+    Generator i is c_i x^(d-b_i) y^(b_i), b_i its y-order, so column
+    i*(t+1) + k of M has the one nonzero c_i, in row b_i + k.  A column is
+    a pivot iff no earlier column hits its row, and the reduced echelon row
+    of the pivot pi holds c_c / c_pi at every later column c in the same
+    row.  So the kernel row of the free column c is e_c - (c_c / c_pi) e_pi,
+    and the rows come in free-column order.
+    """
+    p = linalg.modulus(P.field)
+    y = [g.y_order for g in P.gens]
+    coef = linalg.to_np([g.coeffs[b] for g, b in zip(P.gens, y)], P.field)[0]
+    b = np.array(y)
+    hit = b[:, None] + np.arange(t + 1)
+    # the first generator whose columns reach each row owns its pivot
+    r = np.arange(P.d + t + 1)[:, None]
+    owner = ((b <= r) & (r <= b + t)).argmax(axis=1)[hit]
+    gen, shift = np.nonzero(owner != np.arange(P.n)[:, None])
+    free = gen * (t + 1) + shift
+    pg = owner[gen, shift]
+    piv = pg * (t + 1) + hit[gen, shift] - b[pg]
+    k = np.zeros((free.size, P.n * (t + 1)), dtype=coef.dtype)
+    rows = np.arange(free.size)
+    k[rows, free] = 1
+    if p is None:
+        k[rows, piv] = -(coef[gen] / coef[pg])
+    else:
+        inv = np.array([pow(int(c), -1, p) for c in coef], dtype=np.int64)
+        k[rows, piv] = -(coef[gen] * inv[pg]) % p
+    return k
+
+
+def _forest_admission(accepted: list, kv: np.ndarray, t: int, need: int) -> list:
+    """hilbert_burch's admission for monomial input: the same rows, by union-find.
+
+    Every row of [multiples; kv] is a binomial syzygy (a closed-form kernel
+    row, or a shift of one), with its two nonzeros in coordinates (i, k)
+    and (i', k') that hit the same row of M.  Scaling coordinate (i, k) by
+    c_i turns it into a multiple of e_u - e_v: a signed incidence vector of
+    a graph on the n (t+1) coordinates.  Over every field such vectors have
+    rank nodes minus components, so a row is independent of the rows
+    before it iff its two ends lie in different components of the graph
+    they span, and greedy union-find admission in row order is np_rref's
+    row rank profile.  The ends are the first and last nonzeros, read off
+    whatever the rows hold, so a corrupted kernel still reaches _certify
+    with its values.
+    """
+    parent = list(range(kv.shape[1]))
+
+    def root(u):
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        return u
+
+    for D, vec in accepted:
+        nz = np.flatnonzero(vec)
+        if not nz.size:
+            continue
+        # (i, k) in degree D is (i, k + m) in x^(t-D-m) y^m times the column
+        u, v = ((e // (D + 1)) * (t + 1) + e % (D + 1) for e in (int(nz[0]), int(nz[-1])))
+        for m in range(t - D + 1):
+            parent[root(u + m)] = root(v + m)
+    nz = kv != 0
+    # a zero row has both ends at 0, a loop, and is never admitted
+    first = nz.argmax(axis=1).tolist()
+    last = (nz * np.arange(1, kv.shape[1] + 1)).argmax(axis=1).tolist()
+    new = []
+    for j, (u, v) in enumerate(zip(first, last)):
+        if len(new) == need:
+            break
+        ru, rv = root(u), root(v)
+        if ru != rv:
+            parent[ru] = rv
+            new.append(j)
+    return new
 
 
 def _lifted_kernel(P: Parameterization, t: int):
@@ -346,6 +430,11 @@ def hilbert_burch(P: Parameterization) -> SyzygyMatrix:
     Over QQ each kernel is lifted from primes and proved exactly
     (syzygies_in_degree); admission stays exact.
 
+    Monomial input runs no elimination before _certify: its kernels have a
+    closed form (_monomial_kernel), and since every row to admit is then a
+    binomial, union-find over the coordinates picks the same rows as the
+    row rank profile (_forest_admission).
+
     The result is certified before it is returned: every column is a
     syzygy, the degrees sum to d and phi has rank n-1 at a point, which
     proves the whole Hilbert-Burch contract (see _certify).  A failed check
@@ -359,7 +448,9 @@ def hilbert_burch(P: Parameterization) -> SyzygyMatrix:
     for t in sorted(counts):
         need = counts[t]
         kv = syzygies_in_degree(P, t)
-        if accepted:
+        if accepted and P.is_monomial:
+            new = _forest_admission(accepted, kv, t, need)
+        elif accepted:
             old = _multiples(accepted, t, n)
             # pivot columns of the transpose: the rows independent of all
             # earlier rows, so the same vectors as admitting one at a time

@@ -4,6 +4,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvemap import CertificationFailed, cli
 from curvemap.corpus import MAX_CORPUS_SIZE, MAX_SWEEP_DEGREE
@@ -380,3 +382,32 @@ def test_main_reuses_one_parser_per_process(tmp_path, capsys, monkeypatch):
     assert built == []
     for argv, again, first in zip(calls, reused, fresh):
         assert again == first, argv
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(json_values)
+def test_report_encoder_matches_json_dumps_with_indent(value):
+    assert cli._indented_json(value) == json.dumps(value, indent=2)
+
+
+def test_report_encoder_on_fixed_values():
+    value = {
+        "empty": {"list": [], "dict": {}},
+        "text": ["caf\u00e9", "\u2603", "tab\tquote\"", ""],
+        "numbers": [0, -7, 2**70, 0.1, -0.0, 1e300, float("nan"), float("-inf")],
+        "flags": [True, False, None],
+        "tuple": (1, (2, 3)),
+    }
+    assert cli._indented_json(value) == json.dumps(value, indent=2)
+    assert cli._indented_json([]) == "[]" and cli._indented_json({}) == "{}"
+    for bad in ({"k": object()}, {1: 2}):
+        with pytest.raises(TypeError):
+            cli._indented_json(bad)

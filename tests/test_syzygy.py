@@ -1,6 +1,8 @@
 import random
 import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from curvemap import (
@@ -15,8 +17,10 @@ from curvemap import (
     parse_form,
     verify_hilbert_burch,
 )
-from curvemap import syzygy
-from curvemap.linalg import Echelon, modulus, np_rref, to_np
+from curvemap import linalg, syzygy
+from curvemap.corpus import exhaustive_monomial
+from curvemap.forms import monomial
+from curvemap.linalg import Echelon, modulus, np_kernel, np_rref, to_np
 from curvemap.syzygy import syzygies_in_degree
 from test_degree_certificate import composed_map
 
@@ -158,10 +162,21 @@ def reference_counts(P):
     }
 
 
+def reference_kernel(P, t):
+    """The reduced kernel of M by elimination, whatever route syzygies_in_degree takes."""
+    m = syzygy._multiplication_matrix(syzygy._gens_array(P), t)
+    return np_kernel(m, modulus(P.field))
+
+
 def reference_hilbert_burch(P):
-    """hilbert_burch with column degrees from direct ranks and one-by-one admission."""
+    """hilbert_burch with column degrees from direct ranks and one-by-one admission.
+
+    Monomial kernels come from elimination (reference_kernel), so the closed
+    form and the spanning-forest admission are both checked against it.
+    """
     field, n = P.field, P.n
     counts = reference_counts(P)
+    kernel = reference_kernel if P.is_monomial else syzygies_in_degree
     accepted = []
     for t in sorted(counts):
         ech = Echelon(n * (t + 1), field)
@@ -172,7 +187,7 @@ def reference_hilbert_burch(P):
                     [c for comp in comps for c in [0] * k + comp + [0] * (t - D - k)]
                 )
         got = 0
-        for vec in syzygies_in_degree(P, t).tolist():
+        for vec in kernel(P, t).tolist():
             if got < counts[t] and ech.add_row(vec):
                 accepted.append((t, vec))
                 got += 1
@@ -224,12 +239,40 @@ def test_sylvester_case_of_degree_200_is_quick(field):
     assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
+def scaled_monomial_maps(field, rng, count):
+    """Monomial maps with random non-unit coefficients, generators in shuffled order."""
+    values = [Fraction(-2, 7), Fraction(3), Fraction(-5, 2), Fraction(9, 4), Fraction(-1)]
+    maps = []
+    for M in rng.sample(exhaustive_monomial(field, 9), count):
+        gens = list(M.parameterization().gens)
+        rng.shuffle(gens)
+        coef = [
+            rng.choice(values) if field == QQ else rng.randrange(2, field.p) for _ in gens
+        ]
+        maps.append(
+            Parameterization.build(
+                field, [monomial(field, M.d, g.y_order, c) for g, c in zip(gens, coef)]
+            )
+        )
+    return maps
+
+
 def test_hilbert_burch_matches_one_by_one_admission(field):
     cases = dense_corpus(field, 20, seed=6, d_max=12) + dense_corpus(QQ, 6, seed=6, d_max=6)
     rng = random.Random("syzygy-composed")
     for n, r, e in [(3, 2, 3), (4, 2, 3), (3, 3, 2), (4, 3, 3), (5, 2, 4)]:
         cases.append(composed_map(field, rng, n, r, e)[0])
+    # monomial input takes the closed-form kernels and the spanning-forest
+    # admission: the whole sweep d <= 8, and scaled maps over both fields
+    cases += [M.parameterization() for M in exhaustive_monomial(field, 8)]
+    rng = random.Random("syzygy-monomial")
+    cases += scaled_monomial_maps(field, rng, 40) + scaled_monomial_maps(QQ, rng, 20)
     for P in cases:
+        if P.is_monomial:
+            for t in range(P.d + 1):
+                k, ref = syzygies_in_degree(P, t), reference_kernel(P, t)
+                assert k.dtype == ref.dtype and k.shape == ref.shape, (P, t)
+                assert (k == ref).all(), (P, t)
         assert hilbert_burch(P) == reference_hilbert_burch(P), P
 
 
@@ -262,6 +305,83 @@ def test_corrupted_column_exits_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["analyze", str(path), "--deterministic"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("computation failed:") and "not a syzygy" in err
+
+
+@pytest.mark.parametrize("fault", ["value", "extra entry"])
+def test_corrupted_admitted_column_exits_2(tmp_path, capsys, monkeypatch, fault):
+    # column degrees 1 and 4: the degree-4 kernel passes admission against
+    # the shifts of the degree-1 column, and its last row is the one admitted
+    path = tmp_path / "gap-four.txt"
+    path.write_text("field: prime 2147483647\nx^5\nx^4*y\ny^5\n")
+    real = syzygy.syzygies_in_degree
+
+    def corrupted(P, t):
+        kv = real(P, t)
+        if t == 4:
+            if fault == "value":
+                # the ends stay where they were
+                last = np.flatnonzero(kv[-1])[-1]
+                kv[-1, last] = (kv[-1, last] + 1) % P.field.p
+            else:
+                # a third nonzero before the first end
+                kv[-1, 0] = 1
+        return kv
+
+    monkeypatch.setattr(syzygy, "syzygies_in_degree", corrupted)
+    assert cli.main(["analyze", str(path), "--deterministic"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("computation failed:") and "not a syzygy" in err
+
+
+@pytest.fixture
+def elimination_calls(monkeypatch):
+    """np_kernel and np_rref calls, each as (name, inside _certify)."""
+    log, depth = [], []
+    for name in ("np_kernel", "np_rref"):
+        real = getattr(linalg, name)
+
+        def spy(*args, _real=real, _name=name):
+            log.append((_name, bool(depth)))
+            return _real(*args)
+
+        monkeypatch.setattr(linalg, name, spy)
+    real_certify = syzygy._certify
+
+    def certify(*args):
+        depth.append(1)
+        try:
+            return real_certify(*args)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr(syzygy, "_certify", certify)
+    return log
+
+
+def test_monomial_hilbert_burch_eliminates_only_to_certify(field, build, elimination_calls):
+    cases = [build("x^5", "x^4*y", "y^5"), build("x^7", "x^4*y^3", "x^2*y^5", "y^7")]
+    cases += [build("x^6", "x^5*y", "x*y^5", "y^6", f=QQ)]
+    cases += scaled_monomial_maps(field, random.Random("syzygy-spy"), 10)
+    admitted = 0
+    for P in cases:
+        elimination_calls.clear()
+        phi = hilbert_burch(P)
+        assert all(name == "np_rref" and inside for name, inside in elimination_calls), P
+        # a second column degree goes through admission
+        admitted += len(set(phi.col_degrees)) > 1
+    assert admitted >= 3
+    # the same spy sees both eliminations on a map that is not monomial
+    elimination_calls.clear()
+    hilbert_burch(build("x^5", "x^4*y + y^5", "y^5 + x*y^4"))
+    assert ("np_kernel", False) in elimination_calls
+    assert ("np_rref", False) in elimination_calls
+
+
+def test_is_monomial_is_computed_once(build):
+    P = build("x^3", "x*y^2", "y^3")
+    assert "is_monomial" not in vars(P)
+    assert P.is_monomial and vars(P)["is_monomial"] is True
+    assert P == build("x^3", "x*y^2", "y^3") and hash(P) == hash(build("x^3", "x*y^2", "y^3"))
 
 
 def test_rank_deficient_phi_fails_certification(build, monkeypatch):
