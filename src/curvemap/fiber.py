@@ -141,18 +141,20 @@ def _image_fibers(P: Parameterization, phi: SyzygyMatrix, rng, batch: int):
             yield vals[:, s], gcd_forms(entries) if entries else None
 
 
-def row_ideal(phi: SyzygyMatrix, p: ProjPointN) -> GradedIdeal:
+def _nonzero_entries(phi: SyzygyMatrix, p: ProjPointN) -> list:
+    """The nonzero entries of p * phi; ZeroRow when there are none."""
     entries = [e for e in row_combination(phi, p) if not e.is_zero]
     if not entries:
         raise ZeroRow(f"p * phi vanishes identically at p = {p}")
-    return GradedIdeal.of(phi.field, entries)
+    return entries
+
+
+def row_ideal(phi: SyzygyMatrix, p: ProjPointN) -> GradedIdeal:
+    return GradedIdeal.of(phi.field, _nonzero_entries(phi, p))
 
 
 def fiber(P: Parameterization, phi: SyzygyMatrix, p: ProjPointN) -> FiberReport:
-    entries = [e for e in row_combination(phi, p) if not e.is_zero]
-    if not entries:
-        raise ZeroRow(f"p * phi vanishes identically at p = {p}")
-    g = gcd_forms(entries)
+    g = gcd_forms(_nonzero_entries(phi, p))
     return FiberReport(p, g.degree >= 1, g, g.degree)
 
 
@@ -233,47 +235,90 @@ def _table_monomial(P: Parameterization, cap: int):
 
 
 def _slices(P: Parameterization):
-    """HF_A(1), HF_A(2), ... by exact elimination (_image_ranks)."""
+    """HF_A(1), HF_A(2), ... by exact elimination on values (_image_ranks)."""
     return _image_ranks(_gens_array(P), P.field)
 
 
 def _image_ranks(G: np.ndarray, field):
     """HF(1), HF(2), ... of the ring the generator rows G span over field.
 
-    A_(j+1) = h * A_j + sum of g_i * A_j over the other generators, with h a
-    generator not divisible by y.  Only the rows new in A_j need the other
-    generators: the rest are h-multiples from A_(j-1), whose products are
-    already in h * A_j.  With no such h nothing is yielded; that happens
-    only to generators reduced mod q, since over their own field they
-    would share the factor y.
+    Slice j is eliminated on its values at points (1 : t): a nonzero form of
+    degree j*d has at most j*d zeros on P^1, so at j*d + 1 distinct points a
+    slice and its values have the same rank.  The first pass reads slices
+    1..J off J*d + 1 points, J the least j <= 2d+4 where the C(j+n-1, n-1)
+    products of j generators could fill the j*d + 1 dims of their degree, or
+    4 when none can.  Each later pass doubles J and skips the ranks already
+    yielded.  Generators that are all zero, which happens only mod q, yield
+    nothing.
     """
-    p = linalg.modulus(field)
-    hrow = next((i for i in range(len(G)) if G[i, 0]), None)
+    n, w = G.shape
+    d = w - 1
+    hrow = next((i for i in range(n) if G[i].any()), None)
     if hrow is None:
         return
-    others = [g for i, g in enumerate(G) if i != hrow]
-    ech = linalg.Echelon(G.shape[1], field)
-    ech.add_rows(G)
-    yield ech.rank
+    J = next((j for j in range(1, 2 * d + 5) if comb(j + n - 1, n - 1) >= j * d + 1), 4)
+    done = 0
     while True:
+        yield from islice(_ranks_at_points(G, field, hrow, J), done, None)
+        done, J = J, 2 * J
+
+
+def _ranks_at_points(G: np.ndarray, field, hrow: int, J: int):
+    """HF(1), ..., HF(J) of _image_ranks, on values at J*d + 1 points.
+
+    A_(j+1) = h * A_j + sum of g_i * A_j over the other generators, with
+    h = G[hrow].  Only the rows new in A_j need the other generators: the
+    rest are h-multiples from A_(j-1), whose products are already in h * A_j.
+    The points avoid the zeros of h, so h * A_j is a column scaling that
+    keeps every pivot, and g_i * new is a pointwise product.
+    """
+    V = _values_at_points(G, hrow, J * (G.shape[1] - 1) + 1, field)
+    h, others = V[hrow], np.delete(V, hrow, axis=0)
+    ech = linalg.Echelon(V.shape[1], field)
+    ech.add_rows(V)
+    yield ech.rank
+    for _ in range(J - 1):
         new = ech.new
-        ech.mul(G[hrow])
-        ech.add_rows(np.vstack([linalg.np_shift_mul(new, g, p) for g in others]))
+        ech.scale(h)
+        ech.add_rows((others[:, None, :] * new).reshape(-1, V.shape[1]))
         yield ech.rank
+
+
+def _values_at_points(G: np.ndarray, hrow: int, W: int, field) -> np.ndarray:
+    """The values of the generator rows G at the first W points (1 : t),
+    t = 0, 1, -1, 2, -2, ..., where G[hrow] does not vanish.
+
+    G[hrow] has at most d zeros, so W + d candidates suffice; a prime field
+    with too few elements for W distinct points raises CertificationFailed.
+    """
+    p = linalg.modulus(field)
+    d = G.shape[1] - 1
+    count = W + d if p is None else min(W + d, p)
+    ts = linalg.to_np([(k + 1) // 2 * (1 if k % 2 else -1) for k in range(count)], field)[0]
+    values = linalg.np_matmul_mod(G, linalg.np_vandermonde(ts, d, p), p)
+    keep = np.flatnonzero(values[hrow])[:W]
+    if len(keep) < W:
+        raise CertificationFailed(
+            f"the field has too few points to evaluate forms of degree {W - 1} "
+            "at distinct points where a generator does not vanish"
+        )
+    return values[:, keep]
 
 
 def _sandwich(P: Parameterization, bounds):
     """_image_ranks on the generators of P over QQ, through one prime.
 
     bounds yields an upper bound on each exact rank.  The generators are
-    reduced once mod q (RationalField.reduction).  Every slice matrix has
-    entries that are integer polynomials in their coefficients, so its rank
-    mod q is never above its rank over QQ, which is never above the bound: a
-    rank mod q that meets its bound is the exact rank.  From the first miss
-    on, the exact elimination yields the ranks, and it yields all of them
-    when a denominator is divisible by q or the modular ranks stop early.
-    It grows one echelon from the first slice, so the ranks already proved
-    are recomputed and skipped.
+    reduced once mod q (RationalField.reduction).  Mod q as over QQ, the
+    values of a slice at its points have the rank of its coefficient
+    matrix, whose entries are integer polynomials in the coefficients of
+    the generators; so the rank mod q is never above the rank over QQ, which
+    is never above the bound: a rank mod q that meets its bound is the exact
+    rank.  From the first miss on, the exact elimination on values at
+    integer points yields the ranks, and it yields all of them when a
+    denominator is divisible by q or every generator vanishes mod q.  It
+    starts again from the first slice, so the ranks already proved are
+    recomputed and skipped.
     """
     proved = 0
     reduced = P.field.reduction([list(g.coeffs) for g in P.gens])
@@ -301,7 +346,8 @@ def hilbert_table_a(P: Parameterization, e=None):
     The list ends at the first degree where three consecutive first
     differences agree (and, when e is given, equal e); a slope not locked in
     by degree 2d+4 raises SlopeNotStabilized.  Monomial inputs take the
-    sumset route.
+    sumset route; otherwise each slice is ranked on its values at points
+    (1 : t), enough of them to keep its rank (_image_ranks).
 
     e, when given, must be the certified e(A) = d // r, with r from
     certify_map_degree.  It makes most of the table free: n = 3 has the closed
@@ -315,7 +361,8 @@ def hilbert_table_a(P: Parameterization, e=None):
     (_sandwich).  A_j is spanned by the C(j+n-1, n-1) products of j
     generators and lies in k[f1, f2]_(je), of dimension j*e + 1, so
     min(C(j+n-1, n-1), j*e + 1) bounds HF_A(j), and a rank mod q that meets
-    it is proved; from the first miss on the slices are eliminated exactly.
+    it is proved; from the first miss on the slices are eliminated exactly,
+    on Fraction values at integer points.
     The second bound holds only when e is the certified e(A).
 
     e is trusted, not verified: a wrong e gives a wrong table for n = 3, and

@@ -36,11 +36,6 @@ class BinaryForm:
         return next(i for i, c in enumerate(self.coeffs) if c)
 
     @property
-    def x_order(self) -> int:
-        d = self.degree
-        return d - max(i for i, c in enumerate(self.coeffs) if c)
-
-    @property
     def is_monomial(self) -> bool:
         return sum(1 for c in self.coeffs if c) == 1
 

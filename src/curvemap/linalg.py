@@ -19,10 +19,9 @@ where float64 is exact whatever the order of summation; a limb times a whole
 residue is below 2**47, which allows 2**6 terms.  The limb products are
 joined and reduced mod p in int64.  On top of that product, row reduction
 absorbs the rows of a large matrix a block at a time into a reduced basis,
-forward reduction clears a panel of pivots at a time, and a dense multiplier
-becomes one product with its banded matrix; small matrices and the
-rationals keep the plain loops, which also serve the blocked forms as their
-base case.
+and forward reduction clears a panel of pivots at a time; small matrices and
+the rationals keep the plain loops, which also serve the blocked forms as
+their base case.
 """
 
 from __future__ import annotations
@@ -40,9 +39,6 @@ _CHUNK = 1 << 12
 # Rows absorbed per step of the blocked row reduction; a prime-field matrix
 # of fewer than two blocks of rows keeps the per-pivot loop.
 _BLOCK = 32
-# A multiplier with more nonzero coefficients than this is one banded
-# product in np_shift_mul; sparser ones keep the shifted accumulation.
-_BAND_MIN = 4
 
 _to_fraction = np.frompyfunc(Fraction, 1, 1)
 
@@ -295,70 +291,6 @@ def _submod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     return out
 
 
-def np_shift_mul(rows: np.ndarray, h: np.ndarray, p) -> np.ndarray:
-    """Multiply each row, read as a dense binary-form slice, by the form h.
-
-    rows has width w (degree w-1 slice); the result has width w + len(h) - 1.
-    Mod p, an h with more than _BAND_MIN nonzero coefficients is one banded
-    product (_banded_mul); sparser ones, and the rationals, are shifted
-    accumulation (_shift_loop).
-    """
-    if p is not None and np.count_nonzero(h) > _BAND_MIN:
-        return _banded_mul(rows, h, p)
-    return _shift_loop(rows, h, p)
-
-
-def _shift_loop(rows: np.ndarray, h: np.ndarray, p) -> np.ndarray:
-    """np_shift_mul by one pass per nonzero coefficient of h, each reduced.
-
-    The lowest lands on zeros, so it is only scaled, and a monomial h with
-    coefficient one (x or y) costs a copy.
-    """
-    n, w = rows.shape
-    m = h.shape[0]
-    out = np.zeros((n, w + m - 1), dtype=rows.dtype)
-    first = True
-    for k in range(m):
-        c = h[k]
-        if c and first:
-            out[:, k : k + w] = rows if c == 1 else _reduce(rows * c, p)
-            first = False
-        elif c:
-            out[:, k : k + w] = _reduce(out[:, k : k + w] + rows * c, p)
-    return out
-
-
-def _banded_mul(rows: np.ndarray, h: np.ndarray, p) -> np.ndarray:
-    """np_shift_mul mod p as one exact product with the banded matrix of h.
-
-    The output is cut into blocks of m = len(h) columns.  Block s is the
-    window of 2m - 1 input columns ending at its last column times one
-    Toeplitz matrix t, t[u, j] = h[j + m - 1 - u], the same for every block.
-    So the windows of all rows stack into one product with t, taken a few
-    rows at a time.
-    """
-    n, w = rows.shape
-    m = h.shape[0]
-    width = w + m - 1
-    blocks = -(-width // m)
-    # np_multiples of h has h[j] at (k, k + j); reversed both ways it is t.T
-    limbs = _limbs(np_multiples(h[None], m - 1)[0, ::-1, ::-1].T)
-    step = max(1, min(n, _CHUNK // (2 * width) + 1))
-    padded = np.zeros((step, (blocks + 1) * m - 1), dtype=np.int64)
-    rs, cs = padded.strides
-    out = np.empty((n, width), dtype=np.int64)
-    for i in range(0, n, step):
-        chunk = rows[i : i + step]
-        k = len(chunk)
-        padded[:k, m - 1 : m - 1 + w] = chunk
-        windows = np.lib.stride_tricks.as_strided(
-            padded, shape=(k, blocks, 2 * m - 1), strides=(rs, m * cs, cs)
-        )
-        prod = _mulmod(windows.reshape(-1, 2 * m - 1), limbs, p)
-        out[i : i + k] = prod.reshape(k, -1)[:, :width]
-    return out
-
-
 def np_multiples(rows: np.ndarray, s: int) -> np.ndarray:
     """Every x^(s-k) y^k multiple of each row, read as a binary-form slice.
 
@@ -425,7 +357,8 @@ class Echelon:
     The one incremental elimination of the package: each block of rows is
     cleared against the held rows, what is left is row-reduced, and its
     pivots are merged in.  The Hilbert function of the image ring (fiber)
-    grows its slices through it.
+    grows its slices through it, on their values at points, where a product
+    by a generator is a column scaling (scale).
     """
 
     def __init__(self, ncols: int, field):
@@ -443,25 +376,23 @@ class Echelon:
     def add_rows(self, rows) -> int:
         """Insert rows of field scalars; returns how many were new.
 
-        rows, a list or an array, is left unchanged: the forward reduction
-        works on a copy.
+        Over a prime field the rows may hold any int64 integers, such as
+        products of two residues; they are read mod p.  rows, a list or an
+        array, is left unchanged: the forward reduction works on a copy.
         """
         p = self._p
-        block = np.array(rows, dtype=_dtype(p)).reshape(-1, self.rows.shape[1])
+        block = _reduce(np.array(rows, dtype=_dtype(p)), p).reshape(-1, self.rows.shape[1])
         red, piv = np_rref(np_forward_reduce(block, self.rows, self.pivots, p), p)
         self.new = red[: len(piv)]
         self.rows, self.pivots = _merge(self.rows, self.pivots, self.new, piv)
         return len(piv)
 
-    def add_row(self, row) -> bool:
-        return self.add_rows([row]) == 1
+    def scale(self, values) -> None:
+        """Multiply column s of every held row by values[s].
 
-    def mul(self, h: np.ndarray) -> None:
-        """Multiply every held row, read as a binary form, by the form h.
-
-        h[0], the x-leading coefficient, must be nonzero: then each row keeps
-        its leading column and the rows stay in echelon form.
+        Every value must be nonzero: then each row keeps its pivot and the
+        rows stay in echelon form.
         """
-        if not h[0]:
-            raise ValueError("the multiplier must not be divisible by y")
-        self.rows = np_shift_mul(self.rows, h, self._p)
+        if not values.all():
+            raise ValueError("a zero value would drop a pivot")
+        self.rows = _reduce(self.rows * values, self._p)

@@ -37,13 +37,6 @@ class MonomialParam:
             raise InstanceError("exponents must run from 0 to d (else the ideal is not m-primary)")
         return cls(field, d, a)
 
-    @classmethod
-    def from_param(cls, P: Parameterization) -> "MonomialParam":
-        if not P.is_monomial:
-            raise NotMonomial("generators are not all monomials")
-        a = sorted(P.d - g.y_order for g in P.gens)
-        return cls.of(P.field, P.d, a)
-
     @property
     def n(self) -> int:
         return len(self.exponents)

@@ -1,6 +1,8 @@
+import importlib
 import random
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +29,9 @@ from curvemap import (
 from curvemap.fiber import OFF_IMAGE_NOTE, _sampled_fiber_degree, _slices
 from curvemap.linalg import modulus, np_rref, to_np
 from test_degree_certificate import composed_map
+
+# the package exports the function fiber under the module's name
+fiber_module = importlib.import_module("curvemap.fiber")
 
 
 def proportional(field, h, text):
@@ -230,3 +235,33 @@ def test_incremental_image_slices_match_direct_ranks(field):
         assert [next(slices) for _ in range(top)] == [
             product_slice_dim(P, j) for j in range(1, top + 1)
         ], P
+
+
+def test_image_slices_past_the_first_pass_are_read_off_more_points(any_field, build, monkeypatch):
+    passes = []
+    first_pass = fiber_module._ranks_at_points
+
+    def spy(G, field, hrow, J):
+        passes.append(J)
+        return first_pass(G, field, hrow, J)
+
+    monkeypatch.setattr(fiber_module, "_ranks_at_points", spy)
+    # n = 3, d = 3 fills slice J = 3 at C(5, 2) = 3 J + 1; n = 2 never fills, so J = 4
+    for gens, J in (
+        (("x^3 - 2*x*y^2 + y^3", "x^3 + x^2*y - 3*y^3", "5*x^2*y + x*y^2 - y^3"), 3),
+        (("x^3 + 2*y^3", "x^2*y - x*y^2"), 4),
+    ):
+        P = build(*gens, f=any_field)
+        passes.clear()
+        got = list(islice(_slices(P), 6))
+        assert got == [product_slice_dim(P, j) for j in range(1, 7)], P
+        # slices J+1..6 come from a second pass on 2 J d + 1 points
+        assert passes == [J, 2 * J]
+
+
+def test_image_slices_never_repeat_a_point():
+    # the first pass reads 4 slices of two cubics off 4 d + 1 = 13 points; F_11 has 11
+    tiny = SimpleNamespace(modular=True, p=11)
+    G = to_np([[1, 0, 0, 1], [0, 1, 1, 0]], tiny)
+    with pytest.raises(CertificationFailed, match="too few points"):
+        next(fiber_module._image_ranks(G, tiny))

@@ -17,13 +17,18 @@ from curvemap import (
 )
 
 
+def x_order(f):
+    """Largest k with x**k dividing the form."""
+    return f.degree - max(i for i, c in enumerate(f.coeffs) if c)
+
+
 def test_form_construction_and_degree_bookkeeping(field):
     h = form(field, [1, 0, 3])  # x^2 + 3 y^2
     assert h.degree == 2 and not h.is_zero
-    assert h.x_order == 0 and h.y_order == 0
+    assert x_order(h) == 0 and h.y_order == 0
     assert form(field, []).is_zero
     m = monomial(field, 5, 2, c=4)  # 4 x^3 y^2
-    assert m.degree == 5 and m.y_order == 2 and m.x_order == 3 and m.is_monomial
+    assert m.degree == 5 and m.y_order == 2 and x_order(m) == 3 and m.is_monomial
     assert not h.is_monomial
 
 
@@ -34,7 +39,7 @@ def test_arithmetic_and_shift(field):
     assert sq.sub(sq).is_zero
     assert x_plus_y.scale(field.conv(3)).coeffs[0] == field.conv(3)
     shifted = x_plus_y.shift(1, 2)  # * x y^2
-    assert shifted.degree == 4 and shifted.y_order == 2 and shifted.x_order == 1
+    assert shifted.degree == 4 and shifted.y_order == 2 and x_order(shifted) == 1
     with pytest.raises(DegreeMismatch):
         x_plus_y.add(sq)
 

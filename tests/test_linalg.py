@@ -15,7 +15,6 @@ from curvemap.linalg import (
     np_multiples,
     np_rank,
     np_rref,
-    np_shift_mul,
     np_solve,
     np_vandermonde,
     rank,
@@ -111,26 +110,6 @@ def test_np_matmul_mod_matches_python_bigints():
         ]
 
 
-def test_np_shift_mul_is_polynomial_multiplication():
-    # rows are dense coefficient slices; multiplying by h must convolve
-    p = PRIMES[0]
-    rng = random.Random("shift")
-    m = random_matrix(rng, 3, 5)
-    for rows, h, q in (
-        (np.array(m, dtype=np.int64) % p, np.array([2, 0, 7], dtype=np.int64), p),
-        # the lowest term is copied, not summed, when its coefficient is one
-        (np.array(m, dtype=np.int64) % p, np.array([0, 1, 5], dtype=np.int64), p),
-        (to_np(m, QQ), to_np([Fraction(2, 3), 0, -7], QQ)[0], None),
-    ):
-        out = np_shift_mul(rows, h, q)
-        for i in range(3):
-            want = [0] * 7
-            for a_i, c in enumerate(rows[i].tolist()):
-                for h_i, v in enumerate(h.tolist()):
-                    want[a_i + h_i] += c * v
-            assert out[i].tolist() == [w if q is None else w % q for w in want]
-
-
 def rational_rref(rows):
     red, piv = np_rref(to_np(rows, QQ), None)
     return from_np(red, QQ), piv
@@ -163,9 +142,9 @@ def test_echelon_incremental_matches_batch_rank(field):
     added = ech.add_rows(rows)
     assert ech.rank == added == rank(rows, field)
     for row in rows:
-        assert not ech.add_row(row)
+        assert ech.add_rows([row]) == 0
     combo = [field.add(a, b) for a, b in zip(rows[0], rows[1])]
-    assert not ech.add_row(combo)
+    assert ech.add_rows([combo]) == 0
 
 
 def test_echelon_add_rows_leaves_its_argument_unchanged():
@@ -181,30 +160,50 @@ def test_echelon_add_rows_leaves_its_argument_unchanged():
     assert ech.pivots == sorted(ech.pivots)
 
 
-def test_echelon_mul_keeps_leading_columns(field):
-    p = modulus(field)
-    ech = Echelon(4, field)
-    ech.add_rows([[0, 1, 2, 3], [1, 0, 0, 5]])
-    h = to_np([2, 0, 7], field)[0]
-    held = ech.rows.copy()
-    ech.mul(h)
-    assert (ech.rows == np_shift_mul(held, h, p)).all()
-    assert [int(np.nonzero(r)[0][0]) for r in ech.rows] == ech.pivots == [0, 1]
+def test_echelon_scale_keeps_pivots_and_rank(any_field):
+    p = modulus(any_field)
+    rng = random.Random("echelon-scale")
+    rows = [[any_field.conv(v) for v in row] for row in random_matrix(rng, 5, 7, 9)]
+    ech = Echelon(7, any_field)
+    ech.add_rows(rows[:3])
+    ech.add_rows(rows[3:])
+    held, pivots, rank_before = ech.rows.copy(), list(ech.pivots), ech.rank
+    values = to_np([any_field.conv(v) for v in (2, -1, 3, 5, -7, 11, 1)], any_field)[0]
+    ech.scale(values)
+    assert ech.pivots == pivots and ech.rank == rank_before
+    assert [int(np.flatnonzero(r)[0]) for r in ech.rows] == pivots
+    want = held * values if p is None else held * values % p
+    assert (ech.rows == want).all()
+    # products of residues, not reduced mod p, are read mod p: all are held
+    assert ech.add_rows(held * values) == 0
     with pytest.raises(ValueError):
-        ech.mul(to_np([0, 1], field)[0])
+        ech.scale(to_np([any_field.conv(v) for v in (1, 1, 0, 1, 1, 1, 1)], any_field)[0])
 
 
 def test_echelon_sorts_a_later_lower_pivot_before_a_product(field):
-    # the second block leads left of the first; after times (x + y) the
-    # rows overlap, so the forward reduction must run in pivot order
+    # the second block leads left of the first; the held rows stay sorted
+    # by pivot, so the forward reduction runs in pivot order
     ech = Echelon(3, field)
-    ech.add_rows([[0, 1, 0]])
-    ech.add_rows([[1, 0, 0]])
+    ech.add_rows([[0, 1, 1]])
+    ech.add_rows([[1, 1, 0]])
     assert ech.pivots == [0, 1]
-    ech.mul(to_np([1, 1], field)[0])
-    # x^3 - x y^2 is x^2 (x + y) - x y (x + y), already in the span
-    assert ech.add_rows(to_np([[1, 0, -1, 0]], field)) == 0
+    assert [int(np.flatnonzero(r)[0]) for r in ech.rows] == [0, 1]
+    # after the pointwise product by (2, 3, 6), the product of the second
+    # block is in the span, and (0, 0, 1) is not
+    ech.scale(to_np([2, 3, 6], field)[0])
+    assert ech.pivots == [0, 1]
+    assert ech.add_rows(to_np([[2, 3, 0]], field)) == 0
     assert ech.rank == 2
+    assert ech.add_rows(to_np([[0, 0, 1]], field)) == 1
+
+
+def convolve(row, h):
+    """The coefficients of the product of two forms, given by their coefficients."""
+    out = [0] * (len(row) + len(h) - 1)
+    for a, c in enumerate(row):
+        for b, v in enumerate(h):
+            out[a + b] += c * v
+    return out
 
 
 def test_np_multiples_are_shifts_by_monomials():
@@ -216,9 +215,10 @@ def test_np_multiples_are_shifts_by_monomials():
         assert out.shape == (3, s + 1, 4 + s)
         for k in range(s + 1):
             # x^(s-k) y^k as a coefficient row: a single one at position k
-            mono = np.zeros(s + 1, dtype=rows.dtype)
+            mono = [0] * (s + 1)
             mono[k] = 1
-            assert (out[:, k] == np_shift_mul(rows, mono, p)).all()
+            for i in range(3):
+                assert out[i, k].tolist() == convolve(rows[i].tolist(), mono)
 
 
 def test_to_np_rejects_nothing_and_keeps_shape():
@@ -358,32 +358,6 @@ def test_blocked_forward_reduce_matches_the_per_pivot_loop():
             got = linalg.np_forward_reduce(c.copy(), h, pivots, p)
             assert np.array_equal(got, want), (p, k, r, cols)
             assert not got[:, pivots].any()
-
-
-def shift_cases(rng, p):
-    """(rows, h) on both sides of the nonzero-count threshold of np_shift_mul."""
-    band = linalg._BAND_MIN
-    for nnz in (1, 2, band, band + 1, 13, 61):
-        for n, w in ((1, 2), (3, 10), (40, 181), (70, 145)):
-            h = np.zeros(max(nnz, 2) + 2, dtype=np.int64)
-            spots = rng.choice(len(h) - 1, nnz, replace=False) + 1
-            h[spots] = rng.integers(1, p, nnz)
-            h[0] = rng.integers(1, p)  # the leading coefficient of Echelon.mul
-            yield rng.integers(0, p, (n, w)), h
-    # all p - 1, the largest residues, and a multiplier with no zero
-    yield np.full((30, 50), p - 1, dtype=np.int64), np.full(37, p - 1, dtype=np.int64)
-    # rows wide enough to take more than one chunk
-    yield rng.integers(0, p, (200, 400)), rng.integers(0, p, 25)
-    yield np.zeros((0, 9), dtype=np.int64), rng.integers(1, p, 8)
-
-
-def test_banded_shift_mul_matches_shifted_accumulation():
-    rng = np.random.default_rng(10)
-    for p in BLOCKED_PRIMES:
-        for rows, h in shift_cases(rng, p):
-            want = linalg._shift_loop(rows, h, p)
-            got = np_shift_mul(rows, h, p)
-            assert got.dtype == np.int64 and np.array_equal(got, want), (p, rows.shape, h)
 
 
 def test_np_matmul_mod_is_exact_at_the_longest_contraction():

@@ -32,9 +32,10 @@ def test_monomial_param_validation(field):
 
 
 def test_from_param_requires_monomials(field, build):
-    with pytest.raises(NotMonomial):
-        MonomialParam.from_param(build("x^2 + y^2", "x*y", "y^2"))
-    M = MonomialParam.from_param(build("x^3", "x*y^2", "y^3"))
+    assert not build("x^2 + y^2", "x*y", "y^2").is_monomial
+    P = build("x^3", "x*y^2", "y^3")
+    assert P.is_monomial
+    M = MonomialParam.of(P.field, P.d, sorted(P.d - g.y_order for g in P.gens))
     assert M.exponents == (0, 1, 3)
 
 

@@ -194,8 +194,10 @@ def test_no_x_power_mod_q_takes_the_exact_route(routes, monkeypatch):
     P = qq_param(*rows)
     a = Analysis(P)
     hf = a.hf_a
+    # mod q every generator is y times a quartic, so slice 2 has at most
+    # 9 < min(10, 2e + 1) dims: the second rank mod q misses and hands over
     mod_q = [values for field, values in routes["table"] if field.modular]
-    assert mod_q == [0] and ran_exact(routes["table"])
+    assert mod_q == [2] and hf[2] == 10 and ran_exact(routes["table"])
     assert (a.e, hf) == exact_table(P, a.e, monkeypatch)
     # mod q every generator is divisible by y, so I_(d+t) misses d+t+1
     assert [field.modular for field, _ in routes["ideal"]] == [True, False]

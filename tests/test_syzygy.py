@@ -183,12 +183,12 @@ def reference_hilbert_burch(P):
         for D, vec in accepted:
             comps = [vec[i * (D + 1) : (i + 1) * (D + 1)] for i in range(n)]
             for k in range(t - D + 1):
-                ech.add_row(
-                    [c for comp in comps for c in [0] * k + comp + [0] * (t - D - k)]
+                ech.add_rows(
+                    [[c for comp in comps for c in [0] * k + comp + [0] * (t - D - k)]]
                 )
         got = 0
         for vec in kernel(P, t).tolist():
-            if got < counts[t] and ech.add_row(vec):
+            if got < counts[t] and ech.add_rows([vec]) == 1:
                 accepted.append((t, vec))
                 got += 1
         assert got == counts[t]
