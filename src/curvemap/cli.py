@@ -22,6 +22,7 @@ from .errors import (
     CertificationFailed,
     DegreeMismatch,
     InstanceError,
+    InternalInvariantViolation,
     NotMonomial,
     SlopeNotStabilized,
     ZeroIdeal,
@@ -34,7 +35,12 @@ from .param import Parameterization
 from .selftest import run_selftest
 
 _INPUT_ERRORS = (InstanceError, ZeroIdeal, DegreeMismatch, NotMonomial)
-_COMPUTE_ERRORS = (CertificationFailed, ZeroRow, SlopeNotStabilized)
+_COMPUTE_ERRORS = (
+    CertificationFailed,
+    InternalInvariantViolation,
+    ZeroRow,
+    SlopeNotStabilized,
+)
 # largest instance file read; comment and blank lines are not bounded by
 # forms.MAX_DEGREE, so without it a file such as /dev/zero is read to EOF
 MAX_INSTANCE_BYTES = 1 << 20

@@ -13,7 +13,9 @@ One evaluator forms the rows p * phi: _rows multiplies a batch of points by
 phi, one product for every column.  fiber at a given point and the map-degree
 sample read their fiber forms off it; the sample draws seeded image points
 through _image_fibers, and its fibers of degree r span the pencil that
-gives the reparameterization pair (reparam.extract_reparam_basis).
+gives the reparameterization pair (reparam.extract_reparam_basis).  Over QQ
+the sample forms its rows mod one prime first, and a fiber gcd of degree 1
+there is proved to be the known root of the row (_proved_fiber).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .forms import (
     BinaryForm,
     ProjPoint1,
     ProjPointN,
+    constant,
     form,
     format_form,
     gcd_forms,
@@ -83,9 +86,9 @@ def apply_map(P: Parameterization, q: ProjPoint1) -> ProjPointN:
     return ProjPointN.of(P.field, vals)
 
 
-def _column_arrays(phi: SyzygyMatrix):
-    """(C, spans): the columns of phi side by side as one n x sum(D+1)
-    coefficient array, and the slice of C that holds each column."""
+def _column_rows(phi: SyzygyMatrix):
+    """(rows, spans): the columns of phi side by side, as n lists of
+    sum(D+1) coefficients, and the slice of a row that holds each column."""
     field = phi.field
     widths = [D + 1 for D in phi.col_degrees]
     rows = [
@@ -93,18 +96,16 @@ def _column_arrays(phi: SyzygyMatrix):
         for i in range(phi.n)
     ]
     ends = np.cumsum(widths).tolist()
-    return linalg.to_np(rows, field), list(zip([0] + ends[:-1], ends))
+    return rows, list(zip([0] + ends[:-1], ends))
 
 
-def _rows(phi: SyzygyMatrix, cols, vals: np.ndarray):
+def _rows(field, C: np.ndarray, spans, vals: np.ndarray):
     """For each column p of the n x m array vals, in turn, the n-1 entries of p * phi.
 
-    cols is _column_arrays(phi); one product serves every point and every
-    column of phi at once, and the forms of a point are made when it is
-    reached.
+    C and spans are _column_rows(phi), C as an array over field; one product
+    serves every point and every column of phi at once, and the forms of a
+    point are made when it is reached.
     """
-    field = phi.field
-    C, spans = cols
     for values in linalg.np_matmul_mod(vals.T, C, linalg.modulus(field)):
         row = linalg.from_np(values, field)
         yield [form(field, row[a:b]) for a, b in spans]
@@ -112,33 +113,94 @@ def _rows(phi: SyzygyMatrix, cols, vals: np.ndarray):
 
 def row_combination(phi: SyzygyMatrix, p: ProjPointN) -> list:
     """The n-1 entries of the row vector p * phi."""
+    rows, spans = _column_rows(phi)
     vals = linalg.to_np([[c] for c in p.coords], phi.field)
-    return next(_rows(phi, _column_arrays(phi), vals))
+    return next(_rows(phi.field, linalg.to_np(rows, phi.field), spans, vals))
+
+
+def _row_evaluator(field, gens: list, cols: list, spans):
+    """ts -> the rows p * phi at p = g(1 : t), one for each t of the list ts.
+
+    gens are the coefficient rows of the generators and cols, spans are
+    _column_rows(phi), all over field.  One Vandermonde product evaluates
+    every generator at every t, values[i] = g_i(1, t), and _rows gives
+    every row values * phi.
+    """
+    p = linalg.modulus(field)
+    G, C = linalg.to_np(gens, field), linalg.to_np(cols, field)
+
+    def rows(ts):
+        points = linalg.to_np(ts, field)[0]
+        values = linalg.np_matmul_mod(G, linalg.np_vandermonde(points, G.shape[1] - 1, p), p)
+        return _rows(field, C, spans, values)
+
+    return rows
+
+
+def _fiber_form(row):
+    """The gcd of the nonzero entries of a row p * phi, or None when it vanishes."""
+    entries = [e for e in row if not e.is_zero]
+    return gcd_forms(entries) if entries else None
+
+
+def _proved_fiber(field, t, row):
+    """The fiber form over g(1 : t), proved by the row p * phi mod q, or None.
+
+    The row over QQ vanishes at (1 : t), so its gcd h has degree at least
+    1 and t x - y divides it.  Taken primitive in Z[x, y], h divides every
+    entry over Z_(q) by Gauss's lemma (the entries have no q in their
+    denominators), so h mod q, a nonzero form of degree deg h, divides every
+    residue.  The gcd of the nonzero residues therefore has degree at least
+    deg h.  Degree 1 proves h = t x - y, made monic as gcd_forms makes it.
+    Degree 0 proves that the exact gcd is the constant 1, which
+    _sampled_fiber_degree reports as an image point off the image.  A row
+    that vanishes mod q, or a degree of 2 or more, proves nothing: None.
+    """
+    entries = [e for e in row if not e.is_zero]
+    if not entries:
+        return None
+    degree = gcd_forms(entries).degree
+    if degree == 1:
+        return form(field, [t, field.neg(field.one)]).monic()
+    return constant(field) if degree == 0 else None
 
 
 def _image_fibers(P: Parameterization, phi: SyzygyMatrix, rng, batch: int):
-    """(values, fiber form or None) over the images of points (1 : t), t from rng.
+    """(t, fiber form or None) over the images of points (1 : t), t from rng.
 
     The points are drawn batch at a time, and the first batch is only
     min(2, batch) points when the column degrees of phi are coprime: r
     divides each of them, so then r = 1, and two distinct fibers of degree 1
     end the map-degree sample.  The stream of points is the same either
-    way.  One Vandermonde product evaluates every generator at a batch,
-    values[i] = g_i(1, t), and _rows gives every row values * phi; the
-    fiber form is the gcd of its entries, None when the row vanishes.
+    way.  The rows p * phi come from one evaluation per batch
+    (_row_evaluator); the fiber form is the gcd of a row's entries, None
+    when the row vanishes.
+
+    Over QQ the generators and phi are reduced once mod q = DEFAULT_PRIME
+    (RationalField.reduction), and every row is first formed mod q.  Its
+    fiber form is taken from the residues when they prove it
+    (_proved_fiber), and otherwise from the exact row at that point alone.
+    When q divides a denominator, every row is exact.
     """
     field = P.field
-    p = linalg.modulus(field)
-    G = _gens_array(P)
-    cols = _column_arrays(phi)
+    gens = [list(g.coeffs) for g in P.gens]
+    cols, spans = _column_rows(phi)
+    exact = _row_evaluator(field, gens, cols, spans)
+    reduced = None if field.modular else field.reduction(gens + cols)
+    if reduced is not None:
+        k, residues = reduced
+        mod_q = _row_evaluator(k, residues[: P.n], residues[P.n :], spans)
     size = min(2, batch) if gcd(*phi.col_degrees) == 1 else batch
     while True:
-        points = linalg.to_np([field.rand(rng) for _ in range(size)], field)[0]
+        ts = [field.rand(rng) for _ in range(size)]
         size = batch
-        vals = linalg.np_matmul_mod(G, linalg.np_vandermonde(points, P.d, p), p)
-        for s, row in enumerate(_rows(phi, cols, vals)):
-            entries = [e for e in row if not e.is_zero]
-            yield vals[:, s], gcd_forms(entries) if entries else None
+        if reduced is None:
+            for t, row in zip(ts, exact(ts)):
+                yield t, _fiber_form(row)
+        else:
+            for t, row in zip(ts, mod_q([k.conv(t) for t in ts])):
+                g = _proved_fiber(field, t, row)
+                yield t, _fiber_form(next(exact([t]))) if g is None else g
 
 
 def _nonzero_entries(phi: SyzygyMatrix, p: ProjPointN) -> list:
@@ -435,6 +497,11 @@ def _sampled_fiber_degree(P: Parameterization, phi: SyzygyMatrix, seed, samples)
     are coprime, no later point is drawn: the first batch of _image_fibers
     is two points.  The other batches draw samples points at once, so
     samples is at most MAX_SAMPLES.
+
+    Over QQ each fiber form is read off its row mod q when that proves it
+    (_image_fibers, _proved_fiber): the points, the forms and so s are the
+    same as on the exact route.  A gcd of degree 0 there, or over QQ, is an
+    image point reported off the image, and the error names the exact point.
     """
     if not 1 <= samples <= MAX_SAMPLES:
         raise ValueError(f"need between 1 and {MAX_SAMPLES} fiber samples")
@@ -442,11 +509,11 @@ def _sampled_fiber_degree(P: Parameterization, phi: SyzygyMatrix, seed, samples)
     s = None
     fibers: dict = {}  # a dict keeps the forms distinct and in drawing order
     drawn = 0
-    for values, g in islice(_image_fibers(P, phi, rng, samples), samples + 16):
+    for t, g in islice(_image_fibers(P, phi, rng, samples), samples + 16):
         if g is None:
             continue
         if g.degree < 1:
-            point = ProjPointN.of(P.field, linalg.from_np(values, P.field))
+            point = apply_map(P, ProjPoint1.of(P.field, P.field.one, t))
             raise InternalInvariantViolation(f"image point {point} reported off the image")
         if drawn < samples:
             drawn += 1

@@ -269,7 +269,12 @@ def gcd_forms(forms) -> BinaryForm:
 
 
 def li_dim(forms, degree: int | None = None) -> int:
-    """Dimension of the span of the forms inside their degree slice."""
+    """Dimension of the span of the forms inside their degree slice.
+
+    One linalg.rank of their coefficient rows: over QQ a rank mod q that
+    reaches the number of forms or the slice dimension is proved, and only
+    a lower one runs the Fraction elimination.
+    """
     nonzero = [h for h in forms if not h.is_zero]
     if not nonzero:
         return 0

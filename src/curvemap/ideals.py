@@ -60,7 +60,7 @@ def _slice_rows(J: GradedIdeal, t: int) -> np.ndarray:
 
 
 def slice_rank(J: GradedIdeal, t: int) -> int:
-    return linalg.np_rank(_slice_rows(J, t), linalg.modulus(J.field))
+    return linalg.rank(_slice_rows(J, t), J.field)
 
 
 def power(J: GradedIdeal, t: int) -> GradedIdeal:
@@ -87,16 +87,17 @@ def ideal_equals(J1: GradedIdeal, J2: GradedIdeal) -> bool:
     """
     if set(J1.gens) == set(J2.gens):
         return True
-    p = linalg.modulus(J1.field)
+    field = J1.field
     degrees = {g.degree for g in J1.gens} | {g.degree for g in J2.gens}
     for t in sorted(degrees):
         rows1 = _slice_rows(J1, t)
         both = np.vstack([rows1, _slice_rows(J2, t)])
         n1 = len(rows1)
-        # each half is row-reduced in place, which keeps the span of both
-        r1 = linalg.np_rank(both[:n1], p)
-        if r1 != linalg.np_rank(both[n1:], p):
+        # linalg.rank may row-reduce each half in place, which keeps the
+        # span of both; over QQ through q it leaves them as they were
+        r1 = linalg.rank(both[:n1], field)
+        if r1 != linalg.rank(both[n1:], field):
             return False
-        if r1 and linalg.np_rank(both, p) != r1:
+        if r1 and linalg.rank(both, field) != r1:
             return False
     return True

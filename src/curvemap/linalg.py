@@ -6,7 +6,8 @@ prime field a matrix is an int64 array of residues in [0, p), and p < 2**31
 keeps every product of two residues inside int64.  Over the rationals it is
 an object array of Fractions, and the same code does exact arithmetic on
 them.  The kernels take the modulus p, with p None for the rationals;
-modulus(field), to_np and from_np are the only code that looks at the field.
+modulus(field), to_np, from_np and the rank helpers, which take a rational
+rank mod one prime first, are the only code that looks at the field.
 The reduced row echelon form is unique, so ranks, pivots, kernel bases and
 solutions do not depend on the representation.  Everything is deterministic:
 no pivoting heuristics beyond first-nonzero.
@@ -331,14 +332,43 @@ def from_np(a: np.ndarray, field) -> list:
 
 
 def rank(rows, field) -> int:
-    return np_rank(to_np(rows, field), modulus(field))
+    """Rank of rows: nested lists of field scalars, or an array the caller owns.
+
+    Over QQ the rank is first taken mod q (rank_mod_q).  It is never above
+    the rank over QQ, which is never above min(m, n) for m rows of width n,
+    so a rank mod q of min(m, n) is the rank.  Otherwise, and over a prime
+    field, np_rank gives it, and an array is row-reduced in place; on the
+    mod-q route it is left as it was.
+    """
+    a = rows if isinstance(rows, np.ndarray) else to_np(rows, field)
+    full = min(a.shape)
+    if not field.modular and full and rank_mod_q(a, field) == full:
+        return full
+    return np_rank(a, modulus(field))
+
+
+def rank_mod_q(rows, field):
+    """The rank of rows of rationals mod q = DEFAULT_PRIME, or None when q
+    divides a denominator.
+
+    The residues come from RationalField.reduction, so the rank is never
+    above the rank over QQ: an independent set of rows mod q is independent
+    over QQ.
+    """
+    reduced = field.reduction(rows)
+    if reduced is None:
+        return None
+    k, residues = reduced
+    return np_rank(to_np(residues, k), modulus(k))
 
 
 def np_rank(a: np.ndarray, p) -> int:
     """Rank of an array of residues (or Fractions) that the caller owns.
 
     a is row-reduced in place, which keeps its row space; nothing is copied
-    or reduced mod p again.
+    or reduced mod p again.  With p None this is the Fraction elimination;
+    rank, which tries a rational rank mod q first, may leave its array as
+    it was.
     """
     return len(np_rref(a, p)[1])
 

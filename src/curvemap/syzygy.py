@@ -428,7 +428,11 @@ def hilbert_burch(P: Parameterization) -> SyzygyMatrix:
     them.  The columns are scaled so their first nonzero coefficient is one.
 
     Over QQ each kernel is lifted from primes and proved exactly
-    (syzygies_in_degree); admission stays exact.
+    (syzygies_in_degree).  Admission first takes the rank of [multiples;
+    first need kernel vectors] mod q (linalg.rank_mod_q): full row rank mod
+    q is full row rank over QQ, and then the row rank profile admits all of
+    that prefix, so the first need vectors are the new ones.  Otherwise, or
+    when q divides a denominator, the exact elimination admits them.
 
     Monomial input runs no elimination before _certify: its kernels have a
     closed form (_monomial_kernel), and since every row to admit is then a
@@ -452,10 +456,16 @@ def hilbert_burch(P: Parameterization) -> SyzygyMatrix:
             new = _forest_admission(accepted, kv, t, need)
         elif accepted:
             old = _multiples(accepted, t, n)
-            # pivot columns of the transpose: the rows independent of all
-            # earlier rows, so the same vectors as admitting one at a time
-            piv = linalg.np_rref(np.vstack([old, kv]).T.copy(), p)[1]
-            new = [c - len(old) for c in piv if c >= len(old)][:need]
+            head = len(old) + need
+            if not field.modular and linalg.rank_mod_q(np.vstack([old, kv[:need]]), field) == head:
+                # independent mod q, so over QQ: the row rank profile
+                # admits the first need kernel vectors
+                new = list(range(need))
+            else:
+                # pivot columns of the transpose: the rows independent of all
+                # earlier rows, so the same vectors as admitting one at a time
+                piv = linalg.np_rref(np.vstack([old, kv]).T.copy(), p)[1]
+                new = [c - len(old) for c in piv if c >= len(old)][:need]
         else:
             # a kernel basis is independent, so its first vectors are new
             new = list(range(min(need, len(kv))))

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from curvemap import (
+    DEFAULT_PRIME,
     CertificationFailed,
+    CurvemapError,
     Parameterization,
     QQ,
     SyzygyMatrix,
@@ -274,6 +276,49 @@ def test_hilbert_burch_matches_one_by_one_admission(field):
                 assert k.dtype == ref.dtype and k.shape == ref.shape, (P, t)
                 assert (k == ref).all(), (P, t)
         assert hilbert_burch(P) == reference_hilbert_burch(P), P
+
+
+def sparse_maps(rng, count):
+    """Non-monomial QQ maps with coefficients -1, 0 and 1, most of them 0."""
+    maps = []
+    while len(maps) < count:
+        n = rng.randint(3, 5)
+        d = rng.randint(n, 8)
+        gens = [form(QQ, [rng.choice([-1, 0, 0, 0, 1]) for _ in range(d + 1)]) for _ in range(n)]
+        try:
+            P = Parameterization.build(QQ, gens)
+        except CurvemapError:
+            continue
+        if not P.is_monomial and len(syzygy._column_degree_counts(P)) > 1:
+            maps.append(P)
+    return maps
+
+
+def test_rational_admission_off_the_kernel_prefix_matches_one_by_one_admission(
+    build, monkeypatch
+):
+    # over QQ the first need kernel vectors are admitted at once when they
+    # and the multiples of the accepted columns are independent mod q; a
+    # sparse map often admits later ones, and a denominator divisible by q
+    # proves nothing, so both go through the exact elimination
+    ranks = []
+    real = linalg.rank_mod_q
+
+    def spy(rows, field):
+        r = real(rows, field)
+        ranks.append(None if r is None else r == len(rows))
+        return r
+
+    monkeypatch.setattr(linalg, "rank_mod_q", spy)
+    q = DEFAULT_PRIME
+    cases = sparse_maps(random.Random("syzygy-sparse"), 12)
+    cases += [
+        build(f"x^5 + 1/{q}*x^2*y^3", "x^4*y", "y^5", f=QQ),
+        build("x^5", f"x^4*y + 1/{q}*x*y^4", "y^5 + x^3*y^2", f=QQ),
+    ]
+    for P in cases:
+        assert hilbert_burch(P) == reference_hilbert_burch(P), P
+    assert set(ranks) == {True, False, None}
 
 
 def test_syzygies_in_degree_rows_are_syzygies(field, build):
