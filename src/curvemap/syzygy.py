@@ -9,6 +9,7 @@ and the generators are recovered as signed maximal minors up to one unit.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
@@ -20,6 +21,11 @@ from .errors import CertificationFailed, InternalInvariantViolation
 from .field import reduction_primes
 from .forms import BinaryForm, form, format_form
 from .param import Parameterization
+
+# While hilbert_burch runs, the last echelon form _ideal_dims made, as
+# (p, G, reduced, pivots): syzygies_in_degree(P, t) reads each kernel off
+# it (_read_off) with no argument added to its signature.
+_ECHELON: ContextVar = ContextVar("_ECHELON", default=None)
 
 
 @dataclass(frozen=True)
@@ -99,17 +105,59 @@ def syzygies_in_degree(P: Parameterization, t: int) -> np.ndarray:
     unique, and it is the row for c.  When the lift fails, the exact
     elimination gives the kernel; it stays the reference.
 
-    Monomial input, over either field, needs no elimination: the same
-    reduced kernel has a closed form (_monomial_kernel).
+    Over F_p, inside hilbert_burch, the kernel is read off the echelon form
+    that gave the column degrees (_read_off), with no elimination of M;
+    called on its own, np_kernel eliminates M.  Monomial input, over either
+    field, needs no elimination: the same reduced kernel has a closed form
+    (_monomial_kernel).
     """
     if P.is_monomial:
         return _monomial_kernel(P, t)
-    if not P.field.modular:
-        k = _lifted_kernel(P, t)
-        if k is not None:
-            return k
-    m = _multiplication_matrix(_gens_array(P), t)
-    return linalg.np_kernel(m, linalg.modulus(P.field))
+    p = linalg.modulus(P.field)
+    k = _lifted_kernel(P, t) if p is None else _read_off(_gens_array(P), p, t)
+    if k is None:
+        k = linalg.np_kernel(_multiplication_matrix(_gens_array(P), t), p)
+    return k
+
+
+def _by_shift(n: int, t: int) -> np.ndarray:
+    """The columns of _multiplication_matrix(G, t) ordered by k, then by i.
+
+    Entry k*n + i is column i*(t+1) + k, the multiple x^(t-k) y^k g_i.
+    """
+    return np.arange(n * (t + 1)).reshape(n, t + 1).T.ravel()
+
+
+def _read_off(G: np.ndarray, p: int, t: int):
+    """np_kernel(M_t, p) for M_t = _multiplication_matrix(G, t), read off the
+    echelon form R that _ideal_dims left while hilbert_burch runs, or None
+    when R is not an elimination of G mod p at a width T >= t.
+
+    R reduces _multiplication_matrix(G, T) in the _by_shift order.  Its
+    leading w = n (t+1) columns are x^(T-t) times those of M_t in that
+    order, so they have the same linear relations: each free column c < w
+    of R gives the syzygy e_c - sum_q R[q, c] e_(pivot q), and these span
+    the kernel.  np_kernel's row for a free column c of M_t is one at c and
+    zero at every other free column and after c: with the columns reversed,
+    its basis is the reduced row echelon form of the kernel, which is
+    unique, so one np_rref of the reversed vectors gives the same array.
+    """
+    echelon = _ECHELON.get()
+    if not echelon:
+        return None
+    q, H, red, pivots = echelon
+    n = G.shape[0]
+    w = n * (t + 1)
+    if q != p or red.shape[1] < w or not np.array_equal(H, G):
+        return None
+    r = int(np.searchsorted(pivots, w))
+    free = np.setdiff1d(np.arange(w), pivots[:r])
+    k = np.zeros((free.size, w), dtype=np.int64)
+    k[np.arange(free.size), free] = 1
+    k[:, pivots[:r]] = -red[:r, free].T % p
+    by_gen = np.empty_like(k)
+    by_gen[:, _by_shift(n, t)] = k
+    return linalg.np_rref(by_gen[:, ::-1].copy(), p)[0][::-1, ::-1].copy()
 
 
 def _monomial_kernel(P: Parameterization, t: int) -> np.ndarray:
@@ -196,7 +244,9 @@ def _lifted_kernel(P: Parameterization, t: int):
 
     The generators are reduced mod q = DEFAULT_PRIME, then mod each prime
     below it (reduction_primes, RationalField.reduction), and np_kernel
-    gives the residue kernel of M, the identity on its free set F.  The rank
+    gives the residue kernel of M, the identity on its free set F.  Inside
+    hilbert_burch the kernel mod q is read off the echelon form mod q that
+    gave the column degrees (_read_off), the same array.  The rank
     of every leading block of columns of M mod a prime is at most its rank
     over QQ, so no prime has fewer free columns than QQ, and one with as
     many has each of them at or before the QQ one.  So a prime whose F has
@@ -224,7 +274,10 @@ def _lifted_kernel(P: Parameterization, t: int):
         if reduced is None:
             return None
         field_q, residues_q = reduced
-        k = linalg.np_kernel(_multiplication_matrix(linalg.to_np(residues_q, field_q), t), q)
+        gens_q = linalg.to_np(residues_q, field_q)
+        k = _read_off(gens_q, q, t)
+        if k is None:
+            k = linalg.np_kernel(_multiplication_matrix(gens_q, t), q)
         # the last nonzero of a reduced kernel row is its free column
         free = [int(np.flatnonzero(v)[-1]) for v in k]
         key = (-len(free), free)
@@ -278,36 +331,53 @@ def _ideal_dims(G: np.ndarray, field, top: int) -> list:
     """[dim I_d, dim I_(d+1), ..., dim I_(d+top)] of the ideal of the generator rows G.
 
     One row reduction of _multiplication_matrix(G, top), its columns ordered
-    by k, then by i: column k*n + i is x^(top-k) y^k g_i.  The first
-    n (t+1) columns, those with k <= t, span x^(top-t) I_(d+t), which has
-    the dimension of I_(d+t), so dim I_(d+t) is the number of pivots before
-    column n (t+1).
+    by k, then by i (_by_shift): column k*n + i is x^(top-k) y^k g_i.  The
+    first n (t+1) columns, those with k <= t, span x^(top-t) I_(d+t), which
+    has the dimension of I_(d+t), so dim I_(d+t) is the number of pivots
+    before column n (t+1).  While hilbert_burch runs, the echelon form is
+    kept for it: every kernel of degree t <= top is read off it (_read_off).
     """
     n = G.shape[0]
-    # column i*(top+1) + k of the matrix moves to k*n + i
-    order = np.arange(n * (top + 1)).reshape(n, top + 1).T.ravel()
-    pivots = linalg.np_rref(_multiplication_matrix(G, top)[:, order], linalg.modulus(field))[1]
+    p = linalg.modulus(field)
+    red, pivots = linalg.np_rref(_multiplication_matrix(G, top)[:, _by_shift(n, top)], p)
+    if _ECHELON.get() is not None:
+        _ECHELON.set((p, G, red, pivots))
     return np.searchsorted(pivots, n * np.arange(1, top + 2)).tolist()
+
+
+def _counts(dims: list, n: int) -> dict:
+    """The multiplicity of each column degree t < len(dims), from dims[t] = dim I_(d+t).
+
+    The syzygy module of an m-primary ideal in two variables is free, so
+    dim Syz_t = n (t+1) - dim I_(d+t) = sum_j max(0, t - D_j + 1), and its
+    second difference counts the columns of degree exactly t.
+    """
+    # syz[t + 1] = dim Syz_t, with dim Syz_(-1) = 0
+    syz = [0] + [n * (t + 1) - v for t, v in enumerate(dims)]
+    return {t: c for t in range(1, len(dims)) if (c := syz[t + 1] - 2 * syz[t] + syz[t - 1])}
 
 
 def _column_degree_counts(P: Parameterization) -> dict:
     """Multiplicity of each column degree, read off the ideal's Hilbert function.
 
-    The syzygy module of an m-primary ideal in two variables is free, so
-    dim Syz_t = sum_j max(0, t - D_j + 1); the second difference of that
-    sequence counts the columns of degree exactly t.  The n - 1 column
-    degrees are positive and sum to d, so none passes top = d - n + 2, and
-    dim I_(d+t) for t <= top comes from one elimination (_ideal_dims).
-    Monomial input counts exponent intervals instead.
+    The n - 1 column degrees are positive and sum to d, so none passes
+    top = d - n + 2, and the largest is at least ceil(d / (n-1)).  Monomial
+    input counts exponent intervals up to top.  Other input is eliminated
+    up to a width T (_ideal_dims) that starts at ceil(d / (n-1)) and doubles,
+    up to top, only while the counts of the degrees t <= T do not yet give
+    n - 1 columns summing to d.  The dims up to T are exact at any T, so
+    the counts up to T are too, and once they give n - 1 columns every
+    column is found.
 
     Over QQ, non-monomial input is eliminated mod q first, on the generators
     reduced by RationalField.reduction.  I_(d+t) is spanned by the n (t+1)
     multiples x^(t-k) y^k g_i and lies in the d+t+1 forms of degree d+t, so
     min(n (t+1), d+t+1) bounds it, and a rank mod q is never above the rank
-    over QQ: when every dim mod q meets its bound, they are the exact dims.
-    Otherwise, or when q divides a denominator, one exact elimination gives
-    them.  Unlike the bound of the Hilbert table of A, which needs the
-    certified e(A), this one holds for every input.
+    over QQ: while every dim mod q meets its bound, they are the exact dims.
+    At the first miss, or when q divides a denominator, one exact
+    elimination up to top gives them.  Unlike the bound of the Hilbert
+    table of A, which needs the certified e(A), this one holds for every
+    input.
     """
     n, d = P.n, P.d
     top = d - n + 2
@@ -319,25 +389,36 @@ def _column_degree_counts(P: Parameterization) -> dict:
             t + 1 + sum(min(t + 1, a[i + 1] - a[i]) for i in range(n - 1))
             for t in range(top + 1)
         ]
-    elif P.field.modular:
-        dims = _ideal_dims(_gens_array(P), P.field, top)
+        counts = _counts(dims, n)
     else:
         bounds = [min(n * (t + 1), d + t + 1) for t in range(top + 1)]
-        reduced = P.field.reduction([list(g.coeffs) for g in P.gens])
-        dims = None
-        if reduced is not None:
-            field, rows = reduced
-            dims = _ideal_dims(linalg.to_np(rows, field), field, top)
-        if dims != bounds:
-            dims = _ideal_dims(_gens_array(P), P.field, top)
-    # syz[t + 1] = dim Syz_t, with dim Syz_(-1) = 0
-    syz = [0] + [n * (t + 1) - dims[t] for t in range(top + 1)]
-    counts = {t: c for t in range(1, top + 1) if (c := syz[t + 1] - 2 * syz[t] + syz[t - 1])}
-    if sum(counts.values()) != n - 1 or sum(t * c for t, c in counts.items()) != d:
+        field, G, counts = P.field, None, None
+        if field.modular:
+            G = _gens_array(P)
+        elif (reduced := field.reduction([list(g.coeffs) for g in P.gens])) is not None:
+            field, G = reduced[0], linalg.to_np(reduced[1], reduced[0])
+        T = -(-d // (n - 1))
+        while G is not None:
+            dims = _ideal_dims(G, field, T)
+            if not P.field.modular and dims != bounds[: T + 1]:
+                break
+            found = _counts(dims, n)
+            if T == top or _complete(found, n, d):
+                counts = found
+                break
+            T = min(2 * T, top)
+        if counts is None:
+            counts = _counts(_ideal_dims(_gens_array(P), P.field, top), n)
+    if not _complete(counts, n, d):
         raise InternalInvariantViolation(
             f"column degrees {counts} do not give {n - 1} columns summing to {d}"
         )
     return counts
+
+
+def _complete(counts: dict, n: int, d: int) -> bool:
+    """Whether counts give n - 1 columns whose degrees sum to d."""
+    return sum(counts.values()) == n - 1 and sum(t * c for t, c in counts.items()) == d
 
 
 def _multiples(accepted: list, t: int, n: int) -> np.ndarray:
@@ -420,8 +501,10 @@ def hilbert_burch(P: Parameterization) -> SyzygyMatrix:
     """The minimal syzygy matrix: n-1 columns, degrees summing to d.
 
     Column degrees come first, from the Hilbert function of the ideal, read
-    off the pivots of one elimination (_column_degree_counts).  Then one kernel
-    computation per distinct degree.  At each degree, kernel vectors are
+    off the pivots of one elimination, as wide as the largest column degree
+    needs (_column_degree_counts).  Then one kernel per distinct degree,
+    read off that same echelon form over F_p, and mod q over QQ, with no
+    second elimination (syzygies_in_degree).  At each degree, kernel vectors are
     admitted only when independent of the multiples of the already-accepted
     columns, in kernel basis order, which makes the output deterministic:
     one row-rank-profile elimination of [multiples; kernel vectors] picks
@@ -447,41 +530,53 @@ def hilbert_burch(P: Parameterization) -> SyzygyMatrix:
     field = P.field
     p = linalg.modulus(field)
     n = P.n
-    counts = _column_degree_counts(P)
-    accepted: list = []
-    for t in sorted(counts):
-        need = counts[t]
-        kv = syzygies_in_degree(P, t)
-        if accepted and P.is_monomial:
-            new = _forest_admission(accepted, kv, t, need)
-        elif accepted:
-            old = _multiples(accepted, t, n)
-            head = len(old) + need
-            if not field.modular and linalg.rank_mod_q(np.vstack([old, kv[:need]]), field) == head:
-                # independent mod q, so over QQ: the row rank profile
-                # admits the first need kernel vectors
-                new = list(range(need))
+    token = _ECHELON.set(())
+    try:
+        counts = _column_degree_counts(P)
+        accepted: list = []
+        for t in sorted(counts):
+            need = counts[t]
+            kv = syzygies_in_degree(P, t)
+            if accepted and P.is_monomial:
+                new = _forest_admission(accepted, kv, t, need)
+            elif accepted:
+                old = _multiples(accepted, t, n)
+                head = len(old) + need
+                if (
+                    not field.modular
+                    and linalg.rank_mod_q(np.vstack([old, kv[:need]]), field) == head
+                ):
+                    # independent mod q, so over QQ: the row rank profile
+                    # admits the first need kernel vectors
+                    new = list(range(need))
+                else:
+                    # pivot columns of the transpose: the rows independent of all
+                    # earlier rows, so the same vectors as admitting one at a time
+                    piv = linalg.np_rref(np.vstack([old, kv]).T.copy(), p)[1]
+                    new = [c - len(old) for c in piv if c >= len(old)][:need]
             else:
-                # pivot columns of the transpose: the rows independent of all
-                # earlier rows, so the same vectors as admitting one at a time
-                piv = linalg.np_rref(np.vstack([old, kv]).T.copy(), p)[1]
-                new = [c - len(old) for c in piv if c >= len(old)][:need]
-        else:
-            # a kernel basis is independent, so its first vectors are new
-            new = list(range(min(need, len(kv))))
-        if len(new) != need:
-            raise InternalInvariantViolation(
-                f"found {len(new)} of {need} new syzygies in degree {t}"
-            )
-        accepted += [(t, kv[i]) for i in new]
+                # a kernel basis is independent, so its first vectors are new
+                new = list(range(min(need, len(kv))))
+            if len(new) != need:
+                raise InternalInvariantViolation(
+                    f"found {len(new)} of {need} new syzygies in degree {t}"
+                )
+            accepted += [(t, kv[i]) for i in new]
+    finally:
+        _ECHELON.reset(token)
     cols = []
     for D, vec in accepted:
         vals = linalg.from_np(vec, field)
         c = field.inv(next(v for v in vals if v))
         cols.append((D, [field.mul(c, v) for v in vals]))
     _certify(P, cols)
+    # the entries are field scalars already: no form() conversion
+    zero = form(field, [])
     columns = tuple(
-        tuple(form(field, v[i * (D + 1) : (i + 1) * (D + 1)]) for i in range(n))
+        tuple(
+            BinaryForm(field, tuple(e)) if any(e) else zero
+            for e in (v[i * (D + 1) : (i + 1) * (D + 1)] for i in range(n))
+        )
         for D, v in cols
     )
     return SyzygyMatrix(field, n, tuple(D for D, _ in cols), columns)

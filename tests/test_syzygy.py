@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,8 @@ from curvemap.corpus import exhaustive_monomial
 from curvemap.forms import monomial
 from curvemap.linalg import Echelon, modulus, np_kernel, np_rref, to_np
 from curvemap.syzygy import syzygies_in_degree
-from test_degree_certificate import composed_map
+from test_degree_certificate import composed_map, dense_map
+from test_rational_phi import rational_map
 
 
 def frozen_cases():
@@ -333,6 +335,117 @@ def test_syzygies_in_degree_rows_are_syzygies(field, build):
 
 
 # ---------------------------------------------------------------------------
+# column degrees and kernels read off one truncated echelon form
+
+IDEAL_DIMS = syzygy._ideal_dims
+
+
+def widening_maps(field):
+    """Maps whose largest column degree is above ceil(d / (n-1)), and one that
+    is not: degrees (3, 6), (3, 3, 6), (6, 9), (1, 1, 10) and (2, 3)."""
+    rng = random.Random("syzygy-widening")
+    maps = [composed_map(field, rng, n, 3, e)[0] for n, e in [(3, 3), (4, 4), (3, 5)]]
+    for texts in [
+        ("x^12", "x^11*y", "x^10*y^2", "y^12 + x*y^11"),
+        ("x^5", "x^4*y + y^5", "y^5 + x*y^4"),
+    ]:
+        maps.append(Parameterization.build(field, [parse_form(field, s) for s in texts]))
+    return maps
+
+
+def full_width_counts(P):
+    """The column degree counts from one elimination up to top = d - n + 2."""
+    top = P.d - P.n + 2
+    return syzygy._counts(IDEAL_DIMS(syzygy._gens_array(P), P.field, top), P.n)
+
+
+def widths(P, largest):
+    """ceil(d / (n-1)), doubled up to top until it reaches the largest column degree."""
+    T, top = -(-P.d // (P.n - 1)), P.d - P.n + 2
+    out = [T]
+    while T < largest:
+        T = min(2 * T, top)
+        out.append(T)
+    return out
+
+
+@pytest.fixture
+def read_off(monkeypatch):
+    """Every width _ideal_dims eliminates at, and every _read_off call with its result."""
+    log = {"widths": [], "kernels": []}
+    real_read = syzygy._read_off
+
+    def dims(G, field, top):
+        log["widths"].append((modulus(field), top))
+        return IDEAL_DIMS(G, field, top)
+
+    def read(G, p, t):
+        k = real_read(G, p, t)
+        log["kernels"].append((G, p, t, k))
+        return k
+
+    monkeypatch.setattr(syzygy, "_ideal_dims", dims)
+    monkeypatch.setattr(syzygy, "_read_off", read)
+    return log
+
+
+def test_one_truncated_echelon_gives_phi_over_a_prime_field(field, read_off, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("np_kernel ran")
+
+    rng = random.Random("syzygy-large")
+    cases = [dense_map(field, rng, n, d) for n, d in [(6, 60), (8, 80), (4, 100)]]
+    widened = 0
+    for P in cases + widening_maps(field):
+        counts = full_width_counts(P)
+        read_off["widths"].clear()
+        read_off["kernels"].clear()
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "np_kernel", no_kernel)
+            phi = hilbert_burch(P)
+        assert Counter(phi.col_degrees) == counts, P
+        assert verify_hilbert_burch(P, phi)
+        want = widths(P, max(counts))
+        assert read_off["widths"] == [(field.p, T) for T in want], P
+        widened += len(want) > 1
+        assert [t for _, _, t, _ in read_off["kernels"]] == sorted(counts), P
+        for G, p, t, k in read_off["kernels"]:
+            ref = np_kernel(syzygy._multiplication_matrix(G, t), p)
+            assert k.dtype == ref.dtype and k.shape == ref.shape, (P, t)
+            assert (k == ref).all(), (P, t)
+    assert widened == 4
+
+
+def test_kernels_mod_q_are_read_off_the_echelon_of_the_column_degrees(read_off):
+    # dims mod q that all meet their bounds give balanced column degrees,
+    # the largest ceil(d / (n-1)), so no widening, and the lift reads its
+    # kernels mod q off that echelon; a map that would widen misses a
+    # bound, and its column degrees come from one exact elimination up to top
+    rng = random.Random("syzygy-read-off-qq")
+    cases = [rational_map(rng, n, d, 9) for n, d in [(3, 7), (4, 12), (5, 16), (4, 20)]]
+    widened = 0
+    for P in cases + widening_maps(QQ):
+        counts = full_width_counts(P)
+        read_off["widths"].clear()
+        read_off["kernels"].clear()
+        phi = hilbert_burch(P)
+        assert Counter(phi.col_degrees) == counts, P
+        first, top = -(-P.d // (P.n - 1)), P.d - P.n + 2
+        mod_q = [(G, p, t, k) for G, p, t, k in read_off["kernels"] if k is not None]
+        if max(counts) == first:
+            assert read_off["widths"] == [(DEFAULT_PRIME, first)], P
+            assert [t for _, _, t, _ in mod_q] == sorted(counts), P
+        else:
+            assert read_off["widths"] == [(DEFAULT_PRIME, first), (None, top)], P
+            assert not mod_q, P
+            widened += 1
+        for G, p, t, k in mod_q:
+            ref = np_kernel(syzygy._multiplication_matrix(G, t), p)
+            assert p == DEFAULT_PRIME and k.shape == ref.shape and (k == ref).all(), (P, t)
+    assert widened == 4
+
+
+# ---------------------------------------------------------------------------
 # the certificate on the production path
 
 
@@ -378,6 +491,26 @@ def test_corrupted_admitted_column_exits_2(tmp_path, capsys, monkeypatch, fault)
     assert err.startswith("computation failed:") and "not a syzygy" in err
 
 
+@pytest.mark.parametrize("mode", ["prime 2147483647", "rational"])
+def test_corrupted_kernel_of_a_dense_map_exits_2(tmp_path, capsys, monkeypatch, mode):
+    # column degrees 2 and 3: the first degree-2 kernel row is admitted, and
+    # one more unit in its first entry adds x^2 g_1, which is no syzygy
+    path = tmp_path / "not-monomial.txt"
+    path.write_text(f"field: {mode}\nx^5\nx^4*y + y^5\ny^5 + x*y^4\n")
+    real = syzygy.syzygies_in_degree
+
+    def corrupted(P, t):
+        kv = real(P, t)
+        if t == 2:
+            kv[0, 0] = P.field.add(kv[0, 0], P.field.one)
+        return kv
+
+    monkeypatch.setattr(syzygy, "syzygies_in_degree", corrupted)
+    assert cli.main(["analyze", str(path), "--deterministic"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("computation failed:") and "column 1" in err and "not a syzygy" in err
+
+
 @pytest.fixture
 def elimination_calls(monkeypatch):
     """np_kernel and np_rref calls, each as (name, inside _certify)."""
@@ -415,10 +548,11 @@ def test_monomial_hilbert_burch_eliminates_only_to_certify(field, build, elimina
         # a second column degree goes through admission
         admitted += len(set(phi.col_degrees)) > 1
     assert admitted >= 3
-    # the same spy sees both eliminations on a map that is not monomial
+    # on a map that is not monomial the same spy sees eliminations, but no
+    # np_kernel: every kernel is read off the echelon of the column degrees
     elimination_calls.clear()
     hilbert_burch(build("x^5", "x^4*y + y^5", "y^5 + x*y^4"))
-    assert ("np_kernel", False) in elimination_calls
+    assert ("np_kernel", False) not in elimination_calls
     assert ("np_rref", False) in elimination_calls
 
 
