@@ -9,6 +9,7 @@ and the generators are recovered as signed maximal minors up to one unit.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,10 +107,10 @@ def syzygies_in_degree(P: Parameterization, t: int) -> np.ndarray:
     elimination gives the kernel; it stays the reference.
 
     Over F_p, inside hilbert_burch, the kernel is read off the echelon form
-    that gave the column degrees (_read_off), with no elimination of M;
-    called on its own, np_kernel eliminates M.  Monomial input, over either
-    field, needs no elimination: the same reduced kernel has a closed form
-    (_monomial_kernel).
+    that gave the column degrees (_read_off), with no elimination of M; past
+    that echelon's width, or called on its own, np_kernel eliminates M.
+    Monomial input, over either field, needs no elimination: the same
+    reduced kernel has a closed form (_monomial_kernel).
     """
     if P.is_monomial:
         return _monomial_kernel(P, t)
@@ -150,8 +151,10 @@ def _read_off(G: np.ndarray, p: int, t: int):
     w = n * (t + 1)
     if q != p or red.shape[1] < w or not np.array_equal(H, G):
         return None
-    r = int(np.searchsorted(pivots, w))
-    free = np.setdiff1d(np.arange(w), pivots[:r])
+    r = bisect_left(pivots, w)
+    free = np.ones(w, dtype=bool)
+    free[pivots[:r]] = False
+    free = np.flatnonzero(free)
     k = np.zeros((free.size, w), dtype=np.int64)
     k[np.arange(free.size), free] = 1
     k[:, pivots[:r]] = -red[:r, free].T % p
@@ -361,26 +364,29 @@ def _column_degree_counts(P: Parameterization) -> dict:
     """Multiplicity of each column degree, read off the ideal's Hilbert function.
 
     The n - 1 column degrees are positive and sum to d, so none passes
-    top = d - n + 2, and the largest is at least ceil(d / (n-1)).  Monomial
-    input counts exponent intervals up to top.  Other input is eliminated
-    up to a width T (_ideal_dims) that starts at ceil(d / (n-1)) and doubles,
-    up to top, only while the counts of the degrees t <= T do not yet give
-    n - 1 columns summing to d.  The dims up to T are exact at any T, so
-    the counts up to T are too, and once they give n - 1 columns every
-    column is found.
+    top = d - n + 2, and the largest is at least T = ceil(d / (n-1)).
+    Monomial input counts exponent intervals up to top.  Other input is
+    eliminated up to T (_ideal_dims), which gives dim I_(d+t), and so the
+    count of each degree t, exactly for every t <= T.  Balanced degrees are
+    then all found.  When one column is still missing, its degree is d minus
+    the sum of the others.  When m >= 2 are, each has degree above T and
+    they sum to the rest, so none passes rest - (m-1) (T+1), and one more
+    elimination up to that width finds them all.
 
     Over QQ, non-monomial input is eliminated mod q first, on the generators
     reduced by RationalField.reduction.  I_(d+t) is spanned by the n (t+1)
     multiples x^(t-k) y^k g_i and lies in the d+t+1 forms of degree d+t, so
     min(n (t+1), d+t+1) bounds it, and a rank mod q is never above the rank
-    over QQ: while every dim mod q meets its bound, they are the exact dims.
-    At the first miss, or when q divides a denominator, one exact
-    elimination up to top gives them.  Unlike the bound of the Hilbert
-    table of A, which needs the certified e(A), this one holds for every
-    input.
+    over QQ: when every dim mod q up to T meets its bound, they are the
+    exact dims, and dim Syz_t = max(0, (n-1)(t+1) - d) gives balanced
+    degrees, all found at T.  Otherwise, or when q divides a denominator,
+    one exact elimination up to top gives them.  Unlike the bound of the
+    Hilbert table of A, which needs the certified e(A), this one holds for
+    every input.
     """
     n, d = P.n, P.d
     top = d - n + 2
+    T = -(-d // (n - 1))
     if P.is_monomial:
         # the multiples of x^a y^(d-a) in degree d+t occupy [a, a+t] in
         # y-shift; count the union of those intervals over sorted exponents
@@ -390,35 +396,30 @@ def _column_degree_counts(P: Parameterization) -> dict:
             for t in range(top + 1)
         ]
         counts = _counts(dims, n)
+    elif P.field.modular:
+        G = _gens_array(P)
+        counts = _counts(_ideal_dims(G, P.field, T), n)
+        missing = n - 1 - sum(counts.values())
+        rest = d - sum(t * c for t, c in counts.items())
+        if missing == 1:
+            counts[rest] = 1
+        elif missing:
+            counts = _counts(_ideal_dims(G, P.field, rest - (missing - 1) * (T + 1)), n)
     else:
-        bounds = [min(n * (t + 1), d + t + 1) for t in range(top + 1)]
-        field, G, counts = P.field, None, None
-        if field.modular:
-            G = _gens_array(P)
-        elif (reduced := field.reduction([list(g.coeffs) for g in P.gens])) is not None:
-            field, G = reduced[0], linalg.to_np(reduced[1], reduced[0])
-        T = -(-d // (n - 1))
-        while G is not None:
-            dims = _ideal_dims(G, field, T)
-            if not P.field.modular and dims != bounds[: T + 1]:
-                break
-            found = _counts(dims, n)
-            if T == top or _complete(found, n, d):
-                counts = found
-                break
-            T = min(2 * T, top)
+        counts = None
+        reduced = P.field.reduction([list(g.coeffs) for g in P.gens])
+        if reduced is not None:
+            field, rows = reduced
+            dims = _ideal_dims(linalg.to_np(rows, field), field, T)
+            if dims == [min(n * (t + 1), d + t + 1) for t in range(T + 1)]:
+                counts = _counts(dims, n)
         if counts is None:
             counts = _counts(_ideal_dims(_gens_array(P), P.field, top), n)
-    if not _complete(counts, n, d):
+    if sum(counts.values()) != n - 1 or sum(t * c for t, c in counts.items()) != d:
         raise InternalInvariantViolation(
             f"column degrees {counts} do not give {n - 1} columns summing to {d}"
         )
     return counts
-
-
-def _complete(counts: dict, n: int, d: int) -> bool:
-    """Whether counts give n - 1 columns whose degrees sum to d."""
-    return sum(counts.values()) == n - 1 and sum(t * c for t, c in counts.items()) == d
 
 
 def _multiples(accepted: list, t: int, n: int) -> np.ndarray:
@@ -501,14 +502,15 @@ def hilbert_burch(P: Parameterization) -> SyzygyMatrix:
     """The minimal syzygy matrix: n-1 columns, degrees summing to d.
 
     Column degrees come first, from the Hilbert function of the ideal, read
-    off the pivots of one elimination, as wide as the largest column degree
-    needs (_column_degree_counts).  Then one kernel per distinct degree,
-    read off that same echelon form over F_p, and mod q over QQ, with no
-    second elimination (syzygies_in_degree).  At each degree, kernel vectors are
-    admitted only when independent of the multiples of the already-accepted
-    columns, in kernel basis order, which makes the output deterministic:
-    one row-rank-profile elimination of [multiples; kernel vectors] picks
-    them.  The columns are scaled so their first nonzero coefficient is one.
+    off the pivots of one elimination (_column_degree_counts).  Then one
+    kernel per distinct degree, read off that same echelon form over F_p,
+    and mod q over QQ, with no second elimination; only a degree past its
+    width is eliminated on its own (syzygies_in_degree).  At each degree,
+    kernel vectors are admitted only when independent of the multiples of
+    the already-accepted columns, in kernel basis order, which makes the
+    output deterministic: one row-rank-profile elimination of [multiples;
+    kernel vectors] picks them.  The columns are scaled so their first
+    nonzero coefficient is one.
 
     Over QQ each kernel is lifted from primes and proved exactly
     (syzygies_in_degree).  Admission first takes the rank of [multiples;

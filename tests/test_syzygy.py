@@ -340,11 +340,12 @@ def test_syzygies_in_degree_rows_are_syzygies(field, build):
 IDEAL_DIMS = syzygy._ideal_dims
 
 
-def widening_maps(field):
+def unbalanced_maps(field, composed=((3, 3), (4, 4), (3, 5), (5, 6))):
     """Maps whose largest column degree is above ceil(d / (n-1)), and one that
-    is not: degrees (3, 6), (3, 3, 6), (6, 9), (1, 1, 10) and (2, 3)."""
+    is not: degrees (3, 6), (3, 3, 6), (6, 9) and (3, 3, 6, 6) from the
+    composed (n, e), then (1, 1, 10) and (2, 3)."""
     rng = random.Random("syzygy-widening")
-    maps = [composed_map(field, rng, n, 3, e)[0] for n, e in [(3, 3), (4, 4), (3, 5)]]
+    maps = [composed_map(field, rng, n, 3, e)[0] for n, e in composed]
     for texts in [
         ("x^12", "x^11*y", "x^10*y^2", "y^12 + x*y^11"),
         ("x^5", "x^4*y + y^5", "y^5 + x*y^4"),
@@ -359,21 +360,12 @@ def full_width_counts(P):
     return syzygy._counts(IDEAL_DIMS(syzygy._gens_array(P), P.field, top), P.n)
 
 
-def widths(P, largest):
-    """ceil(d / (n-1)), doubled up to top until it reaches the largest column degree."""
-    T, top = -(-P.d // (P.n - 1)), P.d - P.n + 2
-    out = [T]
-    while T < largest:
-        T = min(2 * T, top)
-        out.append(T)
-    return out
-
-
 @pytest.fixture
 def read_off(monkeypatch):
-    """Every width _ideal_dims eliminates at, and every _read_off call with its result."""
-    log = {"widths": [], "kernels": []}
-    real_read = syzygy._read_off
+    """Every width _ideal_dims eliminates at, every _read_off call with its
+    result, and the degree of every np_kernel call."""
+    log = {"widths": [], "kernels": [], "np_kernel": []}
+    real_read, real_kernel = syzygy._read_off, linalg.np_kernel
 
     def dims(G, field, top):
         log["widths"].append((modulus(field), top))
@@ -384,50 +376,68 @@ def read_off(monkeypatch):
         log["kernels"].append((G, p, t, k))
         return k
 
+    def kernel(a, p):
+        log["np_kernel"].append((p, a.shape[1]))
+        return real_kernel(a, p)
+
     monkeypatch.setattr(syzygy, "_ideal_dims", dims)
     monkeypatch.setattr(syzygy, "_read_off", read)
+    monkeypatch.setattr(linalg, "np_kernel", kernel)
     return log
 
 
-def test_one_truncated_echelon_gives_phi_over_a_prime_field(field, read_off, monkeypatch):
-    def no_kernel(*args):
-        raise AssertionError("np_kernel ran")
-
+def test_one_truncated_echelon_gives_phi_over_a_prime_field(field, read_off):
+    # every kernel up to T = ceil(d / (n-1)) is read off the echelon of the
+    # column degrees; one missing column needs no more elimination, its
+    # degree is what the others leave of d, and np_kernel gives its kernel;
+    # two or more take one more elimination, wide enough for all of them
     rng = random.Random("syzygy-large")
     cases = [dense_map(field, rng, n, d) for n, d in [(6, 60), (8, 80), (4, 100)]]
-    widened = 0
-    for P in cases + widening_maps(field):
-        counts = full_width_counts(P)
-        read_off["widths"].clear()
-        read_off["kernels"].clear()
-        with monkeypatch.context() as m:
-            m.setattr(linalg, "np_kernel", no_kernel)
-            phi = hilbert_burch(P)
+    routes = Counter()
+    for P in cases + unbalanced_maps(field):
+        counts = Counter(full_width_counts(P))
+        for log in read_off.values():
+            log.clear()
+        phi = hilbert_burch(P)
         assert Counter(phi.col_degrees) == counts, P
         assert verify_hilbert_burch(P, phi)
-        want = widths(P, max(counts))
-        assert read_off["widths"] == [(field.p, T) for T in want], P
-        widened += len(want) > 1
-        assert [t for _, _, t, _ in read_off["kernels"]] == sorted(counts), P
-        for G, p, t, k in read_off["kernels"]:
+        T = -(-P.d // (P.n - 1))
+        above = sorted(t for t in counts.elements() if t > T)
+        if len(above) == 1:
+            widths, kernels = [T], [(field.p, P.n * (above[0] + 1))]
+        elif above:
+            rest = P.d - sum(t for t in counts.elements() if t <= T)
+            widths, kernels = [T, rest - (len(above) - 1) * (T + 1)], []
+            assert above[-1] <= widths[-1] < P.d - P.n + 2, P
+        else:
+            widths, kernels = [T], []
+        routes[len(above)] += 1
+        assert read_off["widths"] == [(field.p, w) for w in widths], P
+        assert read_off["np_kernel"] == kernels, P
+        read = [(G, p, t, k) for G, p, t, k in read_off["kernels"] if k is not None]
+        # every degree but the one np_kernel gives is read off the echelon
+        past = set(above) if kernels else set()
+        assert [t for _, _, t, _ in read] == sorted(set(counts) - past), P
+        for G, p, t, k in read:
             ref = np_kernel(syzygy._multiplication_matrix(G, t), p)
             assert k.dtype == ref.dtype and k.shape == ref.shape, (P, t)
             assert (k == ref).all(), (P, t)
-    assert widened == 4
+    assert routes == {0: 4, 1: 4, 2: 1}, routes
 
 
 def test_kernels_mod_q_are_read_off_the_echelon_of_the_column_degrees(read_off):
     # dims mod q that all meet their bounds give balanced column degrees,
-    # the largest ceil(d / (n-1)), so no widening, and the lift reads its
-    # kernels mod q off that echelon; a map that would widen misses a
-    # bound, and its column degrees come from one exact elimination up to top
+    # all found at ceil(d / (n-1)), and the lift reads its kernels mod q
+    # off that echelon; an unbalanced map misses a bound, and its column
+    # degrees come from one exact elimination up to top
     rng = random.Random("syzygy-read-off-qq")
     cases = [rational_map(rng, n, d, 9) for n, d in [(3, 7), (4, 12), (5, 16), (4, 20)]]
-    widened = 0
-    for P in cases + widening_maps(QQ):
+    unbalanced = 0
+    # the larger composed maps take the same exact route, only slower
+    for P in cases + unbalanced_maps(QQ, composed=((3, 3), (4, 4))):
         counts = full_width_counts(P)
-        read_off["widths"].clear()
-        read_off["kernels"].clear()
+        for log in read_off.values():
+            log.clear()
         phi = hilbert_burch(P)
         assert Counter(phi.col_degrees) == counts, P
         first, top = -(-P.d // (P.n - 1)), P.d - P.n + 2
@@ -435,14 +445,15 @@ def test_kernels_mod_q_are_read_off_the_echelon_of_the_column_degrees(read_off):
         if max(counts) == first:
             assert read_off["widths"] == [(DEFAULT_PRIME, first)], P
             assert [t for _, _, t, _ in mod_q] == sorted(counts), P
+            assert DEFAULT_PRIME not in [p for p, _ in read_off["np_kernel"]], P
         else:
             assert read_off["widths"] == [(DEFAULT_PRIME, first), (None, top)], P
             assert not mod_q, P
-            widened += 1
+            unbalanced += 1
         for G, p, t, k in mod_q:
             ref = np_kernel(syzygy._multiplication_matrix(G, t), p)
             assert p == DEFAULT_PRIME and k.shape == ref.shape and (k == ref).all(), (P, t)
-    assert widened == 4
+    assert unbalanced == 3
 
 
 # ---------------------------------------------------------------------------
