@@ -198,9 +198,7 @@ def test_running_out_of_primes_takes_the_exact_route(kernels, monkeypatch):
     # the kernels mod q are read off the echelon of the column degrees
     read = []
     real = syzygy._read_off
-    monkeypatch.setattr(
-        syzygy, "_read_off", lambda G, p, t: read.append(p) or real(G, p, t)
-    )
+    monkeypatch.setattr(syzygy, "_read_off", lambda G, p, t: read.append(p) or real(G, p, t))
     kernels.clear()
     phi = hilbert_burch(P)
     assert read + [p for p, _ in kernels if p is not None] == [Q] * len(degrees(P))

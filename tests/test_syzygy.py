@@ -341,9 +341,9 @@ IDEAL_DIMS = syzygy._ideal_dims
 
 
 def unbalanced_maps(field, composed=((3, 3), (4, 4), (3, 5), (5, 6))):
-    """Maps whose largest column degree is above ceil(d / (n-1)), and one that
-    is not: degrees (3, 6), (3, 3, 6), (6, 9) and (3, 3, 6, 6) from the
-    composed (n, e), then (1, 1, 10) and (2, 3)."""
+    """Maps whose largest column degree is above ceil(d / (n-1)): degrees
+    (3, 6), (3, 3, 6), (6, 9) and (3, 3, 6, 6) from the composed (n, e),
+    then (1, 1, 10); last the balanced (2, 3) of the spy test below."""
     rng = random.Random("syzygy-widening")
     maps = [composed_map(field, rng, n, 3, e)[0] for n, e in composed]
     for texts in [
@@ -363,7 +363,7 @@ def full_width_counts(P):
 @pytest.fixture
 def read_off(monkeypatch):
     """Every width _ideal_dims eliminates at, every _read_off call with its
-    result, and the degree of every np_kernel call."""
+    result, and the modulus and width of every np_kernel call."""
     log = {"widths": [], "kernels": [], "np_kernel": []}
     real_read, real_kernel = syzygy._read_off, linalg.np_kernel
 
