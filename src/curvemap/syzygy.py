@@ -10,7 +10,6 @@ and the generators are recovered as signed maximal minors up to one unit.
 from __future__ import annotations
 
 from bisect import bisect_left
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
@@ -22,11 +21,6 @@ from .errors import CertificationFailed, InternalInvariantViolation
 from .field import reduction_primes
 from .forms import BinaryForm, form, format_form
 from .param import Parameterization
-
-# While hilbert_burch runs, the last echelon form _ideal_dims made, as
-# (p, G, reduced, pivots): syzygies_in_degree(P, t) reads each kernel off
-# it (_read_off) with no argument added to its signature.
-_ECHELON: ContextVar = ContextVar("_ECHELON", default=None)
 
 
 @dataclass(frozen=True)
@@ -80,7 +74,7 @@ def _integer_gens(P: Parameterization) -> np.ndarray:
     return _integral([c for g in P.gens for c in g.coeffs]).reshape(P.n, P.d + 1)
 
 
-def syzygies_in_degree(P: Parameterization, t: int) -> np.ndarray:
+def syzygies_in_degree(P: Parameterization, t: int, echelon=None) -> np.ndarray:
     """Basis of the degree-t syzygies, one array row per vector.
 
     Row entry i*(t+1) + k is the coefficient of x^(t-k) y^k in the i-th
@@ -88,8 +82,10 @@ def syzygies_in_degree(P: Parameterization, t: int) -> np.ndarray:
     _multiplication_matrix in echelon order: the row for the free column c
     of M is one at c and zero at every other free column.
 
-    Over QQ the kernel K is first lifted from primes (_lifted_kernel) and
-    returned only after two exact checks (_proves_kernel):
+    echelon, the (p, R, pivots) of the column degrees or None, is read off
+    (_read_off) when it is over P's field (p None: QQ) and at least t wide;
+    otherwise a QQ kernel K is lifted from primes, the first read off a
+    mod-q echelon, and returned only after two exact checks (_proves_kernel):
 
     - shape: K is the identity on the free set F of one prime's reduced
       echelon form, and its row for c in F is zero on every column after c;
@@ -103,19 +99,16 @@ def syzygies_in_degree(P: Parameterization, t: int) -> np.ndarray:
     equal.  The row for c writes column c of M as a QQ combination of the
     columns before it, so each c in F is free over QQ, and F is the QQ free
     set.  The QQ kernel vector that is one at c and zero on the rest of F is
-    unique, and it is the row for c.  When the lift fails, the exact
-    elimination gives the kernel; it stays the reference.
-
-    Over F_p, inside hilbert_burch, the kernel is read off the echelon form
-    that gave the column degrees (_read_off), with no elimination of M; past
-    that echelon's width, or called on its own, np_kernel eliminates M.
-    Monomial input, over either field, needs no elimination: the same
-    reduced kernel has a closed form (_monomial_kernel).
+    unique, and it is the row for c.  Otherwise, and when the lift fails,
+    np_kernel eliminates M; it stays the reference.  Monomial input needs no
+    elimination: the same kernel has a closed form (_monomial_kernel).
     """
     if P.is_monomial:
         return _monomial_kernel(P, t)
     p = linalg.modulus(P.field)
-    k = _lifted_kernel(P, t) if p is None else _read_off(_gens_array(P), p, t)
+    k = _read_off(echelon, P.n, t) if echelon and echelon[0] == p else None
+    if k is None and p is None:
+        k = _lifted_kernel(P, t, echelon)
     if k is None:
         k = linalg.np_kernel(_multiplication_matrix(_gens_array(P), t), p)
     return k
@@ -129,35 +122,32 @@ def _by_shift(n: int, t: int) -> np.ndarray:
     return np.arange(n * (t + 1)).reshape(n, t + 1).T.ravel()
 
 
-def _read_off(G: np.ndarray, p: int, t: int):
+def _read_off(echelon, n: int, t: int):
     """np_kernel(M_t, p) for M_t = _multiplication_matrix(G, t), read off the
-    echelon form R that _ideal_dims left while hilbert_burch runs, or None
-    when R is not an elimination of G mod p at a width T >= t.
+    echelon (p, R, pivots) that _ideal_dims made of the n rows G at a width
+    T, or None when T < t.
 
-    R reduces _multiplication_matrix(G, T) in the _by_shift order.  Its
-    leading w = n (t+1) columns are x^(T-t) times those of M_t in that
-    order, so they have the same linear relations: each free column c < w
-    of R gives the syzygy e_c - sum_q R[q, c] e_(pivot q), and these span
-    the kernel.  np_kernel's row for a free column c of M_t is one at c and
-    zero at every other free column and after c: with the columns reversed,
-    its basis is the reduced row echelon form of the kernel, which is
-    unique, so one np_rref of the reversed vectors gives the same array.
+    R reduces _multiplication_matrix(G, T) in the _by_shift order, mod p or
+    exactly for p None.  Its leading w = n (t+1) columns are x^(T-t) times
+    those of M_t in that order, so they have the same linear relations:
+    each free column c < w of R gives the syzygy e_c - sum_q R[q, c]
+    e_(pivot q), and these span the kernel.  np_kernel's row for a free
+    column c of M_t is one at c and zero at every other free column and
+    after c: with the columns reversed, its basis is the reduced row echelon
+    form of the kernel, which is unique over every field, so one np_rref of
+    the reversed vectors gives the same array.
     """
-    echelon = _ECHELON.get()
-    if not echelon:
-        return None
-    q, H, red, pivots = echelon
-    n = G.shape[0]
+    p, red, pivots = echelon
     w = n * (t + 1)
-    if q != p or red.shape[1] < w or not np.array_equal(H, G):
+    if red.shape[1] < w:
         return None
     r = bisect_left(pivots, w)
     free = np.ones(w, dtype=bool)
     free[pivots[:r]] = False
     free = np.flatnonzero(free)
-    k = np.zeros((free.size, w), dtype=np.int64)
+    k = np.zeros((free.size, w), dtype=red.dtype)
     k[np.arange(free.size), free] = 1
-    k[:, pivots[:r]] = -red[:r, free].T % p
+    k[:, pivots[:r]] = -red[:r, free].T if p is None else -red[:r, free].T % p
     by_gen = np.empty_like(k)
     by_gen[:, _by_shift(n, t)] = k
     return linalg.np_rref(by_gen[:, ::-1].copy(), p)[0][::-1, ::-1].copy()
@@ -242,14 +232,14 @@ def _forest_admission(accepted: list, kv: np.ndarray, t: int, need: int) -> list
     return new
 
 
-def _lifted_kernel(P: Parameterization, t: int):
+def _lifted_kernel(P: Parameterization, t: int, echelon=None):
     """The QQ kernel of syzygies_in_degree through primes, proved, or None.
 
     The generators are reduced mod q = DEFAULT_PRIME, then mod each prime
     below it (reduction_primes, RationalField.reduction), and np_kernel
-    gives the residue kernel of M, the identity on its free set F.  Inside
-    hilbert_burch the kernel mod q is read off the echelon form mod q that
-    gave the column degrees (_read_off), the same array.  The rank
+    gives the residue kernel of M, the identity on its free set F.  When
+    echelon is the elimination mod q that gave the column degrees, the
+    kernel mod q is read off it (_read_off), the same array.  The rank
     of every leading block of columns of M mod a prime is at most its rank
     over QQ, so no prime has fewer free columns than QQ, and one with as
     many has each of them at or before the QQ one.  So a prime whose F has
@@ -261,26 +251,28 @@ def _lifted_kernel(P: Parameterization, t: int):
 
     Each entry of the reduced kernel is a ratio of two minors of M_int, both
     at most its Hadamard bound H, so once the primes combined with the QQ
-    free set multiply past 2 H^2, reconstruction cannot fail.  None is
-    returned, for the exact route, when a prime divides a denominator, when
-    the combined modulus passes 2 H^2 with nothing proved, or when the
-    primes run out.
+    free set multiply past bound = 2 H^2, reconstruction cannot fail.  A
+    prime with another F divides the QQ rank profile's nonzero minor, so all
+    primes tried pass bound^2 only after the good ones pass bound; a faulty
+    residue kernel that outranks every good prime stops there.  None is
+    returned, for the exact route, when a prime divides a denominator, at
+    either limit with nothing proved, or when the primes run out.
     """
     rows = [list(g.coeffs) for g in P.gens]
     gens = _integer_gens(P)
     m_int = _multiplication_matrix(gens, t)
     # column i*(t+1) + k of M_int is the i-th generator row, shifted by k
     bound = 2 * prod(max(1, sum(c * c for c in g)) ** (t + 1) for g in gens.tolist())
-    best = None
+    best, tried = None, 1
     for q in reduction_primes():
         reduced = P.field.reduction(rows, q)
         if reduced is None:
             return None
-        field_q, residues_q = reduced
-        gens_q = linalg.to_np(residues_q, field_q)
-        k = _read_off(gens_q, q, t)
+        tried *= q
+        k = _read_off(echelon, P.n, t) if echelon and echelon[0] == q else None
         if k is None:
-            k = linalg.np_kernel(_multiplication_matrix(gens_q, t), q)
+            field_q, residues_q = reduced
+            k = linalg.np_kernel(_multiplication_matrix(linalg.to_np(residues_q, field_q), t), q)
         # the last nonzero of a reduced kernel row is its free column
         free = [int(np.flatnonzero(v)[-1]) for v in k]
         key = (-len(free), free)
@@ -289,12 +281,11 @@ def _lifted_kernel(P: Parameterization, t: int):
         elif key == best:
             residues += modulus * ((k - residues) * pow(modulus, -1, q) % q)
             modulus *= q
-        else:
-            continue
-        lifted = _reconstructed(residues, modulus)
-        if lifted is not None and _proves_kernel(m_int, lifted, free):
-            return lifted
-        if modulus > bound:
+        if key == best:
+            lifted = _reconstructed(residues, modulus)
+            if lifted is not None and _proves_kernel(m_int, lifted, free):
+                return lifted
+        if modulus > bound or tried > bound * bound:
             return None
     return None
 
@@ -330,22 +321,19 @@ def _proves_kernel(m_int: np.ndarray, k: np.ndarray, free: list) -> bool:
     return not (m_int @ ints.T).any()
 
 
-def _ideal_dims(G: np.ndarray, field, top: int) -> list:
-    """[dim I_d, dim I_(d+1), ..., dim I_(d+top)] of the ideal of the generator rows G.
+def _ideal_dims(G: np.ndarray, field, top: int):
+    """[dim I_d, ..., dim I_(d+top)] of the ideal of the rows G, and (p, R, pivots).
 
     One row reduction of _multiplication_matrix(G, top), its columns ordered
     by k, then by i (_by_shift): column k*n + i is x^(top-k) y^k g_i.  The
     first n (t+1) columns, those with k <= t, span x^(top-t) I_(d+t), which
     has the dimension of I_(d+t), so dim I_(d+t) is the number of pivots
-    before column n (t+1).  While hilbert_burch runs, the echelon form is
-    kept for it: every kernel of degree t <= top is read off it (_read_off).
+    before column n (t+1).  Every kernel of degree t <= top is read off R.
     """
     n = G.shape[0]
     p = linalg.modulus(field)
     red, pivots = linalg.np_rref(_multiplication_matrix(G, top)[:, _by_shift(n, top)], p)
-    if _ECHELON.get() is not None:
-        _ECHELON.set((p, G, red, pivots))
-    return np.searchsorted(pivots, n * np.arange(1, top + 2)).tolist()
+    return np.searchsorted(pivots, n * np.arange(1, top + 2)).tolist(), (p, red, pivots)
 
 
 def _counts(dims: list, n: int) -> dict:
@@ -360,18 +348,18 @@ def _counts(dims: list, n: int) -> dict:
     return {t: c for t in range(1, len(dims)) if (c := syz[t + 1] - 2 * syz[t] + syz[t - 1])}
 
 
-def _column_degree_counts(P: Parameterization) -> dict:
-    """Multiplicity of each column degree, read off the ideal's Hilbert function.
+def _column_degree_counts(P: Parameterization):
+    """Multiplicity of each column degree, and the last echelon made, or None.
 
     The n - 1 column degrees are positive and sum to d, so none passes
     top = d - n + 2, and the largest is at least T = ceil(d / (n-1)).
-    Monomial input counts exponent intervals up to top.  Other input is
-    eliminated up to T (_ideal_dims), which gives dim I_(d+t), and so the
-    count of each degree t, exactly for every t <= T.  Balanced degrees are
-    then all found.  When one column is still missing, its degree is d minus
-    the sum of the others.  When m >= 2 are, each has degree above T and
-    they sum to the rest, so none passes rest - (m-1) (T+1), and one more
-    elimination up to that width finds them all.
+    Monomial input counts exponent intervals up to top.  Other input, over
+    either field, is eliminated up to T (_ideal_dims), which gives dim
+    I_(d+t), and so the count of each degree t, exactly for every t <= T.
+    Balanced degrees are then all found.  When one column is still missing,
+    its degree is d minus the sum of the others.  When m >= 2 are, each has
+    degree above T and they sum to the rest, so none passes rest - (m-1)
+    (T+1), and one more elimination up to that width finds them all.
 
     Over QQ, non-monomial input is eliminated mod q first, on the generators
     reduced by RationalField.reduction.  I_(d+t) is spanned by the n (t+1)
@@ -380,46 +368,46 @@ def _column_degree_counts(P: Parameterization) -> dict:
     over QQ: when every dim mod q up to T meets its bound, they are the
     exact dims, and dim Syz_t = max(0, (n-1)(t+1) - d) gives balanced
     degrees, all found at T.  Otherwise, or when q divides a denominator,
-    one exact elimination up to top gives them.  Unlike the bound of the
+    the exact generators take the rule above.  Unlike the bound of the
     Hilbert table of A, which needs the certified e(A), this one holds for
     every input.
     """
     n, d = P.n, P.d
-    top = d - n + 2
     T = -(-d // (n - 1))
+    counts = echelon = None
     if P.is_monomial:
         # the multiples of x^a y^(d-a) in degree d+t occupy [a, a+t] in
         # y-shift; count the union of those intervals over sorted exponents
         a = sorted(d - g.y_order for g in P.gens)
+        top = d - n + 2
         dims = [
             t + 1 + sum(min(t + 1, a[i + 1] - a[i]) for i in range(n - 1))
             for t in range(top + 1)
         ]
         counts = _counts(dims, n)
-    elif P.field.modular:
+    elif not P.field.modular:
+        reduced = P.field.reduction([list(g.coeffs) for g in P.gens])
+        if reduced is not None:
+            field, rows = reduced
+            dims, echelon = _ideal_dims(linalg.to_np(rows, field), field, T)
+            if dims == [min(n * (t + 1), d + t + 1) for t in range(T + 1)]:
+                counts = _counts(dims, n)
+    if counts is None:
         G = _gens_array(P)
-        counts = _counts(_ideal_dims(G, P.field, T), n)
+        dims, echelon = _ideal_dims(G, P.field, T)
+        counts = _counts(dims, n)
         missing = n - 1 - sum(counts.values())
         rest = d - sum(t * c for t, c in counts.items())
         if missing == 1:
             counts[rest] = 1
         elif missing:
-            counts = _counts(_ideal_dims(G, P.field, rest - (missing - 1) * (T + 1)), n)
-    else:
-        counts = None
-        reduced = P.field.reduction([list(g.coeffs) for g in P.gens])
-        if reduced is not None:
-            field, rows = reduced
-            dims = _ideal_dims(linalg.to_np(rows, field), field, T)
-            if dims == [min(n * (t + 1), d + t + 1) for t in range(T + 1)]:
-                counts = _counts(dims, n)
-        if counts is None:
-            counts = _counts(_ideal_dims(_gens_array(P), P.field, top), n)
+            dims, echelon = _ideal_dims(G, P.field, rest - (missing - 1) * (T + 1))
+            counts = _counts(dims, n)
     if sum(counts.values()) != n - 1 or sum(t * c for t, c in counts.items()) != d:
         raise InternalInvariantViolation(
             f"column degrees {counts} do not give {n - 1} columns summing to {d}"
         )
-    return counts
+    return counts, echelon
 
 
 def _multiples(accepted: list, t: int, n: int) -> np.ndarray:
@@ -502,22 +490,20 @@ def hilbert_burch(P: Parameterization) -> SyzygyMatrix:
     """The minimal syzygy matrix: n-1 columns, degrees summing to d.
 
     Column degrees come first, from the Hilbert function of the ideal, read
-    off the pivots of one elimination (_column_degree_counts).  Then one
-    kernel per distinct degree, read off that same echelon form over F_p,
-    and mod q over QQ, with no second elimination; only a degree past its
-    width is eliminated on its own (syzygies_in_degree).  At each degree,
-    kernel vectors are admitted only when independent of the multiples of
-    the already-accepted columns, in kernel basis order, which makes the
-    output deterministic: one row-rank-profile elimination of [multiples;
-    kernel vectors] picks them.  The columns are scaled so their first
-    nonzero coefficient is one.
+    off the pivots of one elimination (_column_degree_counts), whose echelon
+    form is passed to syzygies_in_degree: one kernel per distinct degree, read
+    off it with no second elimination (over QQ, off an exact one), or lifted
+    from primes over QQ.  At each degree, kernel vectors are admitted only
+    when independent of the multiples of the already-accepted columns, in
+    kernel basis order, which makes the output deterministic: one
+    row-rank-profile elimination of [multiples; kernel vectors] picks them.
+    The columns are scaled so their first nonzero coefficient is one.
 
-    Over QQ each kernel is lifted from primes and proved exactly
-    (syzygies_in_degree).  Admission first takes the rank of [multiples;
-    first need kernel vectors] mod q (linalg.rank_mod_q): full row rank mod
-    q is full row rank over QQ, and then the row rank profile admits all of
-    that prefix, so the first need vectors are the new ones.  Otherwise, or
-    when q divides a denominator, the exact elimination admits them.
+    Over QQ, admission first takes the rank of [multiples; first need kernel
+    vectors] mod q (linalg.rank_mod_q): full row rank mod q is full row rank
+    over QQ, and then the row rank profile admits all of that prefix, so the
+    first need vectors are the new ones.  Otherwise, or when q divides a
+    denominator, the exact elimination admits them.
 
     Monomial input runs no elimination before _certify: its kernels have a
     closed form (_monomial_kernel), and since every row to admit is then a
@@ -532,40 +518,36 @@ def hilbert_burch(P: Parameterization) -> SyzygyMatrix:
     field = P.field
     p = linalg.modulus(field)
     n = P.n
-    token = _ECHELON.set(())
-    try:
-        counts = _column_degree_counts(P)
-        accepted: list = []
-        for t in sorted(counts):
-            need = counts[t]
-            kv = syzygies_in_degree(P, t)
-            if accepted and P.is_monomial:
-                new = _forest_admission(accepted, kv, t, need)
-            elif accepted:
-                old = _multiples(accepted, t, n)
-                head = len(old) + need
-                if (
-                    not field.modular
-                    and linalg.rank_mod_q(np.vstack([old, kv[:need]]), field) == head
-                ):
-                    # independent mod q, so over QQ: the row rank profile
-                    # admits the first need kernel vectors
-                    new = list(range(need))
-                else:
-                    # pivot columns of the transpose: the rows independent of all
-                    # earlier rows, so the same vectors as admitting one at a time
-                    piv = linalg.np_rref(np.vstack([old, kv]).T.copy(), p)[1]
-                    new = [c - len(old) for c in piv if c >= len(old)][:need]
+    counts, echelon = _column_degree_counts(P)
+    accepted: list = []
+    for t in sorted(counts):
+        need = counts[t]
+        kv = syzygies_in_degree(P, t, echelon)
+        if accepted and P.is_monomial:
+            new = _forest_admission(accepted, kv, t, need)
+        elif accepted:
+            old = _multiples(accepted, t, n)
+            head = len(old) + need
+            if (
+                not field.modular
+                and linalg.rank_mod_q(np.vstack([old, kv[:need]]), field) == head
+            ):
+                # independent mod q, so over QQ: the row rank profile
+                # admits the first need kernel vectors
+                new = list(range(need))
             else:
-                # a kernel basis is independent, so its first vectors are new
-                new = list(range(min(need, len(kv))))
-            if len(new) != need:
-                raise InternalInvariantViolation(
-                    f"found {len(new)} of {need} new syzygies in degree {t}"
-                )
-            accepted += [(t, kv[i]) for i in new]
-    finally:
-        _ECHELON.reset(token)
+                # pivot columns of the transpose: the rows independent of all
+                # earlier rows, so the same vectors as admitting one at a time
+                piv = linalg.np_rref(np.vstack([old, kv]).T.copy(), p)[1]
+                new = [c - len(old) for c in piv if c >= len(old)][:need]
+        else:
+            # a kernel basis is independent, so its first vectors are new
+            new = list(range(min(need, len(kv))))
+        if len(new) != need:
+            raise InternalInvariantViolation(
+                f"found {len(new)} of {need} new syzygies in degree {t}"
+            )
+        accepted += [(t, kv[i]) for i in new]
     cols = []
     for D, vec in accepted:
         vals = linalg.from_np(vec, field)

@@ -9,8 +9,10 @@ Only linalg and fiber name Echelon: the Hilbert table of A is its one
 consumer, and the Hilbert function of the ideal is one elimination, so a
 second incremental path cannot come back unnoticed.  Only fiber names
 _image_fibers: the map-degree sample is the one seeded stream of image
-points, and the reparameterization pair is read off it.  Every name a
-module imports at its top level is used in it.
+points, and the reparameterization pair is read off it.  No module imports
+contextvars: what a call needs, such as the echelon hilbert_burch reads its
+kernels off, is passed to it, so hidden per-call state cannot come back
+unnoticed.  Every name a module imports at its top level is used in it.
 """
 
 import ast
@@ -76,3 +78,16 @@ def test_no_module_imports_a_name_it_does_not_use():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert not unused, unused
+
+
+def test_no_module_keeps_hidden_per_call_state():
+    # state a call needs is passed as an argument, never left in a context
+    # variable for a callee to find
+    users = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "contextvars" in [getattr(node, "module", None)] + [a.name for a in node.names]
+    }
+    assert not users, sorted(users)

@@ -47,7 +47,7 @@ def exact_kernel(P, t):
 def exact_phi(P, monkeypatch):
     """hilbert_burch(P) with every kernel from exact_kernel."""
     with monkeypatch.context() as m:
-        m.setattr(syzygy, "_lifted_kernel", lambda P, t: None)
+        m.setattr(syzygy, "_lifted_kernel", lambda P, t, *rest: None)
         return hilbert_burch(P)
 
 
@@ -84,7 +84,7 @@ def rational_map(rng, n, d, box, den=1):
 
 
 def degrees(P):
-    return sorted(syzygy._column_degree_counts(P))
+    return sorted(syzygy._column_degree_counts(P)[0])
 
 
 def test_lifted_kernel_equals_the_exact_kernel(kernels):
@@ -151,13 +151,20 @@ def degenerate_mod_q_map():
 
 def test_map_degenerate_only_mod_q_restarts_at_the_next_prime(kernels, monkeypatch):
     P = degenerate_mod_q_map()
-    phi = hilbert_burch(P)
+    t = degrees(P)[0]
+    kernels.clear()
+    k = syzygy.syzygies_in_degree(P, t)
     # degree 1: mod q, g4 = g3 adds a free column, so the next prime restarts
     first = [free for p, free in kernels if p == Q][0]
     later = [free for p, free in kernels if p not in (Q, None)][0]
     assert len(first) == len(later) + 1
     assert not ran_exact(kernels)
-    assert phi == exact_phi(P, monkeypatch)
+    assert k.tolist() == exact_kernel(P, t).tolist()
+    # in hilbert_burch the dims mod q miss a bound too, so every kernel is
+    # read off the exact echelon of the column degrees, with no prime
+    kernels.clear()
+    assert hilbert_burch(P) == exact_phi(P, monkeypatch)
+    assert not kernels
 
 
 def test_as_many_free_columns_but_earlier_ones_are_skipped(kernels, monkeypatch):
@@ -186,9 +193,20 @@ def test_denominator_divisible_by_q_takes_the_exact_route(kernels, monkeypatch):
     P = qq_param(*rows)
     t = degrees(P)[0]
     assert syzygy._lifted_kernel(P, t) is None
+    # each kernel is read off the exact echelon of the column degrees, or,
+    # past its width, eliminated exactly: one exact source per degree
+    read = []
+    real = syzygy._read_off
+
+    def spy(echelon, n, t):
+        k = real(echelon, n, t)
+        read.extend([echelon[0]] if k is not None else [])
+        return k
+
+    monkeypatch.setattr(syzygy, "_read_off", spy)
     kernels.clear()
     phi = hilbert_burch(P)
-    assert ran_exact(kernels) and all(p is None for p, _ in kernels)
+    assert read + [p for p, _ in kernels] == [None] * len(degrees(P))
     assert phi == exact_phi(P, monkeypatch)
 
 
@@ -198,7 +216,9 @@ def test_running_out_of_primes_takes_the_exact_route(kernels, monkeypatch):
     # the kernels mod q are read off the echelon of the column degrees
     read = []
     real = syzygy._read_off
-    monkeypatch.setattr(syzygy, "_read_off", lambda G, p, t: read.append(p) or real(G, p, t))
+    monkeypatch.setattr(
+        syzygy, "_read_off", lambda echelon, n, t: read.append(echelon[0]) or real(echelon, n, t)
+    )
     kernels.clear()
     phi = hilbert_burch(P)
     assert read + [p for p, _ in kernels if p is not None] == [Q] * len(degrees(P))
@@ -225,6 +245,42 @@ def test_no_proof_by_twice_the_hadamard_square_takes_the_exact_route(monkeypatch
     gens = syzygy._integer_gens(P).tolist()
     bound = 2 * prod(max(1, sum(c * c for c in g)) ** (t + 1) for g in gens)
     assert moduli[-2] <= bound < moduli[-1]
+    assert syzygy.syzygies_in_degree(P, t).tolist() == exact_kernel(P, t).tolist()
+
+
+def test_a_residue_kernel_in_the_wrong_basis_stops_within_bound_squared(monkeypatch):
+    # the kernel mod q in a wrong basis of the same space: each row plus the
+    # last, so every row ends at the last free column, lexicographically
+    # later than the QQ free set.  q then outranks every correct prime, and
+    # each of those is skipped; the lift must still stop, once the primes
+    # tried multiply past bound^2, and hand over to the exact route
+    P = rational_map(random.Random("lift-wrong-basis"), 4, 6, 9)
+    t = next(t for t in degrees(P) if len(exact_kernel(P, t)) >= 2)
+    gens = syzygy._integer_gens(P).tolist()
+    bound = 2 * prod(max(1, sum(c * c for c in g)) ** (t + 1) for g in gens)
+    # every prime tried is above 2^30, so bound^2 is passed by then
+    limit = 2 * bound.bit_length() // 30 + 1
+    real_kernel = linalg.np_kernel
+
+    def wrong(a, p):
+        k = real_kernel(a, p)
+        if p == Q:
+            k[:-1] = (k[:-1] + k[-1]) % p
+        return k
+
+    calls = [0]
+    real_reduction = type(QQ).reduction
+
+    def counted(self, rows, q=Q):
+        calls[0] += 1
+        assert calls[0] <= limit, "the lift walks on past bound^2"
+        return real_reduction(self, rows, q)
+
+    monkeypatch.setattr(linalg, "np_kernel", wrong)
+    monkeypatch.setattr(type(QQ), "reduction", counted)
+    assert syzygy._lifted_kernel(P, t) is None
+    assert calls[0] >= 2
+    calls[0] = 0
     assert syzygy.syzygies_in_degree(P, t).tolist() == exact_kernel(P, t).tolist()
 
 

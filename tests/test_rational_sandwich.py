@@ -4,12 +4,13 @@ Each slice rank of the table is first taken mod q = DEFAULT_PRIME and kept
 only while it meets its upper bound; from the first miss on the exact
 Fraction elimination takes over.  The dims of the ideal come from one
 elimination mod q, kept only when every one meets its bound, and otherwise
-from one exact elimination.  Here both routes are compared with the exact
-references fiber._slices and one exact syzygy._ideal_dims, and each way of
-falling back is forced: a slice below its bound over QQ (an image on a
-quadric, a composed map with unbalanced column degrees), a map that
-degenerates only mod q, a denominator divisible by q and generators whose
-x^d coefficients all vanish mod q.
+from the exact generators, by the rule of a prime field.  Here both routes
+are compared with the exact references fiber._slices and one exact
+syzygy._ideal_dims up to top, and each way of falling back is forced: a
+slice below its bound over QQ (an image on a quadric, a composed map with
+unbalanced column degrees), a map that degenerates only mod q, a
+denominator divisible by q and generators whose x^d coefficients all
+vanish mod q.
 """
 
 import importlib
@@ -54,9 +55,9 @@ def routes(monkeypatch):
             yield value
 
     def ideal_spy(G, field, top):
-        dims = IDEAL_DIMS(G, field, top)
+        dims, echelon = IDEAL_DIMS(G, field, top)
         calls["ideal"].append([field, len(dims)])
-        return dims
+        return dims, echelon
 
     monkeypatch.setattr(fiber, "_image_ranks", table_spy)
     monkeypatch.setattr(syzygy, "_ideal_dims", ideal_spy)
@@ -78,23 +79,11 @@ def exact_table(P, e, monkeypatch):
         return hilbert_table_a(P, e=e)
 
 
-def exact_counts(P, monkeypatch):
-    """syzygy._column_degree_counts(P) from one exact _ideal_dims call.
-
-    With no reduction mod q the exact call is made at once.
-    """
-    fields = []
-
-    def exact(G, field, top):
-        fields.append(field)
-        return IDEAL_DIMS(G, field, top)
-
-    with monkeypatch.context() as m:
-        m.setattr(type(QQ), "reduction", lambda self, rows, q=Q: None)
-        m.setattr(syzygy, "_ideal_dims", exact)
-        counts = syzygy._column_degree_counts(P)
-    assert fields == [QQ]
-    return counts
+def exact_counts(P):
+    """The column degree counts of phi from one exact elimination up to
+    top = d - n + 2, past every column degree: the reference."""
+    dims, _ = IDEAL_DIMS(syzygy._gens_array(P), QQ, P.d - P.n + 2)
+    return syzygy._counts(dims, P.n)
 
 
 def qq_param(*rows):
@@ -123,12 +112,12 @@ def test_sandwich_matches_exact_route_on_dense_rationals(routes, monkeypatch):
         for log in routes.values():
             log.clear()
         table = hilbert_table_a(P, e=e)
-        counts = syzygy._column_degree_counts(P)
+        counts, _ = syzygy._column_degree_counts(P)
         # dense maps meet every bound: all of it came mod q
         assert not ran_exact(routes["table"]) and not ran_exact(routes["ideal"]), P
         assert ran_mod_q(routes["table"]) == (P.n >= 4) and ran_mod_q(routes["ideal"]), P
         assert table == exact_table(P, e, monkeypatch), P
-        assert counts == exact_counts(P, monkeypatch), P
+        assert counts == exact_counts(P), P
 
 
 def test_sandwich_matches_exact_route_on_composed_rationals(routes, monkeypatch):
@@ -138,9 +127,9 @@ def test_sandwich_matches_exact_route_on_composed_rationals(routes, monkeypatch)
     for n, r, e in [(3, 2, 3), (4, 2, 4), (4, 3, 4), (5, 2, 5)]:
         P, _ = composed_map(QQ, rng, n, r, e)
         routes["ideal"].clear()
-        counts = syzygy._column_degree_counts(P)
+        counts, _ = syzygy._column_degree_counts(P)
         assert ran_exact(routes["ideal"]), P
-        assert counts == exact_counts(P, monkeypatch), P
+        assert counts == exact_counts(P), P
         assert all(t % r == 0 for t in counts), P
         assert map_degree(P, hilbert_burch(P)) == r
         assert hilbert_table_a(P, e=e) == exact_table(P, e, monkeypatch), P
@@ -169,7 +158,7 @@ def test_map_degenerate_only_mod_q_falls_back_to_exact(routes, monkeypatch):
     assert [field.modular for field, _ in routes["ideal"]] == [True, False]
     assert ran_exact(routes["table"]) and ran_exact(routes["ideal"])
     assert (a.e, report["hfA"]) == exact_table(P, a.e, monkeypatch) == hilbert_table_a(P)
-    counts = exact_counts(P, monkeypatch)
+    counts = exact_counts(P)
     assert report["colDegrees"] == [t for t in sorted(counts) for _ in range(counts[t])]
 
 
@@ -184,7 +173,7 @@ def test_denominator_divisible_by_q_takes_the_exact_route(routes, monkeypatch):
     assert not ran_mod_q(routes["table"]) and not ran_mod_q(routes["ideal"])
     assert ran_exact(routes["table"]) and ran_exact(routes["ideal"])
     assert (a.e, report["hfA"]) == exact_table(P, a.e, monkeypatch)
-    assert syzygy._column_degree_counts(P) == exact_counts(P, monkeypatch)
+    assert syzygy._column_degree_counts(P)[0] == exact_counts(P)
 
 
 def test_no_x_power_mod_q_takes_the_exact_route(routes, monkeypatch):
@@ -201,7 +190,7 @@ def test_no_x_power_mod_q_takes_the_exact_route(routes, monkeypatch):
     assert (a.e, hf) == exact_table(P, a.e, monkeypatch)
     # mod q every generator is divisible by y, so I_(d+t) misses d+t+1
     assert [field.modular for field, _ in routes["ideal"]] == [True, False]
-    assert syzygy._column_degree_counts(P) == exact_counts(P, monkeypatch)
+    assert syzygy._column_degree_counts(P)[0] == exact_counts(P)
 
 
 def test_rational_quartic_of_degree_16_analyzes_quickly():

@@ -212,7 +212,7 @@ def test_ideal_dims_match_direct_ranks(field):
     assert {P.n for P in cases} == {2, 3, 4, 5, 6}
     for P in cases:
         top = P.d - P.n + 2
-        dims = syzygy._ideal_dims(syzygy._gens_array(P), P.field, top)
+        dims, _ = syzygy._ideal_dims(syzygy._gens_array(P), P.field, top)
         assert dims == [slice_dim(P, t) for t in range(top + 1)], P
 
 
@@ -223,7 +223,7 @@ def test_column_degrees_of_unbalanced_composed_maps(field):
     for k in (field, QQ):
         for n, r, e, degrees in [(3, 2, 5, {4, 6}), (3, 2, 3, {2, 4}), (4, 2, 4, {2, 4})]:
             P = composed_map(k, rng, n, r, e)[0]
-            counts = syzygy._column_degree_counts(P)
+            counts, _ = syzygy._column_degree_counts(P)
             assert set(counts) == degrees, P
             assert counts == reference_counts(P), P
 
@@ -291,7 +291,7 @@ def sparse_maps(rng, count):
             P = Parameterization.build(QQ, gens)
         except CurvemapError:
             continue
-        if not P.is_monomial and len(syzygy._column_degree_counts(P)) > 1:
+        if not P.is_monomial and len(syzygy._column_degree_counts(P)[0]) > 1:
             maps.append(P)
     return maps
 
@@ -357,24 +357,49 @@ def unbalanced_maps(field, composed=((3, 3), (4, 4), (3, 5), (5, 6))):
 def full_width_counts(P):
     """The column degree counts from one elimination up to top = d - n + 2."""
     top = P.d - P.n + 2
-    return syzygy._counts(IDEAL_DIMS(syzygy._gens_array(P), P.field, top), P.n)
+    return syzygy._counts(IDEAL_DIMS(syzygy._gens_array(P), P.field, top)[0], P.n)
+
+
+def rule_widths(P, counts):
+    """The widths the column-degree rule eliminates at, and the degrees
+    (with multiplicity) above the first: T = ceil(d / (n-1)), and one more
+    width when two or more degrees pass T."""
+    T = -(-P.d // (P.n - 1))
+    above = sorted(t for t in counts.elements() if t > T)
+    if len(above) < 2:
+        return [T], above
+    rest = P.d - sum(t for t in counts.elements() if t <= T)
+    return [T, rest - (len(above) - 1) * (T + 1)], above
+
+
+def gens_mod(P, p):
+    """The generator rows _ideal_dims eliminated mod p, or exactly for p None."""
+    if p is None or P.field.modular:
+        return syzygy._gens_array(P)
+    k, rows = QQ.reduction([list(g.coeffs) for g in P.gens], p)
+    return to_np(rows, k)
 
 
 @pytest.fixture
 def read_off(monkeypatch):
-    """Every width _ideal_dims eliminates at, every _read_off call with its
-    result, and the modulus and width of every np_kernel call."""
-    log = {"widths": [], "kernels": [], "np_kernel": []}
-    real_read, real_kernel = syzygy._read_off, linalg.np_kernel
+    """Every width _ideal_dims eliminates at, every _read_off call as (the
+    echelon's modulus, t, result), the degree of every _lifted_kernel call,
+    and the modulus and width of every np_kernel call."""
+    log = {"widths": [], "kernels": [], "lifted": [], "np_kernel": []}
+    real_read, real_lift, real_kernel = syzygy._read_off, syzygy._lifted_kernel, linalg.np_kernel
 
     def dims(G, field, top):
         log["widths"].append((modulus(field), top))
         return IDEAL_DIMS(G, field, top)
 
-    def read(G, p, t):
-        k = real_read(G, p, t)
-        log["kernels"].append((G, p, t, k))
+    def read(echelon, n, t):
+        k = real_read(echelon, n, t)
+        log["kernels"].append((echelon[0], t, k))
         return k
+
+    def lift(P, t, *rest):
+        log["lifted"].append(t)
+        return real_lift(P, t, *rest)
 
     def kernel(a, p):
         log["np_kernel"].append((p, a.shape[1]))
@@ -382,8 +407,20 @@ def read_off(monkeypatch):
 
     monkeypatch.setattr(syzygy, "_ideal_dims", dims)
     monkeypatch.setattr(syzygy, "_read_off", read)
+    monkeypatch.setattr(syzygy, "_lifted_kernel", lift)
     monkeypatch.setattr(linalg, "np_kernel", kernel)
     return log
+
+
+def assert_read_off_kernels(P, log):
+    """Every kernel read off an echelon equals np_kernel of its own matrix,
+    dtype and all; returns them as (modulus, t, kernel)."""
+    read = [(p, t, k) for p, t, k in log["kernels"] if k is not None]
+    for p, t, k in read:
+        ref = np_kernel(syzygy._multiplication_matrix(gens_mod(P, p), t), p)
+        assert k.dtype == ref.dtype and k.shape == ref.shape, (P, t)
+        assert (k == ref).all(), (P, t)
+    return read
 
 
 def test_one_truncated_echelon_gives_phi_over_a_prime_field(field, read_off):
@@ -401,59 +438,91 @@ def test_one_truncated_echelon_gives_phi_over_a_prime_field(field, read_off):
         phi = hilbert_burch(P)
         assert Counter(phi.col_degrees) == counts, P
         assert verify_hilbert_burch(P, phi)
-        T = -(-P.d // (P.n - 1))
-        above = sorted(t for t in counts.elements() if t > T)
-        if len(above) == 1:
-            widths, kernels = [T], [(field.p, P.n * (above[0] + 1))]
-        elif above:
-            rest = P.d - sum(t for t in counts.elements() if t <= T)
-            widths, kernels = [T, rest - (len(above) - 1) * (T + 1)], []
+        widths, above = rule_widths(P, counts)
+        kernels = [(field.p, P.n * (above[0] + 1))] if len(above) == 1 else []
+        if len(above) > 1:
             assert above[-1] <= widths[-1] < P.d - P.n + 2, P
-        else:
-            widths, kernels = [T], []
         routes[len(above)] += 1
         assert read_off["widths"] == [(field.p, w) for w in widths], P
-        assert read_off["np_kernel"] == kernels, P
-        read = [(G, p, t, k) for G, p, t, k in read_off["kernels"] if k is not None]
+        assert read_off["np_kernel"] == kernels and not read_off["lifted"], P
+        read = assert_read_off_kernels(P, read_off)
         # every degree but the one np_kernel gives is read off the echelon
         past = set(above) if kernels else set()
-        assert [t for _, _, t, _ in read] == sorted(set(counts) - past), P
-        for G, p, t, k in read:
-            ref = np_kernel(syzygy._multiplication_matrix(G, t), p)
-            assert k.dtype == ref.dtype and k.shape == ref.shape, (P, t)
-            assert (k == ref).all(), (P, t)
+        want = [(field.p, t) for t in sorted(set(counts) - past)]
+        assert [(p, t) for p, t, _ in read] == want, P
     assert routes == {0: 4, 1: 4, 2: 1}, routes
 
 
 def test_kernels_mod_q_are_read_off_the_echelon_of_the_column_degrees(read_off):
     # dims mod q that all meet their bounds give balanced column degrees,
     # all found at ceil(d / (n-1)), and the lift reads its kernels mod q
-    # off that echelon; an unbalanced map misses a bound, and its column
-    # degrees come from one exact elimination up to top
+    # off that echelon; an unbalanced map misses a bound, and the exact
+    # generators take the rule of a prime field, its kernels read off exactly
     rng = random.Random("syzygy-read-off-qq")
     cases = [rational_map(rng, n, d, 9) for n, d in [(3, 7), (4, 12), (5, 16), (4, 20)]]
     unbalanced = 0
     # the larger composed maps take the same exact route, only slower
     for P in cases + unbalanced_maps(QQ, composed=((3, 3), (4, 4))):
-        counts = full_width_counts(P)
+        counts = Counter(full_width_counts(P))
         for log in read_off.values():
             log.clear()
         phi = hilbert_burch(P)
         assert Counter(phi.col_degrees) == counts, P
-        first, top = -(-P.d // (P.n - 1)), P.d - P.n + 2
-        mod_q = [(G, p, t, k) for G, p, t, k in read_off["kernels"] if k is not None]
+        first = -(-P.d // (P.n - 1))
+        read = assert_read_off_kernels(P, read_off)
         if max(counts) == first:
             assert read_off["widths"] == [(DEFAULT_PRIME, first)], P
-            assert [t for _, _, t, _ in mod_q] == sorted(counts), P
+            want = [(DEFAULT_PRIME, t) for t in sorted(counts)]
+            assert [(p, t) for p, t, _ in read] == want, P
             assert DEFAULT_PRIME not in [p for p, _ in read_off["np_kernel"]], P
         else:
-            assert read_off["widths"] == [(DEFAULT_PRIME, first), (None, top)], P
-            assert not mod_q, P
+            widths, _ = rule_widths(P, counts)
+            exact = [(None, w) for w in widths]
+            assert read_off["widths"] == [(DEFAULT_PRIME, first)] + exact, P
+            assert read and {p for p, _, _ in read} == {None}, P
             unbalanced += 1
-        for G, p, t, k in mod_q:
-            ref = np_kernel(syzygy._multiplication_matrix(G, t), p)
-            assert p == DEFAULT_PRIME and k.shape == ref.shape and (k == ref).all(), (P, t)
     assert unbalanced == 3
+
+
+def test_rational_exact_route_takes_the_rule_of_a_prime_field(build, read_off):
+    # when a dim mod q misses its bound, or q divides a denominator, the
+    # exact generators are eliminated at T, one missing degree is derived
+    # and two or more widen once, as over F_p; every kernel up to the last
+    # width is read off that exact echelon, and only a degree past it is
+    # lifted from primes
+    rng = random.Random("syzygy-exact-route")
+    # column degrees (3, 3, 6, 6), (6, 9) and (2, 4, 4)
+    cases = [composed_map(QQ, rng, n, r, e)[0] for n, r, e in [(5, 3, 6), (3, 3, 5), (4, 2, 5)]]
+    cases += sparse_maps(random.Random("syzygy-sparse"), 12)
+    q = DEFAULT_PRIME
+    cases += [
+        build(f"x^5 + 1/{q}*x^2*y^3", "x^4*y", "y^5", f=QQ),
+        build("x^5", f"x^4*y + 1/{q}*x*y^4", "y^5 + x^3*y^2", f=QQ),
+    ]
+    routes = Counter()
+    for P in cases:
+        counts = Counter(full_width_counts(P))
+        for log in read_off.values():
+            log.clear()
+        phi = hilbert_burch(P)
+        assert Counter(phi.col_degrees) == counts, P
+        assert verify_hilbert_burch(P, phi), P
+        widths, above = rule_widths(P, counts)
+        mod_q = [(q, widths[0])] if QQ.reduction([list(g.coeffs) for g in P.gens]) else []
+        read = assert_read_off_kernels(P, read_off)
+        if mod_q and max(counts) - min(counts) <= 1:
+            # balanced: the dims mod q meet every bound, and the lift reads
+            # its first prime off that echelon
+            assert read_off["widths"] == mod_q, P
+            assert {p for p, _, _ in read} == {q}, P
+            routes["mod q"] += 1
+            continue
+        assert read_off["widths"] == mod_q + [(None, w) for w in widths], P
+        assert {p for p, _, _ in read} == {None}, P
+        assert [t for _, t, _ in read] == [t for t in sorted(counts) if t <= widths[-1]], P
+        assert read_off["lifted"] == [t for t in sorted(counts) if t > widths[-1]], P
+        routes[min(len(above), 2), bool(mod_q)] += 1
+    assert set(routes) == {"mod q", (0, True), (1, True), (2, True), (0, False)}, routes
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +534,8 @@ def test_corrupted_column_exits_2(tmp_path, capsys, monkeypatch):
     path.write_text("field: prime 2147483647\nx^3\nx^2*y\nx*y^2\ny^3\n")
     real = syzygy.syzygies_in_degree
 
-    def corrupted(P, t):
-        kv = real(P, t)
+    def corrupted(P, t, *rest):
+        kv = real(P, t, *rest)
         kv[0, -1] = (kv[0, -1] + 1) % P.field.p
         return kv
 
@@ -484,8 +553,8 @@ def test_corrupted_admitted_column_exits_2(tmp_path, capsys, monkeypatch, fault)
     path.write_text("field: prime 2147483647\nx^5\nx^4*y\ny^5\n")
     real = syzygy.syzygies_in_degree
 
-    def corrupted(P, t):
-        kv = real(P, t)
+    def corrupted(P, t, *rest):
+        kv = real(P, t, *rest)
         if t == 4:
             if fault == "value":
                 # the ends stay where they were
@@ -510,8 +579,8 @@ def test_corrupted_kernel_of_a_dense_map_exits_2(tmp_path, capsys, monkeypatch, 
     path.write_text(f"field: {mode}\nx^5\nx^4*y + y^5\ny^5 + x*y^4\n")
     real = syzygy.syzygies_in_degree
 
-    def corrupted(P, t):
-        kv = real(P, t)
+    def corrupted(P, t, *rest):
+        kv = real(P, t, *rest)
         if t == 2:
             kv[0, 0] = P.field.add(kv[0, 0], P.field.one)
         return kv
@@ -580,8 +649,8 @@ def test_rank_deficient_phi_fails_certification(build, monkeypatch):
     P = build("x^4", "x^2*y^2", "y^4")
     real = syzygy.syzygies_in_degree
 
-    def doubled(P, t):
-        kv = real(P, t)
+    def doubled(P, t, *rest):
+        kv = real(P, t, *rest)
         kv[1] = kv[0] * 2 % P.field.p
         return kv
 
@@ -592,6 +661,6 @@ def test_rank_deficient_phi_fails_certification(build, monkeypatch):
 
 def test_wrong_column_degrees_fail_certification(build, monkeypatch):
     P = build("x^2", "x*y", "y^2")
-    monkeypatch.setattr(syzygy, "_column_degree_counts", lambda P: {1: 1, 2: 1})
+    monkeypatch.setattr(syzygy, "_column_degree_counts", lambda P: ({1: 1, 2: 1}, None))
     with pytest.raises(CertificationFailed, match="summing to d = 2"):
         hilbert_burch(P)
