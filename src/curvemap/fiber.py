@@ -30,6 +30,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     CertificationFailed,
+    InstanceError,
     InternalInvariantViolation,
     SlopeNotStabilized,
     ZeroRow,
@@ -51,6 +52,12 @@ from .syzygy import SyzygyMatrix, _gens_array, hilbert_burch
 # Largest number of fiber samples behind the map degree, all drawn in one
 # batch: 10^4 took 0.5 s and about 10 MB on a cubic, 10^6 took 52 s and 880 MB.
 MAX_SAMPLES = 10_000
+# Largest pass of the Hilbert table of A, in matrix entries: its J*d + 1
+# columns times the rows of its echelon at their bound and of its largest
+# layer (_table_entries).  A dense n = 4, d = 200 map needs 4.4e7 and took
+# 28 s in 580 MB on a 2-CPU x86-64 box; d = 1000 would need 5.8e9, about
+# 46 GB of int64.
+MAX_TABLE_ENTRIES = 1 << 26
 
 OFF_IMAGE_NOTE = (
     "membership is decided for rational points over the configured field; "
@@ -311,7 +318,8 @@ def _image_ranks(G: np.ndarray, field):
     products of j generators could fill the j*d + 1 dims of their degree, or
     4 when none can.  Each later pass doubles J and skips the ranks already
     yielded.  Generators that are all zero, which happens only mod q, yield
-    nothing.
+    nothing.  A pass larger than MAX_TABLE_ENTRIES raises InstanceError
+    before anything is evaluated.
     """
     n, w = G.shape
     d = w - 1
@@ -321,28 +329,65 @@ def _image_ranks(G: np.ndarray, field):
     J = next((j for j in range(1, 2 * d + 5) if comb(j + n - 1, n - 1) >= j * d + 1), 4)
     done = 0
     while True:
+        entries = _table_entries(n, d, J)
+        if entries > MAX_TABLE_ENTRIES:
+            raise InstanceError(
+                f"the Hilbert table of A would eliminate slices 1..{J} of {n} forms of "
+                f"degree {d} on {J * d + 1} points, {entries} matrix entries; the largest "
+                f"accepted is {MAX_TABLE_ENTRIES} (curvemap.fiber.MAX_TABLE_ENTRIES)"
+            )
         yield from islice(_ranks_at_points(G, field, hrow, J), done, None)
         done, J = J, 2 * J
+
+
+def _table_entries(n: int, d: int, J: int) -> int:
+    """The size of a pass of _ranks_at_points, in matrix entries.
+
+    Its W = J*d + 1 columns times the rows of the echelon, at most
+    min(C(J+n-1, n-1), W), plus those of the largest layer added to it, at
+    most the C(J+n-2, n-2) monomials of degree J in n-1 generators: a layer
+    of products is taken only when it is smaller than the monomial layer.
+    """
+    W = J * d + 1
+    return W * (min(comb(J + n - 1, n - 1), W) + comb(J + n - 2, n - 2))
 
 
 def _ranks_at_points(G: np.ndarray, field, hrow: int, J: int):
     """HF(1), ..., HF(J) of _image_ranks, on values at J*d + 1 points.
 
-    A_(j+1) = h * A_j + sum of g_i * A_j over the other generators, with
-    h = G[hrow].  Only the rows new in A_j need the other generators: the
-    rest are h-multiples from A_(j-1), whose products are already in h * A_j.
-    The points avoid the zeros of h, so h * A_j is a column scaling that
-    keeps every pivot, and g_i * new is a pointwise product.
+    With h = G[hrow], A_(j+1) is h * A_j plus the monomials of degree j+1
+    in the other generators.  Slice j is held padded by h^(J-j), which keeps
+    its rank (the points avoid the zeros of h), so the padded slices nest
+    and one echelon grows through them with no rescaling of its rows; over
+    QQ the padded values stay integers.  Slice j+1 adds the monomials of
+    degree exactly j+1, each built once as g_i times the monomial of degree
+    j with the last index i removed.  Once that layer would exceed
+    (n-1) * |new| rows, new the rows that slice j added to the echelon, the
+    products q_i * new, q_i = g_i / h, are added instead, from then on:
+    g_i * A_(j-1) lies in A_j, so only the rows new in slice j need the
+    products, and the division by h moves them to the padding of slice j+1.
     """
     V = _values_at_points(G, hrow, J * (G.shape[1] - 1) + 1, field)
-    h, others = V[hrow], np.delete(V, hrow, axis=0)
-    ech = linalg.Echelon(V.shape[1], field)
-    ech.add_rows(V)
-    yield ech.rank
+    p = linalg.modulus(field)
+    h, g = V[hrow], np.delete(V, hrow, axis=0)
+    q = linalg.np_mul(g, linalg.np_inverses(h, p), p)
+    pad = [np.ones_like(h)]
     for _ in range(J - 1):
-        new = ech.new
-        ech.scale(h)
-        ech.add_rows((others[:, None, :] * new).reshape(-1, V.shape[1]))
+        pad.append(linalg.np_mul(pad[-1], h, p))
+    ech = linalg.Echelon(V.shape[1], field)
+    added = ech.add_rows(linalg.np_mul(V, pad[J - 1], p))
+    yield ech.rank
+    layer, last = g, np.arange(len(g))
+    for j in range(1, J):
+        # the monomial of degree j with last index l gives len(g) - l of degree j+1
+        if layer is not None and (len(g) - last).sum() <= len(g) * added:
+            parts = [linalg.np_mul(g[i], layer[last <= i], p) for i in range(len(g))]
+            last = np.repeat(np.arange(len(g)), [len(part) for part in parts])
+            layer = np.vstack(parts)
+            added = ech.add_rows(linalg.np_mul(layer, pad[J - j - 1], p))
+        else:
+            layer = None
+            added = ech.add_rows((q[:, None, :] * ech.new).reshape(-1, V.shape[1]))
         yield ech.rank
 
 
@@ -409,7 +454,8 @@ def hilbert_table_a(P: Parameterization, e=None):
     differences agree (and, when e is given, equal e); a slope not locked in
     by degree 2d+4 raises SlopeNotStabilized.  Monomial inputs take the
     sumset route; otherwise each slice is ranked on its values at points
-    (1 : t), enough of them to keep its rank (_image_ranks).
+    (1 : t), enough of them to keep its rank (_image_ranks), and a table
+    past MAX_TABLE_ENTRIES raises InstanceError before it is evaluated.
 
     e, when given, must be the certified e(A) = d // r, with r from
     certify_map_degree.  It makes most of the table free: n = 3 has the closed
@@ -424,8 +470,8 @@ def hilbert_table_a(P: Parameterization, e=None):
     generators and lies in k[f1, f2]_(je), of dimension j*e + 1, so
     min(C(j+n-1, n-1), j*e + 1) bounds HF_A(j), and a rank mod q that meets
     it is proved; from the first miss on the slices are eliminated exactly,
-    on Fraction values at integer points.
-    The second bound holds only when e is the certified e(A).
+    on values at integer points.  The second bound holds only when e is the
+    certified e(A).
 
     e is trusted, not verified: a wrong e gives a wrong table for n = 3, and
     may for n >= 4 once a slice happens to read j*e + 1, over QQ also when a

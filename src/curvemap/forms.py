@@ -341,7 +341,10 @@ def parse_form(field, text: str) -> BinaryForm:
         elif not first:
             raise InstanceError(f"expected '+' or '-' before {tokens[pos]!r}")
         first = False
-        coeff = field.one
+        # the integer factors of the term multiply as ints and are converted
+        # once; a fraction is converted where it stands, as it may fail
+        whole = sign
+        coeff = None
         xe = ye = 0
         while True:
             if pos >= end:
@@ -361,9 +364,9 @@ def parse_form(field, text: str) -> BinaryForm:
                             f"{num}/{den} has no value in the field: "
                             "its denominator is divisible by the prime"
                         )
-                    coeff = field.mul(coeff, value)
+                    coeff = value if coeff is None else field.mul(coeff, value)
                 else:
-                    coeff = field.mul(coeff, field.conv(num))
+                    whole *= num
             elif tok.isalpha():
                 if tok not in ("x", "y", "X", "Y"):
                     raise InstanceError(f"unknown variable {tok!r}")
@@ -393,8 +396,10 @@ def parse_form(field, text: str) -> BinaryForm:
                 f"the largest degree accepted is {MAX_DEGREE}"
             )
         key = (xe, ye)
-        val = field.mul(field.conv(sign), coeff)
-        terms[key] = field.add(terms.get(key, field.zero), val)
+        val = field.conv(whole)
+        if coeff is not None:
+            val = field.mul(val, coeff)
+        terms[key] = field.add(terms[key], val) if key in terms else val
     live = {k: v for k, v in terms.items() if v != field.zero}
     if not live:
         return form(field, [])

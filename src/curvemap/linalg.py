@@ -18,15 +18,20 @@ limbs, a = hi * 2**16 + lo.  A limb times a limb is an integer below 2**32,
 so a contraction of at most 2**21 terms keeps every partial sum below 2**53,
 where float64 is exact whatever the order of summation; a limb times a whole
 residue is below 2**47, which allows 2**6 terms.  The limb products are
-joined and reduced mod p in int64.  On top of that product, row reduction
-absorbs the rows of a large matrix a block at a time into a reduced basis,
-and forward reduction clears a panel of pivots at a time; small matrices and
-the rationals keep the plain loops, which also serve the blocked forms as
-their base case.
+joined and reduced mod p in int64, and a product is taken in chunks whose
+float temporaries stay within a fixed number of bytes.  On top of that
+product one kernel, _absorb, grows a span held in reduced row echelon form
+by a block of rows: one product clears the held pivots from the block and
+one more clears the block's new pivots from the held rows.  Row reduction of
+a large matrix and the growing echelon mod p both run on it; small matrices
+and the rationals keep the plain per-pivot loops, which also reduce each
+block.  The growing echelon over the rationals holds integer rows and
+clears them free of fractions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -35,11 +40,16 @@ import numpy as np
 # _WHOLE_CONTRACT terms the right factor need not be split at all.
 _MAX_CONTRACT = 1 << 21
 _WHOLE_CONTRACT = 1 << 6
-# Output entries per exact product, so its float temporaries stay bounded.
-_CHUNK = 1 << 12
+# Bytes of float64 temporaries in one step of an exact product: its rows
+# and its contraction are both chunked, so a product against a large held
+# echelon never holds the limbs of all of it at once.
+_PRODUCT_BYTES = 1 << 24
 # Rows absorbed per step of the blocked row reduction; a prime-field matrix
-# of fewer than two blocks of rows keeps the per-pivot loop.
+# of fewer than two blocks of rows keeps the per-pivot loop, or takes it on
+# a panel when it is wide and has at least _PANEL entries.  Below that the
+# panel's product costs more than the loop's updates save.
 _BLOCK = 32
+_PANEL = 1 << 12
 
 _to_fraction = np.frompyfunc(Fraction, 1, 1)
 
@@ -72,71 +82,136 @@ def np_rref(a: np.ndarray, p):
 
     Returns (a, pivots).  Mod p, entries stay in [0, p).  A prime-field
     matrix of at least two blocks of rows is absorbed a block at a time
-    (_blocked_rref); anything smaller, and every rational matrix, runs the
-    per-pivot loop.  The form is unique, so both give the same array.
+    (_blocked_rref), and a smaller one of at least _PANEL entries and more
+    than three times as wide as it is tall takes its row operations on a
+    panel (_panel_rref); anything else, and every rational matrix, runs the
+    per-pivot loop.  The form is unique, so all give the same array.
     """
-    if p is None or a.shape[0] < 2 * _BLOCK:
+    rows, cols = a.shape
+    if p is None:
         return _rref_loop(a, p)
-    return _blocked_rref(a, p)
+    if rows >= 2 * _BLOCK:
+        return _blocked_rref(a, p)
+    if cols > 3 * rows and rows * cols >= _PANEL:
+        return _panel_rref(a, p)
+    return _rref_loop(a, p)
 
 
 def _rref_loop(a: np.ndarray, p):
-    """np_rref by one rank-1 update per pivot; products fit in int64."""
+    """np_rref by one rank-1 update per pivot; products fit in int64.
+
+    Before column c, the rows from the current pivot row down are zero, so
+    the swap, the scaling and the update touch only columns c and after.
+    One search of column c finds both the pivot row and the rows to clear,
+    and a pivot alone in its column needs no update.
+    """
     rows, cols = a.shape
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        nz = a[:, c].nonzero()[0]
+        k = int(nz.searchsorted(r))
+        if k == nz.size:
             continue
-        i = r + int(nz[0])
+        i = int(nz[k])
         if i != r:
-            a[[r, i]] = a[[i, r]]
+            a[[r, i], c:] = a[[i, r], c:]
         v = a[r, c]
         if v != 1:
-            a[r] = _reduce(a[r] * _inv(v, p), p)
-        sel = np.nonzero(a[:, c])[0]
-        sel = sel[sel != r]
-        if sel.size:
-            a[sel] = _reduce(a[sel] - np.outer(a[sel, c], a[r]), p)
+            a[r, c:] = _reduce(a[r, c:] * _inv(v, p), p)
+        if nz.size > 1:
+            # rows r..i-1 are zero in column c, so the other rows of nz are
+            # every row to clear
+            sel = np.concatenate((nz[:k], nz[k + 1 :]))
+            block = a[sel, c:]
+            a[sel, c:] = _reduce(block - block[:, :1] * a[r, c:], p)
         pivots.append(c)
         r += 1
     return a, pivots
 
 
-def _blocked_rref(a: np.ndarray, p):
-    """np_rref mod p, absorbing _BLOCK rows at a time into a reduced basis.
+def _panel_rref(a: np.ndarray, p):
+    """np_rref mod p of a wide matrix, its row operations taken on a panel.
 
-    The held rows are in reduced row echelon form.  One product clears their
-    pivots from the next block, the loop reduces what is left of the block
-    on its nonzero columns, and one product clears the new pivots from the
-    held rows.  A zero column stays zero under row operations, so the loop
-    never sees the cleared pivot columns.
+    The per-pivot loop runs on the first 2m columns of the m rows beside an
+    m x m identity, which records the row operations T.  One product gives
+    T times the other columns.  The rows that lead in the panel are then
+    reduced on it; the others are zero there, and they are absorbed into
+    the first (_absorb), which finds the pivots past the panel.
     """
+    m, w = a.shape
+    k = 2 * m
+    aug = np.zeros((m, k + m), dtype=a.dtype)
+    aug[:, :k] = a[:, :k]
+    aug[np.arange(m), k + np.arange(m)] = 1
+    red, piv = _rref_loop(aug, p)
+    top = sum(c < k for c in piv)
+    rows = np.zeros((m, w), dtype=a.dtype)
+    rows[:, :k] = red[:, :k]
+    rows[:, k:] = np_matmul_mod(red[:, k:], a[:, k:], p)
+    free = np.ones(w, dtype=bool)
+    free[piv[:top]] = False
+    free = np.flatnonzero(free)
+    held, _ = _absorb(piv[:top], free, rows[:top, free], rows[top:], p)
+    rank = len(held[0])
+    a[:rank] = _expand(*held, w)
+    a[rank:] = 0
+    return a, held[0]
+
+
+def _blocked_rref(a: np.ndarray, p):
+    """np_rref mod p, absorbing _BLOCK rows at a time into a reduced basis."""
     rows, cols = a.shape
-    held = np.zeros((0, cols), dtype=a.dtype)
-    pivots: list[int] = []
+    held = ([], np.arange(cols), np.zeros((0, cols), dtype=a.dtype))
     for start in range(0, rows, _BLOCK):
-        if len(pivots) == cols:
+        if not held[1].size:
             break
-        block = a[start : start + _BLOCK]
-        if pivots:
-            block = _submod(block, np_matmul_mod(block[:, pivots], held, p), p)
-        block = block[block.any(axis=1)]
-        live = np.flatnonzero(block.any(axis=0))
-        if not live.size:
-            continue
-        red, piv = _rref_loop(block[:, live], p)
-        new = np.zeros((len(piv), cols), dtype=a.dtype)
-        new[:, live] = red[: len(piv)]
-        piv = live[piv].tolist()
-        held = _submod(held, np_matmul_mod(held[:, piv], new, p), p)
-        held, pivots = _merge(held, pivots, new, piv)
-    a[: len(pivots)] = held
-    a[len(pivots) :] = 0
-    return a, pivots
+        held, _ = _absorb(*held, a[start : start + _BLOCK], p)
+    rank = len(held[0])
+    a[:rank] = _expand(*held, cols)
+    a[rank:] = 0
+    return a, held[0]
+
+
+def _absorb(pivots: list, free: np.ndarray, rest: np.ndarray, block: np.ndarray, p):
+    """Absorb the rows of block mod p into a span held in reduced row echelon form.
+
+    The held rows lead at pivots, sorted, and are the identity on those
+    columns; rest holds them on the other columns, free.  One product
+    clears the held pivots from the block, np_rref reduces what is left on
+    its nonzero columns, and one product clears the new pivots from the held
+    rows.  A zero column stays zero under row operations, so the reduction
+    never sees the cleared pivot columns.  Returns ((pivots, free, rest), new)
+    for the grown span, with new = (the new rows on the new free columns,
+    their pivots); block is not changed.
+    """
+    if pivots:
+        block = _submod(block[:, free], np_matmul_mod(block[:, pivots], rest, p), p)
+    block = block[block.any(axis=1)]
+    live = np.flatnonzero(block.any(axis=0))
+    if not live.size:
+        return (pivots, free, rest), (rest[:0], [])
+    red, piv = np_rref(block[:, live], p)
+    new = np.zeros((len(piv), free.size), dtype=rest.dtype)
+    new[:, live] = red[: len(piv)]
+    piv = live[piv]
+    keep = np.ones(free.size, dtype=bool)
+    keep[piv] = False
+    new = new[:, keep]
+    rest = _submod(rest[:, keep], np_matmul_mod(rest[:, piv], new, p), p)
+    cols = free[piv].tolist()
+    rest, merged = _merge(rest, pivots, new, cols)
+    return (merged, free[keep], rest), (new, cols)
+
+
+def _expand(pivots: list, free: np.ndarray, rest: np.ndarray, cols: int) -> np.ndarray:
+    """The whole rows of a reduced echelon held as (pivots, free, rest)."""
+    out = np.zeros((len(pivots), cols), dtype=rest.dtype)
+    out[np.arange(len(pivots)), pivots] = 1
+    out[:, free] = rest
+    return out
 
 
 def _merge(rows: np.ndarray, pivots: list, new: np.ndarray, piv: list):
@@ -146,57 +221,62 @@ def _merge(rows: np.ndarray, pivots: list, new: np.ndarray, piv: list):
     return np.vstack([rows, new])[order], [merged[i] for i in order]
 
 
-def np_forward_reduce(c: np.ndarray, h: np.ndarray, pivots: list, p) -> np.ndarray:
-    """Clear, in place, the columns pivots[t] of c with the echelon rows h.
-
-    h[t] must lead at column pivots[t]; it need not be monic there.  A
-    prime-field c of at least two blocks of rows is cleared a panel of
-    pivots at a time (_blocked_forward); anything smaller, and every
-    rational c, runs the per-pivot loop.
-    """
-    if p is None or c.shape[0] < 2 * _BLOCK:
-        _clear(c, h, pivots, p)
-        return c
-    return _blocked_forward(c, h, pivots, p)
+def _integer_rows(a: np.ndarray) -> np.ndarray:
+    """Rows of rationals as primitive integer rows, each spanning the same line."""
+    out = np.zeros(a.shape, dtype=object)
+    for i, row in enumerate(a):
+        row = [Fraction(v) for v in row]
+        den = math.lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (den // v.denominator) for v in row]
+        g = math.gcd(*ints)
+        out[i] = [v // g for v in ints] if g > 1 else ints
+    return out
 
 
-def _clear(c: np.ndarray, h: np.ndarray, pivots, p, x=None) -> None:
-    """np_forward_reduce by one rank-1 update per pivot.
+def _primitive(rows: np.ndarray) -> np.ndarray:
+    """Integer rows divided by the gcd of their entries."""
+    g = np.gcd.reduce(rows, axis=1)
+    g[g == 0] = 1
+    return rows // g[:, None]
 
-    With x given, the multiplier of h[t] for each row goes to x[:, t].
+
+def _clear(c: np.ndarray, h: np.ndarray, pivots) -> None:
+    """Clear, in place, the columns pivots[t] of the integer rows c with the
+    integer echelon rows h, h[t] leading at pivots[t].
+
+    The rational echelon's forward reduction, free of fractions: a row to
+    clear becomes h[t, pivot] times itself less its pivot entry times h[t],
+    divided by the gcd of its entries.  That keeps it an integer row on the
+    same line as its rational reduction, and about as long.
     """
     for t, col in enumerate(pivots):
-        nz = np.nonzero(c[:, col])[0]
-        if nz.size == 0:
-            continue
-        f = _reduce(c[nz, col] * _inv(h[t, col], p), p)
-        if x is not None:
-            x[nz, t] = f
-        c[nz] = _reduce(c[nz] - np.outer(f, h[t]), p)
+        nz = np.flatnonzero(c[:, col])
+        if nz.size:
+            c[nz] = _primitive(c[nz] * h[t, col] - np.outer(c[nz, col], h[t]))
 
 
-def _blocked_forward(c: np.ndarray, h: np.ndarray, pivots: list, p) -> np.ndarray:
-    """np_forward_reduce mod p, with one product per panel of _BLOCK pivots.
+def _echelon(a: np.ndarray):
+    """A row echelon form of the integer rows a, in place, free of fractions.
 
-    Pivots left of the first nonzero column of c are skipped: rows that lead
-    further right never fill them.  In each panel the per-pivot loop runs on
-    the panel's columns alone and records its multipliers x; then one
-    product subtracts x times the panel's rows over the full width, on the
-    rows of c and the pivots that x touches.  The multipliers are those of
-    the loop over the full width, so c comes out the same.
+    Returns (a, pivots).  The rows are primitive and not reduced: each pivot
+    row clears only the rows below it, as _clear does.
     """
-    piv = np.asarray(pivots, dtype=np.int64)
-    live = np.flatnonzero(c.any(axis=0))
-    start = int(np.searchsorted(piv, live[0])) if live.size else len(piv)
-    for s in range(start, len(piv), _BLOCK):
-        rows, cols = h[s : s + _BLOCK], piv[s : s + _BLOCK]
-        x = np.zeros((c.shape[0], len(cols)), dtype=np.int64)
-        _clear(c[:, cols], rows[:, cols], range(len(cols)), p, x)
-        hit = np.flatnonzero(x.any(axis=1))
-        keep = np.flatnonzero(x.any(axis=0))
-        if keep.size:
-            c[hit] = _submod(c[hit], np_matmul_mod(x[np.ix_(hit, keep)], rows[keep], p), p)
-    return c
+    rows, cols = a.shape
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        _clear(a[r + 1 :], a[r : r + 1], [c])
+        pivots.append(c)
+        r += 1
+    return a, pivots
 
 
 def np_kernel(a: np.ndarray, p) -> np.ndarray:
@@ -230,8 +310,10 @@ def np_solve(a: np.ndarray, b: np.ndarray, p):
 def np_matmul_mod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     """Exact a @ b, mod p as 16-bit limb products on float64 BLAS.
 
-    Shapes follow a @ b.  The rows of a are taken _CHUNK output entries at
-    a time, so the float temporaries stay bounded.
+    Shapes follow a @ b.  The contraction is taken a chunk of rows of b at
+    a time, and each chunk a chunk of rows of a at a time, so that the float
+    temporaries of one step (_mulmod) stay within _PRODUCT_BYTES; the
+    partial products of the contraction chunks are summed mod p.
     """
     if p is None:
         return a @ b
@@ -242,11 +324,18 @@ def np_matmul_mod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     b2 = b if b.ndim == 2 else b[:, None]
     if b2.shape[0] != k:
         raise ValueError(f"cannot multiply {a.shape} by {b.shape}")
-    limbs = _limbs(b2)
-    out = np.empty((a2.shape[0], b2.shape[1]), dtype=np.int64)
-    step = max(1, _CHUNK // max(b2.shape[1], k, 1))
-    for i in range(0, a2.shape[0], step):
-        out[i : i + step] = _mulmod(a2[i : i + step], limbs, p)
+    m, n = a2.shape[0], b2.shape[1]
+    # 16 bytes per entry of the limbs of b and of a, 64 per output entry
+    # for the float product and its int64 copy
+    kc = max(1, min(k, _PRODUCT_BYTES // (16 * n + 1)))
+    mc = max(1, _PRODUCT_BYTES // (16 * kc + 64 * n + 1))
+    out = np.zeros((m, n), dtype=np.int64)
+    for s in range(0, k, kc):
+        limbs = _limbs(b2[s : s + kc])
+        for i in range(0, m, mc):
+            part = _mulmod(a2[i : i + mc, s : s + kc], limbs, p)
+            # out + part mod p, as out - (p - part)
+            out[i : i + mc] = _submod(out[i : i + mc], p - part, p) if s else part
     return out.reshape(a.shape[:-1] + b.shape[1:])
 
 
@@ -288,7 +377,8 @@ def _mulmod(a: np.ndarray, limbs: np.ndarray, p) -> np.ndarray:
 def _submod(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
     """a - b mod p for residue arrays a and b."""
     out = a - b
-    out[out < 0] += p
+    # a negative difference shifts right to all ones, which masks to p
+    out += (out >> 63) & p
     return out
 
 
@@ -301,6 +391,28 @@ def np_multiples(rows: np.ndarray, s: int) -> np.ndarray:
     out = np.zeros((m, s + 1, w + s), dtype=rows.dtype)
     k = np.arange(s + 1)[:, None]
     out[:, k, k + np.arange(w)] = rows[:, None, :]
+    return out
+
+
+def np_mul(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
+    """The pointwise product a * b of field arrays, broadcast as numpy does."""
+    return _reduce(a * b, p)
+
+
+def np_inverses(a: np.ndarray, p) -> np.ndarray:
+    """The pointwise inverses of nonzero field scalars.
+
+    Mod p by Fermat, a**(p-2), with every square and product of two
+    residues inside int64.
+    """
+    if p is None:
+        return _to_fraction(a) ** -1
+    out, base, e = np.ones_like(a), a % p, p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
     return out
 
 
@@ -384,45 +496,71 @@ def solve(rows, rhs, field):
 class Echelon:
     """A growing span, held in row echelon form with its rows sorted by pivot.
 
-    The one incremental elimination of the package: each block of rows is
-    cleared against the held rows, what is left is row-reduced, and its
-    pivots are merged in.  The Hilbert function of the image ring (fiber)
-    grows its slices through it, on their values at points, where a product
-    by a generator is a column scaling (scale).
+    The one incremental elimination of the package.  Over a prime field the
+    held rows stay in reduced row echelon form, so they are the identity on
+    their pivot columns and only their entries on the other columns are
+    kept: each block of rows is absorbed by two products (_absorb).  Over
+    the rationals, where full reduction grows the coefficients, the held
+    rows are primitive integer rows, not reduced: each block is scaled to
+    integer rows, cleared against them one pivot at a time (_clear), what is
+    left is brought to echelon form the same way (_echelon), and its pivots
+    are merged in.  No step there makes a Fraction, or a gcd per entry and
+    operation; a row's entries share one gcd per pivot.  The Hilbert
+    function of the image ring (fiber) grows its slices through it, on their
+    values at points.
     """
 
     def __init__(self, ncols: int, field):
         self.field = field
         self._p = modulus(field)
-        self.rows = np.zeros((0, ncols), dtype=_dtype(self._p))
+        self._ncols = ncols
         self.pivots: list[int] = []
-        # the rows the last add_rows inserted, in reduced row echelon form
-        self.new = self.rows
+        # over a prime field the columns that are not pivots, and the held
+        # rows on them; over the rationals every column, and the whole rows
+        self._free = np.arange(ncols)
+        self._held = np.zeros((0, ncols), dtype=_dtype(self._p))
+        # the rows the last add_rows inserted, as held, and their pivots
+        self._new = (self._held, [])
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The held rows, whole, sorted by pivot."""
+        if self._p is None:
+            return self._held
+        return _expand(self.pivots, self._free, self._held, self._ncols)
+
+    @property
+    def new(self) -> np.ndarray:
+        """The rows the last add_rows inserted, whole, in echelon form as held.
+
+        Together with the rows held before, they span the grown span.
+        """
+        rows, piv = self._new
+        if self._p is None:
+            return rows
+        return _expand(piv, self._free, rows, self._ncols)
 
     def add_rows(self, rows) -> int:
         """Insert rows of field scalars; returns how many were new.
 
         Over a prime field the rows may hold any int64 integers, such as
         products of two residues; they are read mod p.  rows, a list or an
-        array, is left unchanged: the forward reduction works on a copy.
+        array, is left unchanged.
         """
         p = self._p
-        block = _reduce(np.array(rows, dtype=_dtype(p)), p).reshape(-1, self.rows.shape[1])
-        red, piv = np_rref(np_forward_reduce(block, self.rows, self.pivots, p), p)
-        self.new = red[: len(piv)]
-        self.rows, self.pivots = _merge(self.rows, self.pivots, self.new, piv)
+        block = _reduce(np.array(rows, dtype=_dtype(p)), p).reshape(-1, self._ncols)
+        if p is not None:
+            (self.pivots, self._free, self._held), self._new = _absorb(
+                self.pivots, self._free, self._held, block, p
+            )
+            return len(self._new[1])
+        block = _integer_rows(block)
+        _clear(block, self._held, self.pivots)
+        red, piv = _echelon(block)
+        self._new = (red[: len(piv)], piv)
+        self._held, self.pivots = _merge(self._held, self.pivots, *self._new)
         return len(piv)
-
-    def scale(self, values) -> None:
-        """Multiply column s of every held row by values[s].
-
-        Every value must be nonzero: then each row keeps its pivot and the
-        rows stay in echelon form.
-        """
-        if not values.all():
-            raise ValueError("a zero value would drop a pivot")
-        self.rows = _reduce(self.rows * values, self._p)

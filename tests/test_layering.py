@@ -3,8 +3,10 @@
 Only the field module, the CLI and the package root name PrimeField: every
 other module reaches the field through its methods and through
 linalg.modulus, so a second, field-specific code path cannot come back
-unnoticed.  Only linalg names np_forward_reduce: incremental elimination
-goes through linalg.Echelon, not through a hand-written loop elsewhere.
+unnoticed.  Only linalg names _absorb, the kernel that grows a reduced
+echelon by a block of rows, and _clear, the rational echelon's forward
+reduction: incremental elimination goes through linalg.Echelon, not through
+a hand-written loop elsewhere.
 Only linalg and fiber name Echelon: the Hilbert table of A is its one
 consumer, and the Hilbert function of the ideal is one elimination, so a
 second incremental path cannot come back unnoticed.  Only fiber names
@@ -51,7 +53,8 @@ def test_prime_field_is_named_only_at_the_edges():
 
 
 def test_only_linalg_grows_an_echelon():
-    assert _users("np_forward_reduce") == {"linalg.py"}
+    assert _users("_absorb") == {"linalg.py"}
+    assert _users("_clear") == {"linalg.py"}
 
 
 def test_only_fiber_draws_image_points():

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -110,6 +112,20 @@ def test_np_matmul_mod_matches_python_bigints():
         ]
 
 
+def test_np_matmul_mod_chunks_rows_and_contraction(monkeypatch):
+    # a small byte bound splits the rows of a and the contraction into many
+    # chunks, some of them whole (at most 64 terms) and some split in limbs;
+    # the partial products are summed mod p
+    rng = np.random.default_rng(13)
+    for budget, m, k, n in ((1 << 12, 40, 300, 9), (1 << 14, 33, 700, 3), (1, 5, 70, 3)):
+        monkeypatch.setattr(linalg, "_PRODUCT_BYTES", budget)
+        for p in BLOCKED_PRIMES:
+            a = p - 1 - rng.integers(0, min(p, 1000), (m, k))
+            b = p - 1 - rng.integers(0, min(p, 1000), (k, n))
+            want = (a.astype(object) @ b.astype(object)) % p
+            assert np.array_equal(np_matmul_mod(a, b, p), want.astype(np.int64)), (p, m, k, n)
+
+
 def rational_rref(rows):
     red, piv = np_rref(to_np(rows, QQ), None)
     return from_np(red, QQ), piv
@@ -160,39 +176,52 @@ def test_echelon_add_rows_leaves_its_argument_unchanged():
     assert ech.pivots == sorted(ech.pivots)
 
 
-def test_echelon_scale_keeps_pivots_and_rank(any_field):
+def test_echelon_keeps_its_held_rows_in_echelon_form(any_field):
+    # mod p the held rows are the reduced row echelon form of the span, as
+    # np_rref gives it; over QQ they are primitive integer echelon rows,
+    # sorted, not reduced.  Either way new holds the rows of the last block
+    # that led at new pivots
     p = modulus(any_field)
-    rng = random.Random("echelon-scale")
-    rows = [[any_field.conv(v) for v in row] for row in random_matrix(rng, 5, 7, 9)]
-    ech = Echelon(7, any_field)
-    ech.add_rows(rows[:3])
-    ech.add_rows(rows[3:])
-    held, pivots, rank_before = ech.rows.copy(), list(ech.pivots), ech.rank
-    values = to_np([any_field.conv(v) for v in (2, -1, 3, 5, -7, 11, 1)], any_field)[0]
-    ech.scale(values)
-    assert ech.pivots == pivots and ech.rank == rank_before
-    assert [int(np.flatnonzero(r)[0]) for r in ech.rows] == pivots
-    want = held * values if p is None else held * values % p
-    assert (ech.rows == want).all()
+    rng = random.Random("echelon-form")
+    rows = [[any_field.conv(v) for v in row] for row in random_matrix(rng, 9, 8, 9)]
+    rows[4] = [any_field.add(a, b) for a, b in zip(rows[0], rows[2])]
+    rows[7] = [any_field.zero] * 8
+    ech = Echelon(8, any_field)
+    for start, end in ((0, 2), (2, 3), (3, 7), (7, 9)):
+        before = list(ech.pivots)
+        added = ech.add_rows(rows[start:end])
+        assert ech.rank == rank(rows[:end], any_field)
+        assert ech.pivots == sorted(ech.pivots)
+        held = ech.rows
+        assert [int(np.flatnonzero(r)[0]) for r in held] == ech.pivots
+        fresh = [c for c in ech.pivots if c not in before]
+        assert added == len(fresh) == ech.new.shape[0]
+        assert [int(np.flatnonzero(r)[0]) for r in ech.new] == fresh
+        if p is None:
+            assert all(type(v) is int for v in held.ravel())
+            assert [math.gcd(*r) for r in held.tolist()] == [1] * len(held)
+            assert ech.add_rows(ech.new) == 0
+        else:
+            want, piv = np_rref(to_np(rows[:end], any_field), p)
+            assert piv == ech.pivots and np.array_equal(held, want[: len(piv)])
+            assert np.array_equal(ech.new, held[[piv.index(c) for c in fresh]])
     # products of residues, not reduced mod p, are read mod p: all are held
-    assert ech.add_rows(held * values) == 0
-    with pytest.raises(ValueError):
-        ech.scale(to_np([any_field.conv(v) for v in (1, 1, 0, 1, 1, 1, 1)], any_field)[0])
+    if p is not None:
+        assert ech.add_rows(ech.rows * 3 + p) == 0
 
 
 def test_echelon_sorts_a_later_lower_pivot_before_a_product(field):
     # the second block leads left of the first; the held rows stay sorted
-    # by pivot, so the forward reduction runs in pivot order
+    # by pivot, and mod p the first row is reduced by the second
+    p = modulus(field)
     ech = Echelon(3, field)
     ech.add_rows([[0, 1, 1]])
     ech.add_rows([[1, 1, 0]])
     assert ech.pivots == [0, 1]
-    assert [int(np.flatnonzero(r)[0]) for r in ech.rows] == [0, 1]
-    # after the pointwise product by (2, 3, 6), the product of the second
-    # block is in the span, and (0, 0, 1) is not
-    ech.scale(to_np([2, 3, 6], field)[0])
-    assert ech.pivots == [0, 1]
-    assert ech.add_rows(to_np([[2, 3, 0]], field)) == 0
+    assert ech.rows.tolist() == [[1, 0, p - 1], [0, 1, 1]]
+    # combinations of the two rows, as products of residues not reduced mod
+    # p, are in the span, and (0, 0, 1) is not
+    assert ech.add_rows(to_np([[1, 2, 1], [2, 1, -1]], field) * (p - 1)) == 0
     assert ech.rank == 2
     assert ech.add_rows(to_np([[0, 0, 1]], field)) == 1
 
@@ -291,7 +320,7 @@ def low_rank(rng, rows, cols, rank, p):
 
 
 def blocked_shapes(rng, p):
-    """Matrices on both sides of the row threshold of the blocked np_rref."""
+    """Matrices on both sides of the thresholds of the blocked np_rref."""
     edge = 2 * linalg._BLOCK
     yield low_rank(rng, 350, 181, 55, p)  # the largest dense-prime call
     yield low_rank(rng, 90, 300, 70, p)  # wide
@@ -306,9 +335,25 @@ def blocked_shapes(rng, p):
     repeated[50:] = repeated[:50]
     yield repeated
     yield np.zeros((edge + 5, 20), dtype=np.int64)
+    # short and wide, where the row operations are taken on a panel of the
+    # first columns: full rank, low rank, and a panel of low rank
+    yield rng.integers(0, p, (20, 300))
+    yield low_rank(rng, 30, 200, 12, p)
+    short = rng.integers(0, p, (16, 300))
+    short[:, :32] = low_rank(rng, 16, 32, 5, p)
+    yield short
+    yield np.zeros((0, 10), dtype=np.int64)
 
 
-def test_blocked_rref_matches_the_per_pivot_loop():
+def test_blocked_rref_matches_the_per_pivot_loop(monkeypatch):
+    panels = []
+    panel_rref = linalg._panel_rref
+
+    def spy(a, p):
+        panels.append(a.shape)
+        return panel_rref(a, p)
+
+    monkeypatch.setattr(linalg, "_panel_rref", spy)
     rng = np.random.default_rng(9)
     for p in BLOCKED_PRIMES:
         for a in blocked_shapes(rng, p):
@@ -316,6 +361,9 @@ def test_blocked_rref_matches_the_per_pivot_loop():
             got, piv = np_rref(a.copy(), p)
             assert piv == want_piv, (p, a.shape)
             assert got.dtype == np.int64 and np.array_equal(got, want), (p, a.shape)
+    # the short wide shapes, and blocks of the tall ones, took the panel
+    assert {(20, 300), (30, 200), (16, 300)} <= set(panels)
+    assert any(rows == linalg._BLOCK for rows, _ in panels)
     # over a large prime the tall product keeps the rank of its factors
     a = low_rank(np.random.default_rng(1), 350, 181, 55, 2147483647)
     assert len(np_rref(a, 2147483647)[1]) == 55
@@ -331,33 +379,38 @@ def test_np_rank_reduces_its_owned_argument_in_place():
     assert np_rank(np.vstack([a, before]), p) == 12
 
 
-def echelon_rows(rng, r, cols, p):
-    """r rows mod p in row echelon form, sorted by pivot, not monic, not reduced."""
-    pivots = sorted(rng.choice(cols, r, replace=False).tolist())
-    h = rng.integers(0, p, (r, cols))
-    for t, col in enumerate(pivots):
-        h[t, :col] = 0
-        h[t, col] = rng.integers(1, p)
-    return h, pivots
-
-
-def test_blocked_forward_reduce_matches_the_per_pivot_loop():
+def test_absorbing_by_products_matches_the_per_pivot_loop():
+    # an Echelon mod p grown block by block, each absorbed by two products
+    # (_absorb), holds the rows and pivots that the per-pivot loop gives on
+    # all the rows at once, and new the rows of the last block's pivots
     rng = np.random.default_rng(12)
     edge = 2 * linalg._BLOCK
     for p in BLOCKED_PRIMES:
-        for k, r, cols in ((edge - 1, 40, 90), (edge, 40, 90), (150, 120, 200), (edge, 0, 30)):
-            h, pivots = echelon_rows(rng, r, cols, p)
-            c = rng.integers(0, p, (k, cols))
-            c[:, : cols // 3] = 0  # a zero prefix, as in the slices of A
-            c[::7] = 0
-            if r:
-                # rows already in the span of h reduce to zero
-                c[1::5] = np_matmul_mod(rng.integers(0, p, (len(c[1::5]), r)), h, p)
-            want = c.copy()
-            linalg._clear(want, h, pivots, p)
-            got = linalg.np_forward_reduce(c.copy(), h, pivots, p)
-            assert np.array_equal(got, want), (p, k, r, cols)
-            assert not got[:, pivots].any()
+        for sizes, cols in (
+            ((edge - 1, 40), 90),
+            ((5, edge, 3, edge + 1), 90),
+            ((150, 120), 200),
+            ((edge, 0, 7), 30),
+        ):
+            ech = Echelon(cols, SimpleNamespace(modular=True, p=p))
+            seen = np.zeros((0, cols), dtype=np.int64)
+            for k in sizes:
+                block = rng.integers(0, p, (k, cols))
+                block[:, : cols // 3] = 0  # a zero prefix, as in the slices of A
+                block[::7] = 0
+                if len(seen):
+                    # rows already in the span reduce to zero
+                    mix = rng.integers(0, p, (len(block[1::5]), len(seen)))
+                    block[1::5] = np_matmul_mod(mix, seen, p)
+                before = list(ech.pivots)
+                added = ech.add_rows(block)
+                seen = np.vstack([seen, block])
+                want, piv = linalg._rref_loop(seen.copy(), p)
+                assert ech.pivots == piv, (p, sizes, cols)
+                assert np.array_equal(ech.rows, want[: len(piv)]), (p, sizes, cols)
+                fresh = [t for t, c in enumerate(piv) if c not in before]
+                assert added == len(fresh)
+                assert np.array_equal(ech.new, want[fresh]), (p, sizes, cols)
 
 
 def test_np_matmul_mod_is_exact_at_the_longest_contraction():
