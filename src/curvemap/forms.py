@@ -415,34 +415,40 @@ def parse_form(field, text: str) -> BinaryForm:
     return form(field, coeffs)
 
 
+def format_term(coeff: str, xe: int, ye: int, variables=("x", "y")) -> str:
+    """One term of format_form: the coefficient text coeff (as field.fmt
+    writes it) times x**xe * y**ye, leaving out a unit coefficient and unit
+    exponents."""
+    negative = coeff.startswith("-")
+    mag = coeff[1:] if negative else coeff
+    x, y = variables
+    factors = []
+    if mag != "1" or (xe == 0 and ye == 0):
+        factors.append(mag)
+    if xe:
+        factors.append(x if xe == 1 else f"{x}^{xe}")
+    if ye:
+        factors.append(y if ye == 1 else f"{y}^{ye}")
+    return ("-" if negative else "") + "*".join(factors)
+
+
+def format_monomial(h: BinaryForm, variables=("x", "y")) -> str:
+    """format_form of a monomial c*x^u*y^v: its one term."""
+    v = h.y_order
+    return format_term(h.field.fmt(h.coeffs[v]), h.degree - v, v, variables)
+
+
 def format_form(h: BinaryForm, variables=("x", "y")) -> str:
     """Canonical text: terms by descending x exponent, balanced coefficients."""
     if h.is_zero:
         return "0"
-    field = h.field
-    x, y = variables
+    fmt = h.field.fmt
     d = h.degree
-    pieces = []
-    for i, c in enumerate(h.coeffs):
-        if not c:
-            continue
-        s = field.fmt(c)
-        negative = s.startswith("-")
-        mag = s[1:] if negative else s
-        xe, ye = d - i, i
-        factors = []
-        if mag != "1" or (xe == 0 and ye == 0):
-            factors.append(mag)
-        if xe:
-            factors.append(x if xe == 1 else f"{x}^{xe}")
-        if ye:
-            factors.append(y if ye == 1 else f"{y}^{ye}")
-        body = "*".join(factors)
-        pieces.append((negative, body))
     out = []
-    for k, (negative, body) in enumerate(pieces):
-        if k == 0:
-            out.append(("-" if negative else "") + body)
-        else:
-            out.append((" - " if negative else " + ") + body)
+    for i, c in enumerate(h.coeffs):
+        if c:
+            term = format_term(fmt(c), d - i, i, variables)
+            if out:
+                term = f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+            out.append(term)
     return "".join(out)

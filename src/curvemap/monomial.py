@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InstanceError, NotMonomial
-from .forms import form, monomial
+from .forms import form, format_term, monomial
 from .ideals import GradedIdeal
 from .param import Parameterization
 from .syzygy import SyzygyMatrix
@@ -82,35 +82,51 @@ def oracle_degree(M: MonomialParam) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Newton-polygon integral closure of a monomial ideal in two variables
+# Monomial ideals on exponent pairs, and their Newton-polygon integral closure
 
 
-def _exponent_pairs(J: GradedIdeal) -> list:
+@dataclass(frozen=True)
+class MonomialIdeal:
+    """The ideal generated by x^u y^v for the exponent pairs (u, v), in order."""
+
+    field: object
+    pairs: tuple
+
+    def gen_strings(self, variables=("x", "y")) -> list:
+        return [format_term("1", u, v, variables) for u, v in self.pairs]
+
+    def graded(self) -> GradedIdeal:
+        return GradedIdeal.of(self.field, [monomial(self.field, u + v, v) for u, v in self.pairs])
+
+
+def exponent_pairs(gens) -> list:
+    """(u, v) of each monomial c x^u y^v among gens."""
     pairs = []
-    for g in J.gens:
+    for g in gens:
         if not g.is_monomial:
-            raise NotMonomial("newton_closure needs a monomial ideal")
+            raise NotMonomial("exponent pairs need monomial generators")
         k = g.y_order
         pairs.append((g.degree - k, k))
     return pairs
 
 
-def _lower_left_hull(pairs: list) -> list:
-    """The southwest boundary of conv(pairs) + the positive orthant."""
-    bymin: dict = {}
-    for a, b in pairs:
-        if a not in bymin or b < bymin[a]:
-            bymin[a] = b
-    pts = sorted(bymin.items())
-    # drop points dominated by one further left and no higher
+def staircase(pairs) -> list:
+    """The minimal pairs under the componentwise order, by ascending u.
+
+    They are the exponents of the minimal generators of the monomial ideal,
+    so two monomial ideals are equal exactly when their staircases are.
+    """
     chain = []
-    best = None
-    for a, b in pts:
-        if best is None or b < best:
+    for a, b in sorted(set(pairs)):
+        if not chain or b < chain[-1][1]:
             chain.append((a, b))
-            best = b
+    return chain
+
+
+def _lower_left_hull(pairs) -> list:
+    """The southwest boundary of conv(pairs) + the positive orthant."""
     hull: list = []
-    for q in chain:
+    for q in staircase(pairs):
         while len(hull) >= 2:
             o, p = hull[-2], hull[-1]
             cross = (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
@@ -122,13 +138,11 @@ def _lower_left_hull(pairs: list) -> list:
     return hull
 
 
-def newton_closure(J: GradedIdeal) -> GradedIdeal:
-    """Integral closure: all lattice points on or above the Newton polygon."""
-    field = J.field
-    hull = _lower_left_hull(_exponent_pairs(J))
-    gens = []
+def closure_pairs(pairs) -> list:
+    """The staircase of the integral closure: lattice points on or above the Newton polygon."""
+    hull = _lower_left_hull(pairs)
+    out = []
     seg = 0
-    last_v = None
     for u in range(hull[0][0], hull[-1][0] + 1):
         while seg + 1 < len(hull) and hull[seg + 1][0] < u:
             seg += 1
@@ -138,7 +152,11 @@ def newton_closure(J: GradedIdeal) -> GradedIdeal:
             v = -(-num // (a2 - a1))
         else:
             v = hull[-1][1]
-        if last_v is None or v < last_v:
-            gens.append(monomial(field, u + v, v))
-            last_v = v
-    return GradedIdeal.of(field, gens)
+        if not out or v < out[-1][1]:
+            out.append((u, v))
+    return out
+
+
+def newton_closure(J: GradedIdeal) -> GradedIdeal:
+    """Integral closure of a monomial ideal (closure_pairs on its generators)."""
+    return MonomialIdeal(J.field, tuple(closure_pairs(exponent_pairs(J.gens)))).graded()

@@ -5,19 +5,22 @@ span(f1, f2), and f1, f2 are coprime forms of degree r with k[(I)_d]
 contained in k[f1, f2].  The pair is the reduced row echelon basis of that
 pencil, so it depends only on the map.  Substituting new variables for
 f1, f2 rewrites the input as a birational parameterization of degree d/r,
-and the core of the ideal has the closed form (f1, f2)^(2d/r - 1).
+and the core of the ideal has the closed form (f1, f2)^(2d/r - 1).  For a
+monomial pair -- every r = 1 map, every monomial map, any pair (x^r, y^r) --
+the core is computed on exponent pairs, with no form products or slice ranks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import linalg
 from .errors import CertificationFailed, DegreeMismatch
 from .fiber import map_degree
-from .forms import BinaryForm, form, format_form, gcd_forms
+from .forms import BinaryForm, form, format_form, format_monomial, gcd_forms
 from .ideals import GradedIdeal, ideal_equals, maximal_ideal_power
-from .monomial import newton_closure
+from .monomial import MonomialIdeal, closure_pairs, exponent_pairs, staircase
 from .param import Parameterization
 from .syzygy import SyzygyMatrix, hilbert_burch
 
@@ -55,19 +58,27 @@ class CoreReport:
     e: int
     f1: BinaryForm
     f2: BinaryForm
-    core: GradedIdeal
+    # a MonomialIdeal when f1, f2 are monomials, else the GradedIdeal
+    generators: object
     equals_m_power: bool
     integrally_closed: bool
     closure_provenance: str
     canonical: str
 
+    @cached_property
+    def core(self) -> GradedIdeal:
+        """The core as a GradedIdeal of monic generators, built when first read."""
+        gens = self.generators
+        return gens.graded() if isinstance(gens, MonomialIdeal) else gens
+
     def to_json(self, variables=("x", "y")) -> dict:
+        fmt = format_monomial if isinstance(self.generators, MonomialIdeal) else format_form
         return {
             "r": self.r,
             "e": self.e,
-            "f1": format_form(self.f1, variables),
-            "f2": format_form(self.f2, variables),
-            "coreGens": self.core.gen_strings(variables),
+            "f1": fmt(self.f1, variables),
+            "f2": fmt(self.f2, variables),
+            "coreGens": self.generators.gen_strings(variables),
             "equalsMPower": self.equals_m_power,
             "integrallyClosed": {
                 "value": self.integrally_closed,
@@ -178,25 +189,34 @@ def reparameterize(P: Parameterization, phi: SyzygyMatrix, cert, seed=0, samples
 def core_ideal(P: Parameterization, cert) -> CoreReport:
     """core(I) = (f1, f2)^(2d/r - 1), with its closure and canonical data.
 
-    cert is the map-degree certificate from certify_map_degree.
-    Integral closedness is computed via the Newton polygon when the core is
-    monomial; otherwise it is reported as a consequence of r = 1, with the
-    provenance recorded either way.
+    cert is the map-degree certificate from certify_map_degree.  When f1, f2
+    are monomials (every r = 1 map, every monomial map, any pair (x^r, y^r))
+    the core is monomial and is decided on the exponent pairs of its
+    generators: its staircase is compared with those of m^(2d-1) and of its
+    Newton polygon.  Otherwise the form products f1^(m-k) f2^k are compared
+    with m^(2d-1) on slices, and closedness follows from r = 1; the
+    provenance records which.
     """
     field = P.field
     d = P.d
     r, (f1, f2) = cert.r, cert.pair
     e = d // r
-    core = GradedIdeal.of(field, _pair_power_products(f1, f2, 2 * e - 1))
-    equals = ideal_equals(core, maximal_ideal_power(field, 2 * d - 1))
-    if core.is_monomial:
-        closed = ideal_equals(newton_closure(core), core)
+    m = 2 * e - 1
+    if f1.is_monomial and f2.is_monomial:
+        (a1, b1), (a2, b2) = exponent_pairs((f1, f2))
+        pairs = tuple(((m - k) * a1 + k * a2, (m - k) * b1 + k * b2) for k in range(m + 1))
+        least = staircase(pairs)
+        generators = MonomialIdeal(field, pairs)
+        equals = least == [(i, 2 * d - 1 - i) for i in range(2 * d)]
+        closed = least == closure_pairs(pairs)
         provenance = "computed-monomial"
     else:
+        generators = GradedIdeal.of(field, _pair_power_products(f1, f2, m))
+        equals = ideal_equals(generators, maximal_ideal_power(field, 2 * d - 1))
         closed = r == 1
         provenance = "derived-by-theorem"
     canonical = f"f1^2 t (f1,f2)^{e - 1} R((f1,f2)^{e})"
-    return CoreReport(r, e, f1, f2, core, equals, closed, provenance, canonical)
+    return CoreReport(r, e, f1, f2, generators, equals, closed, provenance, canonical)
 
 
 def adjoint_of_m_power(field, t: int) -> GradedIdeal:

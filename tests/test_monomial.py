@@ -16,6 +16,7 @@ from curvemap import (
     slice_rank,
     verify_hilbert_burch,
 )
+from curvemap.monomial import closure_pairs, staircase
 
 
 def test_monomial_param_validation(field):
@@ -104,3 +105,14 @@ def test_newton_closure_rejects_dense_input(field, build):
     J = ideal(field, "x^2 + y^2", "x*y")
     with pytest.raises(NotMonomial):
         newton_closure(J)
+
+
+def test_staircase_and_closure_on_pairs():
+    # minimal pairs only: a repeat, a point to the right at the same height
+    # and a point above at the same u all drop out
+    pairs = [(3, 1), (1, 3), (2, 3), (1, 4), (0, 5), (3, 1), (4, 0)]
+    assert staircase(pairs) == [(0, 5), (1, 3), (3, 1), (4, 0)]
+    # the closure of (x^4, y^2) picks up x^2 y, that of (x^6, y^3) x^4 y and x^2 y^2
+    assert closure_pairs([(4, 0), (0, 2)]) == [(0, 2), (2, 1), (4, 0)]
+    assert closure_pairs([(6, 0), (0, 3)]) == [(0, 3), (2, 2), (4, 1), (6, 0)]
+    assert closure_pairs(staircase(pairs)) == closure_pairs(pairs)
