@@ -48,7 +48,8 @@ class Analysis:
     Each piece (syzygy matrix, certified map degree with its reparameterization
     pair, Hilbert table, core) is computed once on first use and shared by
     every report that needs it.  e(A) = d/r follows from the certified r, and
-    the Hilbert table is built from it.
+    the Hilbert table is built from it.  seed and samples are only echoed
+    in the report: r is proved on a fixed walk of points.
     """
 
     def __init__(self, P: Parameterization, seed: int = 0, samples: int = 7):
@@ -62,7 +63,7 @@ class Analysis:
 
     @cached_property
     def certificate(self):
-        return certify_map_degree(self.param, self.phi, seed=self.seed, samples=self.samples)
+        return certify_map_degree(self.param, self.phi)
 
     @property
     def r(self) -> int:
@@ -92,9 +93,7 @@ class Analysis:
 
     @cached_property
     def reparam(self):
-        return reparameterize(
-            self.param, self.phi, self.certificate, seed=self.seed, samples=self.samples
-        )
+        return reparameterize(self.param, self.phi, self.certificate)
 
     @cached_property
     def core(self):

@@ -1,8 +1,7 @@
 """Command-line front end: instance files in, JSON or plain-text reports out.
 
 Exit codes: 0 success, 1 invalid input, 2 a computation failed one of its
-certificates (resampling with another seed or a larger prime usually fixes
-it), 3 self-test failure.
+certificates, 3 self-test failure.
 """
 
 from __future__ import annotations
@@ -152,6 +151,7 @@ def _int_in(low: int, high: int):
 
 
 _samples = _int_in(1, MAX_SAMPLES)
+_ECHOED = "echoed in the report; does not change the computation"
 
 
 def _emit(args, report: dict, renderer) -> int:
@@ -337,7 +337,6 @@ def cmd_selftest(args) -> int:
         d_max=args.d_max,
         corpus_size=args.corpus_size,
         seed=0 if args.seed is None else args.seed,
-        samples=args.samples,
     )
     return 0 if summary.ok else 3
 
@@ -371,13 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
                 required=True,
                 help="target point 'a:b:...' with n coordinates",
             )
-        p.add_argument("--seed", type=int, default=None, help="override the instance seed")
-        p.add_argument(
-            "--samples",
-            type=_samples,
-            default=7,
-            help="random fiber samples behind map degree (default 7)",
-        )
+        p.add_argument("--seed", type=int, default=None, help=_ECHOED)
+        p.add_argument("--samples", type=_samples, default=7, help=_ECHOED)
         p.add_argument(
             "--deterministic",
             action="store_true",

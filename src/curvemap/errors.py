@@ -26,10 +26,7 @@ class ZeroRow(CurvemapError):
 
 
 class CertificationFailed(CurvemapError):
-    """A randomized result violated one of its deterministic cross-checks.
-
-    Resampling with a new seed, or a larger prime, usually resolves this.
-    """
+    """A computed result failed one of its deterministic certificates."""
 
 
 class SlopeNotStabilized(CurvemapError):

@@ -3,24 +3,24 @@
 A scalar point p of P^(n-1) pulls back to the row vector p*phi; the gcd of
 its entries cuts out the fiber over p, so p lies on the image exactly when
 that gcd is nonconstant.  The degree of a general fiber is the degree r of
-the map onto its image.  A sampled fiber degree s is never below r, and
-coprime forms f1, f2 of degree s with every generator in k[f1, f2] prove
-r >= s (Lueroth), which turns the sample into a certified r.  Then
-r * e(A) = d gives the multiplicity e(A) of the homogeneous coordinate ring
-A of the image, and with it most of the Hilbert table of A.
+the map onto its image.  A fiber degree s is never below r, and coprime
+forms f1, f2 of degree s with every generator in k[f1, f2] prove r >= s
+(Lueroth), which turns the fibers on a fixed walk of points into a proved
+r.  Then r * e(A) = d gives the multiplicity e(A) of the homogeneous
+coordinate ring A of the image, and with it most of the Hilbert table of A.
 
 One evaluator forms the rows p * phi: _rows multiplies a batch of points by
 phi, one product for every column.  fiber at a given point and the map-degree
-sample read their fiber forms off it; the sample draws seeded image points
-through _image_fibers, and its fibers of degree r span the pencil that
-gives the reparameterization pair (reparam.extract_reparam_basis).  Over QQ
-the sample forms its rows mod one prime first, and a fiber gcd of degree 1
-there is proved to be the known root of the row (_proved_fiber).
+walk read their fiber forms off it; the walk reads the images of (1 : t),
+t = 1, -1, 2, ..., through _image_fibers, and its fibers of degree r span
+the pencil that gives the reparameterization pair
+(reparam.extract_reparam_basis).  Over QQ the walk forms its rows mod one
+prime first, and a fiber gcd of degree 1 there is proved to be the known
+root of the row (_proved_fiber).
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import count, islice
 from math import comb, gcd
@@ -49,8 +49,8 @@ from .ideals import GradedIdeal
 from .param import Parameterization
 from .syzygy import SyzygyMatrix, _gens_array, hilbert_burch
 
-# Largest number of fiber samples behind the map degree, all drawn in one
-# batch: 10^4 took 0.5 s and about 10 MB on a cubic, 10^6 took 52 s and 880 MB.
+# The accepted range of --samples, which is only echoed in the reports: the
+# map degree is proved on a fixed walk of points (certify_map_degree).
 MAX_SAMPLES = 10_000
 # Largest pass of the Hilbert table of A, in matrix entries: its J*d + 1
 # columns times the rows of its echelon at their bound and of its largest
@@ -160,7 +160,7 @@ def _proved_fiber(field, t, row):
     residue.  The gcd of the nonzero residues therefore has degree at least
     deg h.  Degree 1 proves h = t x - y, made monic as gcd_forms makes it.
     Degree 0 proves that the exact gcd is the constant 1, which
-    _sampled_fiber_degree reports as an image point off the image.  A row
+    certify_map_degree reports as an image point off the image.  A row
     that vanishes mod q, or a degree of 2 or more, proves nothing: None.
     """
     entries = [e for e in row if not e.is_zero]
@@ -172,16 +172,17 @@ def _proved_fiber(field, t, row):
     return constant(field) if degree == 0 else None
 
 
-def _image_fibers(P: Parameterization, phi: SyzygyMatrix, rng, batch: int):
-    """(t, fiber form or None) over the images of points (1 : t), t from rng.
+def _walk_point(k: int) -> int:
+    """The k-th value of t = 0, 1, -1, 2, -2, ..., the walk of points (1 : t)."""
+    return (k + 1) // 2 * (1 if k % 2 else -1)
 
-    The points are drawn batch at a time, and the first batch is only
-    min(2, batch) points when the column degrees of phi are coprime: r
-    divides each of them, so then r = 1, and two distinct fibers of degree 1
-    end the map-degree sample.  The stream of points is the same either
-    way.  The rows p * phi come from one evaluation per batch
-    (_row_evaluator); the fiber form is the gcd of a row's entries, None
-    when the row vanishes.
+
+def _image_fibers(P: Parameterization, phi: SyzygyMatrix, stop: int):
+    """(t, fiber form or None) over the images of (1 : t), t = 1, -1, 2, ...
+
+    The first stop points of the walk are evaluated in batches of 2, 4, 8,
+    ..., one evaluation of their rows p * phi each (_row_evaluator); the
+    fiber form is the gcd of a row's entries, None when the row vanishes.
 
     Over QQ the generators and phi are reduced once mod q = DEFAULT_PRIME
     (RationalField.reduction), and every row is first formed mod q.  Its
@@ -197,10 +198,10 @@ def _image_fibers(P: Parameterization, phi: SyzygyMatrix, rng, batch: int):
     if reduced is not None:
         k, residues = reduced
         mod_q = _row_evaluator(k, residues[: P.n], residues[P.n :], spans)
-    size = min(2, batch) if gcd(*phi.col_degrees) == 1 else batch
-    while True:
-        ts = [field.rand(rng) for _ in range(size)]
-        size = batch
+    start, size = 1, 2
+    while start <= stop:
+        ts = [field.conv(_walk_point(i)) for i in range(start, min(start + size, stop + 1))]
+        start, size = start + size, 2 * size
         if reduced is None:
             for t, row in zip(ts, exact(ts)):
                 yield t, _fiber_form(row)
@@ -401,7 +402,7 @@ def _values_at_points(G: np.ndarray, hrow: int, W: int, field) -> np.ndarray:
     p = linalg.modulus(field)
     d = G.shape[1] - 1
     count = W + d if p is None else min(W + d, p)
-    ts = linalg.to_np([(k + 1) // 2 * (1 if k % 2 else -1) for k in range(count)], field)[0]
+    ts = linalg.to_np([_walk_point(k) for k in range(count)], field)[0]
     values = linalg.np_matmul_mod(G, linalg.np_vandermonde(ts, d, p), p)
     keep = np.flatnonzero(values[hrow])[:W]
     if len(keep) < W:
@@ -529,81 +530,25 @@ class DegreeCertificate:
     new_gens: tuple
 
 
-def _sampled_fiber_degree(P: Parameterization, phi: SyzygyMatrix, seed, samples):
-    """(s, fibers): the least fiber degree s over the images of random
-    points, never below r, and the distinct fiber forms of degree s drawn.
-
-    s is the least degree over the first samples points whose row p * phi
-    does not vanish; a point whose row vanishes is redrawn.  For s > 1 the
-    stream goes on until two distinct forms of degree s are held, all within
-    samples + 16 draws.  No fiber has degree below 1, so two distinct forms
-    of degree 1 stop the stream at once, whatever samples is: s = 1 proves
-    r = 1, and the two span the pencil (x, y).  Then no later point gets
-    the off-image check or a fiber gcd, and when the column degrees of phi
-    are coprime, no later point is drawn: the first batch of _image_fibers
-    is two points.  The other batches draw samples points at once, so
-    samples is at most MAX_SAMPLES.
-
-    Over QQ each fiber form is read off its row mod q when that proves it
-    (_image_fibers, _proved_fiber): the points, the forms and so s are the
-    same as on the exact route.  A gcd of degree 0 there, or over QQ, is an
-    image point reported off the image, and the error names the exact point.
-    """
-    if not 1 <= samples <= MAX_SAMPLES:
-        raise ValueError(f"need between 1 and {MAX_SAMPLES} fiber samples")
-    rng = random.Random(f"map-degree:{seed}")
-    s = None
-    fibers: dict = {}  # a dict keeps the forms distinct and in drawing order
-    drawn = 0
-    for t, g in islice(_image_fibers(P, phi, rng, samples), samples + 16):
-        if g is None:
-            continue
-        if g.degree < 1:
-            point = apply_map(P, ProjPoint1.of(P.field, P.field.one, t))
-            raise InternalInvariantViolation(f"image point {point} reported off the image")
-        if drawn < samples:
-            drawn += 1
-            if s is None or g.degree < s:
-                s, fibers = g.degree, {}
-        if g.degree == s:
-            fibers[g] = None
-        full = drawn == samples
-        if s == 1 and (full or len(fibers) >= 2) or full and len(fibers) >= 2:
-            return s, list(fibers)
-    why = (
-        "kept hitting degenerate points"
-        if drawn < samples
-        else f"found fewer than two distinct fiber forms of degree {s}"
-    )
-    raise CertificationFailed(
-        f"fiber sampling {why} within {samples + 16} draws; "
-        "retry with a different seed or a larger prime"
-    )
+def _walk_bound(d: int) -> int:
+    """d^2 + 1: enough points for the map-degree walk, by certify_map_degree."""
+    return d * d + 1
 
 
-def certify_map_degree(
-    P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, e=None
-) -> DegreeCertificate:
-    """Degree r of the map onto its image, sampled and then proved (Lueroth).
+def _lueroth(P: Parameterization, phi: SyzygyMatrix, s: int, fibers: list, e):
+    """The certificate r = s on distinct fibers of degree s, or CertificationFailed.
 
-    Every fiber over an image point has degree >= r, so the least sampled
-    degree s bounds r from above, and s = 1 proves r = 1.  For s > 1, f1, f2
-    is the reduced row echelon basis of the sampled fibers of degree s
-    (extract_reparam_basis), so it depends on the map, not on the seed: if
-    they are coprime and every g_i lies in k[f1, f2], the map factors
-    through the degree-s cover (f1 : f2), so r >= s and r = s.  The witness
-    is returned, so the reparameterization and the core reuse it.  As
-    further checks s must divide every column degree of phi and, when e is
-    given, s * e = d.
+    s must divide every column degree of phi and, when e is given, s * e = d;
+    s = 1 then proves r = 1.  For s > 1 the fibers must span a pencil whose
+    reduced basis f1, f2 (extract_reparam_basis) is coprime with every g_i in
+    k[f1, f2]: the map then factors through the degree-s cover (f1 : f2).
     """
     from .reparam import express_in_subring, extract_reparam_basis
 
-    s, fibers = _sampled_fiber_degree(P, phi, seed, samples)
     if any(D % s for D in phi.col_degrees) or (e is not None and s * e != P.d):
         raise CertificationFailed(
-            f"sampled fiber degree {s} fails certification against "
-            f"column degrees {list(phi.col_degrees)} and e(A) = {e} with d = {P.d}; "
-            "resample with a different seed or a larger prime"
+            f"fiber degree {s} fails certification against "
+            f"column degrees {list(phi.col_degrees)} and e(A) = {e} with d = {P.d}"
         )
     field = P.field
     if s == 1:
@@ -613,29 +558,84 @@ def certify_map_degree(
     if gcd_forms([f1, f2]).degree:
         raise CertificationFailed(
             f"the pair ({format_form(f1)}, {format_form(f2)}) is not two coprime "
-            f"forms of the sampled fiber degree {s}"
+            f"forms of the fiber degree {s}"
         )
     new_gens = tuple(express_in_subring(g, f1, f2) for g in P.gens)
     if None in new_gens:
         raise CertificationFailed(
             f"not every generator lies in k[{format_form(f1)}, {format_form(f2)}], "
-            f"so the sampled fiber degree {s} is not proved to be the map degree; "
-            "resample with a different seed or a larger prime"
+            f"so the fiber degree {s} is not proved to be the map degree"
         )
     return DegreeCertificate(s, (f1, f2), new_gens)
 
 
-def map_degree(P: Parameterization, phi: SyzygyMatrix, seed=0, samples=7, e=None) -> int:
+def certify_map_degree(P: Parameterization, phi: SyzygyMatrix, e=None) -> DegreeCertificate:
+    """Degree r of the map onto its image, proved on a fixed walk of points.
+
+    The walk reads the fibers over the images of (1 : t), t = 1, -1, 2, -2,
+    ... (_image_fibers), and holds the distinct fibers of the least degree s
+    seen so far; every fiber over an image point has degree >= r.  Each time
+    the held set gains a second or later member, the Lueroth certificate is
+    tried on it (_lueroth).  A pass proves r >= s, so r = s; a failure
+    proves nothing, and the walk goes on.  The pair is the reduced basis of
+    the pencil, so it depends on the map, not on the points.
+
+    The walk gives up after d^2 + 1 points, which suffice.  By Lueroth the
+    map is a cover (f1 : f2) of degree r followed by a birational map psi
+    onto the image C, of degree e = d/r.  Over a smooth point of C the fiber
+    is the pullback of a linear form: degree r, in span(f1, f2).  So a fiber
+    of degree above r lies over a singular point (its degree is r times the
+    multiplicity there: Cox, Kustin, Polini, Ulrich, Mem. AMS 2013).  A
+    general projection maps C birationally onto a plane curve C' of degree
+    e, and singular points onto singular points.  At most m parameters of
+    psi lie over a point of multiplicity m, m <= m(m-1) for m >= 2, and the
+    delta invariants of C', each at least m(m-1)/2, sum to (e-1)(e-2)/2.  So
+    at most r(e-1)(e-2) points of the walk lie over singular points.  A
+    fiber of degree r holds at most r points, so r + 1 more points give two
+    distinct fibers of degree r, which span the pencil and pass.  A correct
+    phi has no vanishing row: its minors, the g_i, have no common zero, so
+    p * phi = 0 would make the map constant.  In all, r(e-1)(e-2) + r + 1 <=
+    r e^2 + 1 <= d^2 + 1 points.  The t of the walk are +-1, +-2, ..., at
+    most (d^2 + 2)/2, and distinct mod p: d^2 + 2 < field.MIN_PRIME for
+    d <= forms.MAX_DEGREE.  Reaching the bound raises CertificationFailed
+    with the last failed attempt: phi, e or the arithmetic is then wrong.
+    """
+    s = None
+    fibers: dict = {}  # a dict keeps the forms distinct and in walking order
+    failed = None
+    bound = _walk_bound(P.d)
+    for t, g in _image_fibers(P, phi, bound):
+        if g is None:
+            continue
+        if g.degree < 1:
+            point = apply_map(P, ProjPoint1.of(P.field, P.field.one, t))
+            raise InternalInvariantViolation(f"image point {point} reported off the image")
+        if s is None or g.degree < s:
+            s, fibers = g.degree, {}
+        if g.degree == s and g not in fibers:
+            fibers[g] = None
+            if len(fibers) >= 2:
+                try:
+                    return _lueroth(P, phi, s, list(fibers), e)
+                except CertificationFailed as exc:
+                    failed = exc
+    raise CertificationFailed(
+        f"the walk of d^2 + 1 = {bound} points (1 : t) proved no map degree"
+        + (f"; the last attempt: {failed}" if failed else "")
+    )
+
+
+def map_degree(P: Parameterization, phi: SyzygyMatrix, e=None) -> int:
     """Degree r of the map onto its image; see certify_map_degree."""
-    return certify_map_degree(P, phi, seed=seed, samples=samples, e=e).r
+    return certify_map_degree(P, phi, e=e).r
 
 
-def j_multiplicity(P: Parameterization, phi=None, seed=0, samples=7) -> int:
+def j_multiplicity(P: Parameterization, phi=None) -> int:
     """j-multiplicity of the ideal: d * r * e(A), always d^2 here."""
     if phi is None:
         phi = hilbert_burch(P)
     e = multiplicity_a(P)
-    r = map_degree(P, phi, seed=seed, samples=samples, e=e)
+    r = map_degree(P, phi, e=e)
     j = P.d * r * e
     if j != P.d * P.d:
         raise InternalInvariantViolation(f"j-multiplicity {j} differs from d^2 = {P.d * P.d}")

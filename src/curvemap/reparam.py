@@ -91,18 +91,18 @@ class CoreReport:
 def extract_reparam_basis(fibers):
     """The reduced row echelon basis (f1, f2) of the span of fibers.
 
-    fibers are forms of one degree r, such as the sampled fiber forms of
-    degree r; their span must be a pencil.  The basis depends only on the
-    pencil, not on the forms that span it, and it is (x^r, y^r) whenever
-    both lie in the pencil, which keeps the core monomial whenever the input
-    is monomial.
+    fibers are forms of one degree r, such as the fibers of degree r that the
+    map-degree walk read; their span must be a pencil.  The basis depends
+    only on the pencil, not on the forms that span it, and it is (x^r, y^r)
+    whenever both lie in the pencil, which keeps the core monomial whenever
+    the input is monomial.
     """
     field = fibers[0].field
     p = linalg.modulus(field)
     rows, pivots = linalg.np_rref(linalg.to_np([f.coeffs for f in fibers], field), p)
     if len(pivots) != 2:
         raise CertificationFailed(
-            f"the sampled fiber forms of degree {fibers[0].degree} span "
+            f"the fiber forms of degree {fibers[0].degree} span "
             f"{len(pivots)} dimensions, not a pencil"
         )
     f1, f2 = linalg.from_np(rows[:2], field)
@@ -140,7 +140,7 @@ def express_in_subring(h: BinaryForm, f1: BinaryForm, f2: BinaryForm):
     return None if sol is None else form(field, sol)
 
 
-def reparameterize(P: Parameterization, phi: SyzygyMatrix, cert, seed=0, samples=7) -> ReparamResult:
+def reparameterize(P: Parameterization, phi: SyzygyMatrix, cert) -> ReparamResult:
     """Rewrite the parameterization over k[f1, f2] as a birational one.
 
     cert is the map-degree certificate from certify_map_degree.  Every
@@ -181,7 +181,7 @@ def reparameterize(P: Parameterization, phi: SyzygyMatrix, cert, seed=0, samples
             GradedIdeal.of(field, [c.compose(f1, f2) for c in newgens]),
             GradedIdeal.of(field, P.gens),
         ),
-        "newDegreeOne": map_degree(new_param, rphi, seed=seed, samples=samples) == 1,
+        "newDegreeOne": map_degree(new_param, rphi) == 1,
     }
     return ReparamResult(r, f1, f2, new_param, rphi, route, verification)
 

@@ -1,3 +1,4 @@
+import importlib
 import re
 
 import pytest
@@ -33,6 +34,23 @@ def build(field):
         return Parameterization.build(k, [parse_form(k, t) for t in texts])
 
     return make
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The values t of the points (1 : t) the map-degree walk reads, in order."""
+    ts = []
+    # the package exports the function fiber under the module's name
+    module = importlib.import_module("curvemap.fiber")
+    real = module._image_fibers
+
+    def spy(P, phi, stop):
+        for t, g in real(P, phi, stop):
+            ts.append(t)
+            yield t, g
+
+    monkeypatch.setattr(module, "_image_fibers", spy)
+    return ts
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

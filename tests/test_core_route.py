@@ -78,12 +78,12 @@ def reference_core(P, cert):
     return core, report
 
 
-def certified(P, seed=0):
-    return certify_map_degree(P, hilbert_burch(P), seed=seed)
+def certified(P):
+    return certify_map_degree(P, hilbert_burch(P))
 
 
-def assert_matches_reference(P, seed=0):
-    cert = certified(P, seed)
+def assert_matches_reference(P):
+    cert = certified(P)
     rep = core_ideal(P, cert)
     want_core, want = reference_core(P, cert)
     assert rep.to_json() == want, [format_form(g) for g in P.gens]
@@ -141,8 +141,8 @@ def test_composed_instances_keep_the_form_route():
             if cmd.inst.name in done:
                 continue
             done.add(cmd.inst.name)
-            _, inst_seed, P = cli.parse_instance(cmd.inst.text())
-            rep = assert_matches_reference(P, inst_seed)
+            P = cli.parse_instance(cmd.inst.text())[2]
+            rep = assert_matches_reference(P)
             assert rep.closure_provenance == "derived-by-theorem"
             assert not rep.core.is_monomial
 

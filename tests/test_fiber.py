@@ -14,9 +14,11 @@ from curvemap import (
     SyzygyMatrix,
     ZeroRow,
     apply_map,
+    certify_map_degree,
     dense_corpus,
     fiber,
     form,
+    format_form,
     gcd_forms,
     hilbert_burch,
     hilbert_table_a,
@@ -26,7 +28,9 @@ from curvemap import (
     parse_form,
     row_ideal,
 )
-from curvemap.fiber import OFF_IMAGE_NOTE, _sampled_fiber_degree, _slices
+from curvemap.field import MIN_PRIME
+from curvemap.fiber import OFF_IMAGE_NOTE, _slices
+from curvemap.forms import MAX_DEGREE
 from curvemap.linalg import modulus, np_rref, to_np
 from test_degree_certificate import composed_map
 
@@ -130,11 +134,13 @@ def test_map_degree_fixed_values(field, build):
         assert map_degree(P, hilbert_burch(P)) == want
 
 
-def test_map_degree_certifies_against_multiplicity(field, build):
+def test_map_degree_certifies_against_multiplicity(field, build, walked):
     P = build("x^4", "x^2*y^2", "y^4")
     phi = hilbert_burch(P)
-    with pytest.raises(CertificationFailed):
-        map_degree(P, phi, e=3)  # r * 3 = 4 has no solution among sampled degrees
+    # s * 3 = 4 has no solution, so every attempt fails until the bound d^2 + 1
+    with pytest.raises(CertificationFailed, match=r"17 points .* e\(A\) = 3 with d = 4"):
+        map_degree(P, phi, e=3)
+    assert len(walked) == 17
 
 
 def test_j_multiplicity_is_d_squared(field, build):
@@ -155,27 +161,22 @@ def test_fiber_degree_at_random_image_points_matches_r(field, build):
 
 
 # ---------------------------------------------------------------------------
-# batched fiber sampling against the point-by-point fiber
+# the batched map-degree walk against the point-by-point fiber
 
 
-def serial_fiber_degree(P, phi, seed, samples):
-    """The least fiber(P, phi, apply_map(P, q)) over the seeded points q, one at a time."""
-    rng = random.Random(f"map-degree:{seed}")
+def serial_walk(P, phi, stop):
+    """(t, fiber form or None) at the points (1 : t), t = 1, -1, 2, -2, ...,
+    the first stop of them, one fiber call each; None for a vanishing row."""
     field = P.field
-    best = None
-    got = attempts = 0
-    while got < samples:
-        attempts += 1
-        if attempts > samples + 16:
-            raise CertificationFailed("out of attempts")
-        q = ProjPoint1.of(field, field.one, field.rand(rng))
+    out = []
+    for k in range(1, stop + 1):
+        t = field.conv((k + 1) // 2 * (1 if k % 2 else -1))
         try:
-            rep = fiber(P, phi, apply_map(P, q))
+            g = fiber(P, phi, apply_map(P, ProjPoint1.of(field, field.one, t))).fiber_form
         except ZeroRow:
-            continue
-        got += 1
-        best = rep.fiber_degree if best is None else min(best, rep.fiber_degree)
-    return best
+            g = None
+        out.append((t, g))
+    return out
 
 
 def test_batched_sampling_matches_fiber_at_the_same_points(field, build):
@@ -189,32 +190,95 @@ def test_batched_sampling_matches_fiber_at_the_same_points(field, build):
         build("x^6", "x^3*y^3", "y^6"),
         build("x^7", "x^6*y", "x^2*y^5", "y^7"),
     ]
+    assert {P.field for P in cases} == {field, QQ}
     for P in cases:
         phi = hilbert_burch(P)
-        for seed in (0, 1, 5, 123):
-            for samples in (1, 3, 7):
-                got = _sampled_fiber_degree(P, phi, seed, samples)[0]
-                assert got == serial_fiber_degree(P, phi, seed, samples), (P, seed, samples)
+        # batches of 2, 4 and 8 points, cut anywhere
+        serial = serial_walk(P, phi, 9)
+        for stop in (1, 2, 5, 9):
+            assert list(fiber_module._image_fibers(P, phi, stop)) == serial[:stop], (P, stop)
+        assert map_degree(P, phi) == min(g.degree for _, g in serial), P
 
 
-def test_batched_sampling_redraws_a_zero_row(field, build):
-    # p * phi = (t0 - t) * y at p = (1 : t): the first seeded point gives a
-    # zero row and must be redrawn, as the point-by-point loop does
-    P = build("x", "y")
-    t0 = field.rand(random.Random("map-degree:9"))
-    col = (parse_form(field, f"{t0}*y"), parse_form(field, "-y"))
-    phi = SyzygyMatrix(field, 2, (1,), (col,))
+def test_walk_evaluates_its_points_in_doubling_batches(field, build, monkeypatch):
+    P = build("x^3", "x^2*y + y^3", "x*y^2")
+    phi = hilbert_burch(P)
+    batches = []
+    real = fiber_module._row_evaluator
+
+    def evaluator(*args):
+        rows = real(*args)
+        return lambda ts: batches.append(len(ts)) or rows(ts)
+
+    monkeypatch.setattr(fiber_module, "_row_evaluator", evaluator)
+    assert len(list(fiber_module._image_fibers(P, phi, 12))) == 12
+    assert batches == [2, 4, 6]
+
+
+def test_batched_sampling_redraws_a_zero_row(field, build, walked):
+    # p * phi = (t - 1) * (y - t*x) at p = (1 : t : t^2): the first point of
+    # the walk gives a zero row, which counts as a point and is passed over
+    P = build("x^2", "x*y", "y^2")
+    col = tuple(parse_form(field, h) for h in ("-y", "x + y", "-x"))
+    phi = SyzygyMatrix(field, 3, (1,), (col,))
+    assert serial_walk(P, phi, 1) == [(1, None)]
     with pytest.raises(ZeroRow):
-        fiber(P, phi, apply_map(P, ProjPoint1.of(field, 1, t0)))
-    assert _sampled_fiber_degree(P, phi, 9, 3)[0] == serial_fiber_degree(P, phi, 9, 3) == 1
+        fiber(P, phi, apply_map(P, ProjPoint1.of(field, 1, 1)))
+    assert map_degree(P, phi) == 1
+    assert walked == [1, field.conv(-1), 2]
 
 
-def test_batched_sampling_gives_up_after_the_attempt_budget(field, build):
-    P = build("x", "y")
+def test_batched_sampling_gives_up_after_the_attempt_budget(field, build, walked):
+    # every row of a zero phi vanishes, and each counts against the bound d^2 + 1
+    P = build("x^2", "x*y", "y^2")
     zero = form(field, [])
-    phi = SyzygyMatrix(field, 2, (1,), ((zero, zero),))
-    with pytest.raises(CertificationFailed, match="degenerate points"):
-        _sampled_fiber_degree(P, phi, 0, 7)
+    phi = SyzygyMatrix(field, 3, (1, 1), ((zero,) * 3,) * 2)
+    with pytest.raises(CertificationFailed, match=r"d\^2 \+ 1 = 5 points"):
+        map_degree(P, phi)
+    assert len(walked) == fiber_module._walk_bound(2) == 5
+
+
+def test_walk_passes_a_node_and_proves_r_on_the_fourth_point(any_field, build, walked):
+    # the node (1 : 1 : 0) of this plane cubic lies under t = 1 and t = -1,
+    # where the fiber is x^2 - y^2; t = 2 and t = -2 give two fibers of degree 1
+    P = build("x^3", "x*y^2", "y^3 - x^2*y", f=any_field)
+    phi = hilbert_burch(P)
+    assert [g.degree for _, g in serial_walk(P, phi, 4)] == [2, 2, 1, 1]
+    cert = certify_map_degree(P, phi)
+    assert (cert.r, [format_form(f) for f in cert.pair]) == (1, ["x", "y"])
+    assert walked == [any_field.conv(t) for t in (1, -1, 2, -2)]
+
+
+def test_walk_goes_on_past_fibers_that_span_no_pencil(any_field, build, monkeypatch):
+    # two distinct forms of degree 4 that span one dimension come first; the
+    # attempt on them fails, and the fibers of degree 2 that follow prove r = 2
+    P = build("x^4", "x^2*y^2", "y^4", f=any_field)
+    phi = hilbert_burch(P)
+    bogus = [parse_form(any_field, h) for h in ("x^4 + y^4", "2*x^4 + 2*y^4")]
+    real = fiber_module._image_fibers
+    attempts = []
+    real_lueroth = fiber_module._lueroth
+
+    def spy(P, phi, stop):
+        yield from ((None, g) for g in bogus)
+        yield from islice(real(P, phi, stop), stop - len(bogus))
+
+    def lueroth(P, phi, s, fibers, e):
+        attempts.append(fibers)
+        return real_lueroth(P, phi, s, fibers, e)
+
+    monkeypatch.setattr(fiber_module, "_image_fibers", spy)
+    monkeypatch.setattr(fiber_module, "_lueroth", lueroth)
+    cert = certify_map_degree(P, phi)
+    assert (cert.r, [format_form(f) for f in cert.pair]) == (2, ["x^2", "y^2"])
+    assert attempts[0] == bogus and len(attempts) == 2
+
+
+def test_walk_bound_keeps_its_points_distinct_mod_every_accepted_prime():
+    # the walk reads t = +-1, ..., +-(d^2 + 2)/2 at most
+    bound = fiber_module._walk_bound(MAX_DEGREE)
+    assert bound == MAX_DEGREE**2 + 1
+    assert 2 * ((bound + 1) // 2) < MIN_PRIME
 
 
 def product_slice_dim(P, j):

@@ -1,6 +1,6 @@
 """The rows p * phi and their fiber gcds against sympy, over GF(p) and QQ.
 
-fiber, the map-degree sample and the reparameterization pair all read their
+fiber, the map-degree walk and the reparameterization pair all read their
 fiber forms off one evaluator of p * phi.  Here every row is rebuilt with
 sympy Poly arithmetic, image points are evaluated with plain scalar powers,
 and the gcd is sympy's multivariate one, so no code is shared with the
@@ -8,6 +8,7 @@ evaluator under test.  The Hilbert table of A over QQ, read mod q where a
 rank meets its bound, is checked against sympy ranks of generator products.
 """
 
+import importlib
 import random
 
 import pytest
@@ -22,7 +23,6 @@ from curvemap import (
     hilbert_burch,
     map_degree,
 )
-from curvemap.fiber import _sampled_fiber_degree
 from test_degree_certificate import composed_map
 from test_rational_sandwich import quadric_map
 
@@ -30,6 +30,8 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 X, Y = sympy.symbols("x y")
+# the package exports the function fiber under the module's name
+fiber_module = importlib.import_module("curvemap.fiber")
 
 
 def domain(field):
@@ -103,17 +105,16 @@ def test_fiber_matches_sympy_on_and_off_the_image(any_field):
 
 
 def test_sampled_fiber_degree_matches_sympy(any_field):
+    # the walk reads t = 1, -1, 2, -2, ...; its fibers and the least of their
+    # degrees, r, against sympy gcds at the same points
     field = any_field
+    ts = [1, -1, 2, -2, 3, -3, 4]
     for P, _ in cases(field):
         phi = hilbert_burch(P)
-        for seed, samples in [(0, 7), (4, 3)]:
-            rng = random.Random(f"map-degree:{seed}")
-            degrees = []
-            while len(degrees) < samples:
-                g = oracle_gcd(phi, image(P, field.rand(rng)))
-                if g is not None:
-                    degrees.append(g.total_degree())
-            assert _sampled_fiber_degree(P, phi, seed, samples)[0] == min(degrees), P
+        want = [oracle_gcd(phi, image(P, field.conv(t))) for t in ts]
+        got = [g for _, g in fiber_module._image_fibers(P, phi, len(ts))]
+        assert [to_poly(g, field) for g in got] == want, P
+        assert map_degree(P, phi) == min(g.total_degree() for g in want), P
 
 
 def coefficient_rank(polys, degree, field):
@@ -137,12 +138,11 @@ def test_reparam_pair_lies_in_the_pencil_of_sympy_gcds(any_field):
         pencil = [oracle_gcd(phi, image(P, field.rand(rng))) for _ in range(4)]
         assert {g.total_degree() for g in pencil} == {r}
         assert coefficient_rank(pencil, r, field) == 2
-        for seed in (0, 3):
-            f1, f2 = certify_map_degree(P, phi, seed=seed).pair
-            got = [to_poly(f, field) for f in (f1, f2)]
-            assert got[0].gcd(got[1]).total_degree() == 0
-            assert coefficient_rank(got, r, field) == 2
-            assert coefficient_rank(pencil + got, r, field) == 2, (P, f1, f2)
+        f1, f2 = certify_map_degree(P, phi).pair
+        got = [to_poly(f, field) for f in (f1, f2)]
+        assert got[0].gcd(got[1]).total_degree() == 0
+        assert coefficient_rank(got, r, field) == 2
+        assert coefficient_rank(pencil + got, r, field) == 2, (P, f1, f2)
 
 
 def test_rational_hilbert_table_matches_sympy_ranks():

@@ -10,8 +10,10 @@ a hand-written loop elsewhere.
 Only linalg and fiber name Echelon: the Hilbert table of A is its one
 consumer, and the Hilbert function of the ideal is one elimination, so a
 second incremental path cannot come back unnoticed.  Only fiber names
-_image_fibers: the map-degree sample is the one seeded stream of image
-points, and the reparameterization pair is read off it.  No module imports
+_image_fibers: the map-degree walk is the one walk of image points, and the
+reparameterization pair is read off it.  Only the corpora and the selftest
+import random: every reported value is proved on fixed points, so a seeded
+draw cannot come back onto the analysis path unnoticed.  No module imports
 contextvars: what a call needs, such as the echelon hilbert_burch reads its
 kernels off, is passed to it, so hidden per-call state cannot come back
 unnoticed.  Every name a module imports at its top level is used in it.
@@ -59,6 +61,17 @@ def test_only_linalg_grows_an_echelon():
 
 def test_only_fiber_draws_image_points():
     assert _users("_image_fibers") == {"fiber.py"}
+
+
+def test_only_the_corpora_and_the_selftest_import_random():
+    users = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and "random" in [getattr(node, "module", None)] + [a.name for a in node.names]
+    }
+    assert users == {"corpus.py", "selftest.py"}, sorted(users)
 
 
 def test_only_fiber_uses_the_echelon():

@@ -209,16 +209,25 @@ def test_dense_generators_are_proved_coprime_mod_q(fraction_work):
 # fiber degree: a gcd of degree 1 mod q is the known root t x - y
 
 
-def sample_both_routes(P, phi, monkeypatch, seed, samples):
-    got = fiber._sampled_fiber_degree(P, phi, seed, samples)
+def walk_both_routes(P, phi, monkeypatch, stop=9):
+    """The fiber forms at the first stop points of the map-degree walk, the
+    same on the route mod q and on the exact route."""
+    got = [g for _, g in fiber._image_fibers(P, phi, stop)]
     with exact_route(monkeypatch):
-        want = fiber._sampled_fiber_degree(P, phi, seed, samples)
-    assert got == want, (P, seed, samples)
+        want = [g for _, g in fiber._image_fibers(P, phi, stop)]
+    assert got == want, P
     # the same forms, down to Fraction coefficients
-    assert [[type(c) for c in g.coeffs] for g in got[1]] == [
-        [type(c) for c in g.coeffs] for g in want[1]
+    assert [[type(c) for c in g.coeffs] for g in got] == [
+        [type(c) for c in g.coeffs] for g in want
     ]
     return got
+
+
+def certify_both_routes(P, phi, monkeypatch):
+    cert = certify_map_degree(P, phi)
+    with exact_route(monkeypatch):
+        assert certify_map_degree(P, phi) == cert, P
+    return cert
 
 
 def test_sampled_fibers_match_the_exact_route(monkeypatch):
@@ -227,10 +236,8 @@ def test_sampled_fibers_match_the_exact_route(monkeypatch):
     cases.append(qq_param("x^4", f"x^3*y + {Q}*x*y^3", "y^4 + x^2*y^2"))
     for P in cases:
         phi = hilbert_burch(P)
-        for seed in (0, 1, 5):
-            for samples in (1, 7):
-                s, fibers = sample_both_routes(P, phi, monkeypatch, seed, samples)
-                assert s == 1 and all(g.degree == 1 for g in fibers)
+        assert all(g.degree == 1 for g in walk_both_routes(P, phi, monkeypatch))
+        assert certify_both_routes(P, phi, monkeypatch).r == 1
 
 
 def test_composed_maps_keep_their_exact_fibers_and_pencil(monkeypatch, fraction_work):
@@ -239,21 +246,18 @@ def test_composed_maps_keep_their_exact_fibers_and_pencil(monkeypatch, fraction_
         P = composed_map(QQ, rng, n, r, e)[0]
         phi = hilbert_burch(P)
         fraction_work["gcd"].clear()
-        s, fibers = sample_both_routes(P, phi, monkeypatch, 1, 7)
-        assert s == r and len(fibers) >= 2
+        fibers = walk_both_routes(P, phi, monkeypatch)
+        assert {g.degree for g in fibers} == {r} and len(set(fibers)) >= 2
         # every fiber of degree r >= 2 mod q is taken from the exact row
         assert fraction_work["gcd"]
-        cert = certify_map_degree(P, phi, seed=1)
-        with exact_route(monkeypatch):
-            assert certify_map_degree(P, phi, seed=1) == cert
-        assert cert.r == r
+        assert certify_both_routes(P, phi, monkeypatch).r == r
 
 
 def test_denominator_divisible_by_q_samples_exact_fibers(monkeypatch, fraction_work):
     P = qq_param(f"x^3 + 1/{Q}*y^3", "x^2*y", "x*y^2")
     phi = hilbert_burch(P)
     fraction_work["gcd"].clear()
-    assert sample_both_routes(P, phi, monkeypatch, 3, 7)[0] == 1
+    assert walk_both_routes(P, phi, monkeypatch)[0].degree == 1
     assert fraction_work["gcd"]
 
 
@@ -289,9 +293,8 @@ def test_fiber_gcd_of_degree_zero_mod_q_exits_2(tmp_path, capsys, monkeypatch):
     path.write_text("field: rational\nseed: 4\n" + "\n".join(texts) + "\n")
     assert cli.main(["analyze", str(path), "--deterministic"]) == 2
     err = capsys.readouterr().err
-    # the message prints the exact image of the first seeded point
-    t = QQ.rand(random.Random("map-degree:4"))
-    point = apply_map(qq_param(*texts), ProjPoint1.of(QQ, 1, t))
+    # the message prints the exact image of the first point of the walk, t = 1
+    point = apply_map(qq_param(*texts), ProjPoint1.of(QQ, 1, 1))
     assert err == f"computation failed: image point {point} reported off the image\n"
 
 

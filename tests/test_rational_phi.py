@@ -6,7 +6,7 @@ product prove it; _certify checks the syzygies in integers and seeks the
 rank mod q first.  Here the lift is compared with the exact np_kernel, the
 reference, and with sympy's nullspace, every way of falling back to the
 exact route is forced, unlucky primes are shown to be restarted or skipped,
-and the map-degree sample is shown to stop at two fibers of degree 1.
+and the map-degree walk is shown to stop at two fibers of degree 1.
 """
 
 import importlib
@@ -22,7 +22,6 @@ from curvemap import (
     DEFAULT_PRIME,
     QQ,
     CurvemapError,
-    PrimeField,
     certify_map_degree,
     dense_corpus,
     hilbert_burch,
@@ -377,22 +376,7 @@ def test_rational_quartic_of_degree_32_gives_phi_quickly():
     assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
-@pytest.fixture
-def draws(monkeypatch):
-    """How many random field elements are drawn, over both fields."""
-    count = [0]
-    for cls in (PrimeField, type(QQ)):
-        real = cls.rand
-
-        def counted(self, rng, real=real):
-            count[0] += 1
-            return real(self, rng)
-
-        monkeypatch.setattr(cls, "rand", counted)
-    return count
-
-
-def test_birational_sample_stops_at_two_fibers_of_degree_one(field, draws, monkeypatch):
+def test_birational_sample_stops_at_two_fibers_of_degree_one(field, walked, monkeypatch):
     gcds = [0]
     real = fiber_module.gcd_forms
 
@@ -402,22 +386,23 @@ def test_birational_sample_stops_at_two_fibers_of_degree_one(field, draws, monke
 
     monkeypatch.setattr(fiber_module, "gcd_forms", counted)
     rng = random.Random("early-stop")
-    # coprime column degrees (2, 3), (2, 2, 3), (2, 2, 2, 3) make r = 1, so the
-    # first batch is two points; (2, 2) draws a whole batch of seven
-    for n, d, drawn in [(3, 5, 2), (4, 7, 2), (5, 9, 2), (3, 4, 7)]:
+    # column degrees (2, 3), (2, 2, 3), (2, 2, 2, 3) coprime, and (2, 2): two
+    # fibers of degree 1 at t = 1, -1 prove r = 1 either way
+    for n, d in [(3, 5), (4, 7), (5, 9), (3, 4)]:
         P = dense_map(field, rng, n, d)
         phi = hilbert_burch(P)
-        draws[0] = gcds[0] = 0
-        cert = certify_map_degree(P, phi, seed=1, samples=7)
-        assert (cert.r, draws[0], gcds[0]) == (1, drawn, 2), P
+        walked.clear()
+        gcds[0] = 0
+        cert = certify_map_degree(P, phi)
+        assert (cert.r, walked, gcds[0]) == (1, [1, field.conv(-1)], 2), P
 
 
-def test_composed_sample_still_draws_every_sample(any_field, draws):
+def test_composed_walk_ends_after_two_points(any_field, walked):
+    # the walk ends after two points on a composed map too
     rng = random.Random("early-stop-composed")
     for n, r, e in [(3, 2, 3), (4, 3, 3), (3, 3, 2)]:
         P, _ = composed_map(any_field, rng, n, r, e)
         phi = hilbert_burch(P)
-        for samples in (1, 7):
-            draws[0] = 0
-            assert certify_map_degree(P, phi, seed=2, samples=samples).r == r
-            assert draws[0] >= samples, (P, samples)
+        walked.clear()
+        assert certify_map_degree(P, phi).r == r
+        assert walked == [1, any_field.conv(-1)], P

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 
 from curvemap import (
@@ -19,8 +21,10 @@ from curvemap import (
     reparameterize,
     slice_rank,
 )
-from curvemap.fiber import _sampled_fiber_degree
 from curvemap.reparam import NEW_VARIABLES
+
+# the package exports the function fiber under the module's name
+fiber_module = importlib.import_module("curvemap.fiber")
 
 
 def certified(P):
@@ -29,9 +33,12 @@ def certified(P):
     return P, phi, certify_map_degree(P, phi)
 
 
-def sampled_basis(P, phi, seed=0, samples=7):
-    """extract_reparam_basis on the fiber forms the map-degree sample drew."""
-    return extract_reparam_basis(_sampled_fiber_degree(P, phi, seed, samples)[1])
+def walked_basis(P, phi, start=0, stop=9):
+    """extract_reparam_basis on the distinct fiber forms of least degree at
+    the points start..stop-1 of the map-degree walk."""
+    fibers = [g for _, g in fiber_module._image_fibers(P, phi, stop)][start:]
+    s = min(g.degree for g in fibers)
+    return extract_reparam_basis(list(dict.fromkeys(g for g in fibers if g.degree == s)))
 
 
 def test_extract_basis_monomial_cases_normalize(field, build):
@@ -42,7 +49,7 @@ def test_extract_basis_monomial_cases_normalize(field, build):
     ]:
         P = build(*texts)
         phi = hilbert_burch(P)
-        f1, f2 = sampled_basis(P, phi)
+        f1, f2 = walked_basis(P, phi)
         assert format_form(f1) == f"x^{r}" if r > 1 else format_form(f1) == "x"
         assert f1.degree == r and f2.degree == r
         assert gcd_forms([f1, f2]).degree == 0
@@ -51,10 +58,10 @@ def test_extract_basis_monomial_cases_normalize(field, build):
 def test_extract_basis_deterministic_and_stable(field, build):
     P = build("x^3 + y^3", "x^2*y", "x*y^2")
     phi = hilbert_burch(P)
-    a = sampled_basis(P, phi, seed=0)
-    b = sampled_basis(P, phi, seed=0)
+    a = walked_basis(P, phi)
+    b = walked_basis(P, phi)
     assert [f.coeffs for f in a] == [f.coeffs for f in b]
-    c = sampled_basis(P, phi, seed=1)
+    c = walked_basis(P, phi, start=4)
     assert [f.coeffs for f in a] == [f.coeffs for f in c]
 
 
