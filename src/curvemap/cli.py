@@ -28,7 +28,7 @@ from .errors import (
     ZeroRow,
 )
 from .field import DEFAULT_PRIME, QQ, PrimeField
-from .fiber import MAX_SAMPLES, fiber
+from .fiber import fiber
 from .forms import ProjPointN, parse_form
 from .param import Parameterization
 from .selftest import run_selftest
@@ -150,6 +150,9 @@ def _int_in(low: int, high: int):
     return parse
 
 
+# The accepted range of --samples, which is only echoed in the reports: the
+# map degree is proved on a fixed walk of points (certify_map_degree).
+MAX_SAMPLES = 10_000
 _samples = _int_in(1, MAX_SAMPLES)
 _ECHOED = "echoed in the report; does not change the computation"
 
@@ -406,7 +409,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--corpus-size", type=_int_in(0, MAX_CORPUS_SIZE), default=25, help="random corpus size"
     )
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=_samples, default=7)
     p.set_defaults(run=cmd_selftest)
 
     return parser

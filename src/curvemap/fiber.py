@@ -49,9 +49,6 @@ from .ideals import GradedIdeal
 from .param import Parameterization
 from .syzygy import SyzygyMatrix, _gens_array, hilbert_burch
 
-# The accepted range of --samples, which is only echoed in the reports: the
-# map degree is proved on a fixed walk of points (certify_map_degree).
-MAX_SAMPLES = 10_000
 # Largest pass of the Hilbert table of A, in matrix entries: its J*d + 1
 # columns times the rows of its echelon at their bound and of its largest
 # layer (_table_entries).  A dense n = 4, d = 200 map needs 4.4e7 and took

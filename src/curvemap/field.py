@@ -58,14 +58,21 @@ is_prime = lru_cache(maxsize=256)(_is_prime)
 def reduction_primes():
     """DEFAULT_PRIME, then each prime below it down to MIN_PRIME, in decreasing order.
 
-    Found lazily by the uncached test, one at a time: nothing is searched at
-    import, and the verdicts that is_prime keeps stay those of the moduli
-    commands name.
+    Found lazily by the uncached test, one at a time, and kept
+    (_prime_below): nothing is searched at import, a later call walks the
+    primes found before without testing them again, and the verdicts that
+    is_prime keeps stay those of the moduli commands name.
     """
-    yield DEFAULT_PRIME
-    for q in range(DEFAULT_PRIME - 2, MIN_PRIME - 1, -2):
-        if _is_prime(q):
-            yield q
+    q = DEFAULT_PRIME
+    while q:
+        yield q
+        q = _prime_below(q)
+
+
+@lru_cache(maxsize=None)
+def _prime_below(q: int):
+    """The largest prime below the odd q and at least MIN_PRIME, or None."""
+    return next((c for c in range(q - 2, MIN_PRIME - 1, -2) if _is_prime(c)), None)
 
 
 class PrimeField:
@@ -179,24 +186,17 @@ class RationalField:
     def rand(self, rng):
         return Fraction(rng.randint(-_RATIONAL_BOX, _RATIONAL_BOX))
 
-    def reduction(self, rows, q=DEFAULT_PRIME):
-        """(F_q, rows mod q) for a prime q of reduction_primes(), or None when q
-        divides a denominator.
+    def reduction(self, rows):
+        """(F_q, rows mod q) for q = DEFAULT_PRIME, or None when q divides a
+        denominator.
 
         Scaling rows by denominators prime to q makes them integral without
         changing a rank on either side, and a minor that is nonzero mod q is
         nonzero, so a rank mod q is never above the rank over QQ.
         """
-        if any(v.denominator % q == 0 for row in rows for v in row):
+        if any(v.denominator % DEFAULT_PRIME == 0 for row in rows for v in row):
             return None
-        if q == DEFAULT_PRIME:
-            k = _REDUCTION
-        else:
-            # q comes proved from reduction_primes, so the check in __init__,
-            # and the cached verdict it would leave, are skipped
-            k = PrimeField.__new__(PrimeField)
-            k.p = q
-        return k, [[k.conv(v) for v in row] for row in rows]
+        return _REDUCTION, [[_REDUCTION.conv(v) for v in row] for row in rows]
 
     def fmt(self, a) -> str:
         return str(a)

@@ -273,7 +273,7 @@ def li_dim(forms, degree: int | None = None) -> int:
 
     One linalg.rank of their coefficient rows: over QQ a rank mod q that
     reaches the number of forms or the slice dimension is proved, and only
-    a lower one runs the Fraction elimination.
+    a lower one is read off a kernel lifted from primes.
     """
     nonzero = [h for h in forms if not h.is_zero]
     if not nonzero:

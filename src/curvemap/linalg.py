@@ -1,16 +1,17 @@
 """Exact dense linear algebra over the coefficient fields.
 
-Row reduction, kernels, linear solves and the one growing echelon, from one
-set of numpy kernels that serve both fields; only the scalars differ.  Over a
+Row reduction, kernels, linear solves and the one growing echelon.  Over a
 prime field a matrix is an int64 array of residues in [0, p), and p < 2**31
-keeps every product of two residues inside int64.  Over the rationals it is
-an object array of Fractions, and the same code does exact arithmetic on
-them.  The kernels take the modulus p, with p None for the rationals;
-modulus(field), to_np, from_np and the rank helpers, which take a rational
-rank mod one prime first, are the only code that looks at the field.
-The reduced row echelon form is unique, so ranks, pivots, kernel bases and
-solutions do not depend on the representation.  Everything is deterministic:
-no pivoting heuristics beyond first-nonzero.
+keeps every product of two residues inside int64; the numpy kernels take
+the modulus p.  Over the rationals a matrix is an object array of Fractions
+(p None), and it is never eliminated as one: its reduced kernel is lifted
+from kernels mod primes and proved by one integer product
+(_lifted_kernel), and np_rref, np_kernel, np_solve and the ranks read
+their answers off that kernel.  modulus(field), to_np, from_np and the rank
+helpers, which take a rational rank mod one prime first, are the only code
+that looks at the field.  The reduced row echelon form is unique, so ranks,
+pivots, kernel bases and solutions do not depend on the route.  Everything
+is deterministic: no pivoting heuristics beyond first-nonzero.
 
 Products mod p run on float64 BLAS, exactly (the delayed reduction of
 FFLAS-FFPACK).  The exact-limb rule: a residue a < 2**31 splits into 16-bit
@@ -24,9 +25,9 @@ product one kernel, _absorb, grows a span held in reduced row echelon form
 by a block of rows: one product clears the held pivots from the block and
 one more clears the block's new pivots from the held rows.  Row reduction of
 a large matrix and the growing echelon mod p both run on it; small matrices
-and the rationals keep the plain per-pivot loops, which also reduce each
-block.  The growing echelon over the rationals holds integer rows and
-clears them free of fractions.
+keep the plain per-pivot loop, which also reduces each block.  The growing
+echelon over the rationals holds integer rows and clears them free of
+fractions.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from .errors import CertificationFailed
+from .field import reduction_primes
 
 # Longest contraction the 16-bit limb products keep below 2**53; up to
 # _WHOLE_CONTRACT terms the right factor need not be split at all.
@@ -68,11 +72,6 @@ def _reduce(a, p):
     return a if p is None else a % p
 
 
-def _inv(v, p):
-    # never `/` on the arrays: int / int would be a float
-    return 1 / Fraction(v) if p is None else pow(int(v), -1, p)
-
-
 # ---------------------------------------------------------------------------
 # numpy kernels: int64 residues mod p, or Fraction objects when p is None
 
@@ -84,12 +83,20 @@ def np_rref(a: np.ndarray, p):
     matrix of at least two blocks of rows is absorbed a block at a time
     (_blocked_rref), and a smaller one of at least _PANEL entries and more
     than three times as wide as it is tall takes its row operations on a
-    panel (_panel_rref); anything else, and every rational matrix, runs the
-    per-pivot loop.  The form is unique, so all give the same array.
+    panel (_panel_rref); anything else runs the per-pivot loop.  A rational
+    matrix is read off its proved kernel K (_lifted_kernel): the pivots are
+    the columns that are not free, and the row of the pivot c holds 1 at c
+    and -K[f, c] at each free column f.  The form is unique, so all give
+    the same array.
     """
     rows, cols = a.shape
     if p is None:
-        return _rref_loop(a, p)
+        k, free = _lifted_kernel(a)
+        pivots = sorted(set(range(cols)).difference(free))
+        a[...] = 0
+        a[np.arange(len(pivots)), pivots] = 1
+        a[: len(pivots), free] = -k[:, pivots].T
+        return a, pivots
     if rows >= 2 * _BLOCK:
         return _blocked_rref(a, p)
     if cols > 3 * rows and rows * cols >= _PANEL:
@@ -98,7 +105,7 @@ def np_rref(a: np.ndarray, p):
 
 
 def _rref_loop(a: np.ndarray, p):
-    """np_rref by one rank-1 update per pivot; products fit in int64.
+    """np_rref mod p by one rank-1 update per pivot; products fit in int64.
 
     Before column c, the rows from the current pivot row down are zero, so
     the swap, the scaling and the update touch only columns c and after.
@@ -120,13 +127,13 @@ def _rref_loop(a: np.ndarray, p):
             a[[r, i], c:] = a[[i, r], c:]
         v = a[r, c]
         if v != 1:
-            a[r, c:] = _reduce(a[r, c:] * _inv(v, p), p)
+            a[r, c:] = a[r, c:] * pow(int(v), -1, p) % p
         if nz.size > 1:
             # rows r..i-1 are zero in column c, so the other rows of nz are
             # every row to clear
             sel = np.concatenate((nz[:k], nz[k + 1 :]))
             block = a[sel, c:]
-            a[sel, c:] = _reduce(block - block[:, :1] * a[r, c:], p)
+            a[sel, c:] = (block - block[:, :1] * a[r, c:]) % p
         pivots.append(c)
         r += 1
     return a, pivots
@@ -221,11 +228,10 @@ def _merge(rows: np.ndarray, pivots: list, new: np.ndarray, piv: list):
     return np.vstack([rows, new])[order], [merged[i] for i in order]
 
 
-def _integer_rows(a: np.ndarray) -> np.ndarray:
+def integer_rows(a: np.ndarray) -> np.ndarray:
     """Rows of rationals as primitive integer rows, each spanning the same line."""
     out = np.zeros(a.shape, dtype=object)
-    for i, row in enumerate(a):
-        row = [Fraction(v) for v in row]
+    for i, row in enumerate(a.tolist()):
         den = math.lcm(*(v.denominator for v in row))
         ints = [v.numerator * (den // v.denominator) for v in row]
         g = math.gcd(*ints)
@@ -280,17 +286,120 @@ def _echelon(a: np.ndarray):
 
 
 def np_kernel(a: np.ndarray, p) -> np.ndarray:
-    """Basis of the right kernel, one vector per row, echelon order."""
-    rows, cols = a.shape
-    r, piv = np_rref(a.copy(), p)
-    pivset = set(piv)
-    free = [c for c in range(cols) if c not in pivset]
-    k = np.zeros((len(free), cols), dtype=a.dtype)
-    if free:
-        k[np.arange(len(free)), free] = 1
-        if piv:
-            k[:, piv] = _reduce(-r[: len(piv)][:, free].T, p)
-    return k
+    """Basis of the right kernel, one vector per row, echelon order.
+
+    The row for the free column f is one at f and zero at every other free
+    column and past f.  Over QQ it is the proved lift (_lifted_kernel).
+    """
+    return _lifted_kernel(a)[0] if p is None else _kernel(*np_rref(a.copy(), p), p)[0]
+
+
+def _kernel(red: np.ndarray, pivots: list, p):
+    """The kernel basis mod p read off a reduced row echelon form, and its free columns."""
+    cols = red.shape[1]
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)
+    k = np.zeros((free.size, cols), dtype=red.dtype)
+    k[np.arange(free.size), free] = 1
+    k[:, pivots] = -red[: len(pivots)][:, free].T % p
+    return k, free.tolist()
+
+
+def _lifted_kernel(a: np.ndarray):
+    """The reduced kernel basis K of a rational matrix, lifted from primes
+    and proved, and its free columns.
+
+    Each row of a is scaled to integers (integer_rows), M_int, so no prime
+    divides a denominator.  Mod q = DEFAULT_PRIME, then mod each prime
+    below it (reduction_primes), the reduced echelon form gives a residue
+    kernel, the identity on its free set F.  The rank of every leading block
+    of columns of M_int mod a prime is at most its rank over QQ, so no
+    prime has fewer free columns than QQ, and one with as many has each at
+    or before the QQ one.  So a prime whose F has fewer columns, or as many
+    but lexicographically later ones, restarts the combination, a worse one
+    is skipped, and residue kernels with the same F are combined by CRT.
+    The entries are reconstructed as fractions (Wang 1981, _reconstructed)
+    after 1, 2, 3, 4, 6, 9, ... combined primes, each count half again the
+    last, and once the modulus passes the bound: a failed attempt costs a
+    Euclid per entry as long as the modulus, so one after every prime
+    would cost the square of the primes needed.  The candidate is returned
+    once two exact checks hold (_proves_kernel): K is the identity on F and
+    its row for c in F is zero after c; and M_int @ K_int^T == 0 in Python
+    integers, K_int the rows of K scaled to integers.
+
+    They prove that K is the QQ kernel, byte for byte.  Its |F| rows are
+    independent kernel vectors, so the QQ nullity is at least |F|, the
+    nullity mod a prime, which is never below the QQ nullity.  The row for c
+    writes column c as a combination of the columns before it, so each c in
+    F is free over QQ, and F is the QQ free set; the kernel vector that is
+    one at c and zero on the rest of F is unique.
+
+    Each entry of K is a ratio of two minors of M_int, both at most the
+    Hadamard bound H, the product of its column norms, so once the primes
+    combined with the QQ free set pass bound = 2 H^2, reconstruction cannot
+    fail.  A prime with another F divides the QQ rank profile's nonzero
+    minor, so all primes tried pass bound^2 only after the good ones pass
+    bound; a faulty residue kernel that outranks every good prime stops
+    there.  At either limit with nothing proved, or when the primes run
+    out, CertificationFailed is raised.
+    """
+    m_int = integer_rows(a)
+    bound = 2 * math.prod(max(1, v) for v in (m_int * m_int).sum(axis=0).tolist())
+    best, tried = None, 1
+    for q in reduction_primes():
+        tried *= q
+        k, free = _kernel(*np_rref(np.array(m_int % q, dtype=np.int64), q), q)
+        key = (-len(free), free)
+        if best is None or key > best:
+            best, residues, modulus, joined, due = key, k.astype(object), q, 1, 1
+        elif key == best:
+            residues += modulus * ((k - residues) * pow(modulus, -1, q) % q)
+            modulus *= q
+            joined += 1
+        if key == best and (joined == due or modulus > bound):
+            due = max(joined + 1, joined * 3 // 2)
+            lifted = _reconstructed(residues, modulus)
+            if lifted is not None and _proves_kernel(m_int, lifted, free):
+                return lifted, free
+        if modulus > bound or tried > bound * bound:
+            break
+    raise CertificationFailed(
+        f"no kernel of a {a.shape[0]} x {a.shape[1]} rational matrix was proved "
+        f"from primes by its Hadamard bound 2 H^2 < 2^{bound.bit_length()}"
+    )
+
+
+def _reconstructed(residues: np.ndarray, m: int):
+    """Each residue u mod m as the fraction a/b = u mod m with |a|, b <= sqrt(m/2).
+
+    Wang's rational reconstruction: the extended Euclidean remainders of
+    (m, u) stop at the first r <= sqrt(m/2), and its cofactor s must be at
+    most the same bound and prime to r.  Such a fraction is unique, and
+    None is returned when an entry has none.  The entries are taken last
+    first: the kernel row of a later free column has more pivot entries,
+    with larger minors, so a modulus still too small fails there at once.
+    """
+    bound = math.isqrt(m // 2)
+    out = []
+    for u in residues.ravel()[::-1]:
+        r0, r1, s0, s1 = m, u, 0, 1
+        while r1 > bound:
+            f = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - f * r1, s1, s0 - f * s1
+        if abs(s1) > bound or math.gcd(r1, s1) != 1:
+            return None
+        out.append(Fraction(r1, s1))
+    return np.array(out[::-1], dtype=object).reshape(residues.shape)
+
+
+def _proves_kernel(m_int: np.ndarray, k: np.ndarray, free: list) -> bool:
+    """The shape check on k and free, and the product m_int @ k_int^T == 0
+    (see _lifted_kernel)."""
+    for i, c in enumerate(free):
+        if k[i, c] != 1 or k[i, c + 1 :].any() or any(k[i, f] for f in free[:i]):
+            return False
+    return not (m_int @ integer_rows(k).T).any()
 
 
 def np_solve(a: np.ndarray, b: np.ndarray, p):
@@ -449,8 +558,8 @@ def rank(rows, field) -> int:
     Over QQ the rank is first taken mod q (rank_mod_q).  It is never above
     the rank over QQ, which is never above min(m, n) for m rows of width n,
     so a rank mod q of min(m, n) is the rank.  Otherwise, and over a prime
-    field, np_rank gives it, and an array is row-reduced in place; on the
-    mod-q route it is left as it was.
+    field, np_rank gives it (over QQ from the proved kernel), and an array
+    is row-reduced in place; on the mod-q route it is left as it was.
     """
     a = rows if isinstance(rows, np.ndarray) else to_np(rows, field)
     full = min(a.shape)
@@ -478,9 +587,9 @@ def np_rank(a: np.ndarray, p) -> int:
     """Rank of an array of residues (or Fractions) that the caller owns.
 
     a is row-reduced in place, which keeps its row space; nothing is copied
-    or reduced mod p again.  With p None this is the Fraction elimination;
-    rank, which tries a rational rank mod q first, may leave its array as
-    it was.
+    or reduced mod p again.  With p None the rank is the number of columns
+    less the proved nullity (_lifted_kernel); rank, which tries a rational
+    rank mod q first, may leave its array as it was.
     """
     return len(np_rref(a, p)[1])
 
@@ -558,7 +667,7 @@ class Echelon:
                 self.pivots, self._free, self._held, block, p
             )
             return len(self._new[1])
-        block = _integer_rows(block)
+        block = integer_rows(block)
         _clear(block, self._held, self.pivots)
         red, piv = _echelon(block)
         self._new = (red[: len(piv)], piv)

@@ -11,14 +11,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
 from . import linalg
 from .errors import CertificationFailed, InternalInvariantViolation
-from .field import reduction_primes
 from .forms import BinaryForm, form, format_form
 from .param import Parameterization
 
@@ -47,7 +44,16 @@ class SyzygyMatrix:
 
 
 def _gens_array(P: Parameterization) -> np.ndarray:
-    return linalg.to_np([list(g.coeffs) for g in P.gens], P.field)
+    """The generators as rows: residues mod p, or over QQ integers.
+
+    Over QQ all of them are scaled by one factor (linalg.integer_rows of
+    their coefficients as one row), which changes no syzygy, rank, reduced
+    form or Hilbert function, and hands the kernels integers to lift.
+    """
+    rows = linalg.to_np([list(g.coeffs) for g in P.gens], P.field)
+    if P.field.modular:
+        return rows
+    return linalg.integer_rows(rows.reshape(1, -1)).reshape(rows.shape)
 
 
 def _multiplication_matrix(G: np.ndarray, t: int) -> np.ndarray:
@@ -60,58 +66,26 @@ def _multiplication_matrix(G: np.ndarray, t: int) -> np.ndarray:
     return linalg.np_multiples(G, t).reshape(n * (t + 1), w + t).T
 
 
-def _integral(values) -> np.ndarray:
-    """The rationals values times the lcm of their denominators, as Python ints.
-
-    A common factor changes neither a kernel nor whether a vector is a syzygy.
-    """
-    scale = lcm(*(v.denominator for v in values))
-    return np.array([v.numerator * (scale // v.denominator) for v in values], dtype=object)
-
-
-def _integer_gens(P: Parameterization) -> np.ndarray:
-    """The generator rows over QQ, all times one lcm of their denominators."""
-    return _integral([c for g in P.gens for c in g.coeffs]).reshape(P.n, P.d + 1)
-
-
 def syzygies_in_degree(P: Parameterization, t: int, echelon=None) -> np.ndarray:
     """Basis of the degree-t syzygies, one array row per vector.
 
     Row entry i*(t+1) + k is the coefficient of x^(t-k) y^k in the i-th
     component; the rows are the reduced kernel basis of M =
     _multiplication_matrix in echelon order: the row for the free column c
-    of M is one at c and zero at every other free column.
+    of M is one at c and zero at every other free column and after c.
 
-    echelon, the (p, R, pivots) of the column degrees or None, is read off
-    (_read_off) when it is over P's field (p None: QQ) and at least t wide;
-    otherwise a QQ kernel K is lifted from primes, the first read off a
-    mod-q echelon, and returned only after two exact checks (_proves_kernel):
-
-    - shape: K is the identity on the free set F of one prime's reduced
-      echelon form, and its row for c in F is zero on every column after c;
-    - product: M_int @ K_int^T == 0 in Python integers, where M_int is M
-      times the lcm of its denominators and K_int is each row of K times
-      the lcm of its own.
-
-    Together they prove that K is the QQ kernel, byte for byte.  Its |F|
-    rows are independent syzygies, so the QQ nullity is at least |F|, the
-    nullity mod that prime, which is never below the QQ nullity: they are
-    equal.  The row for c writes column c of M as a QQ combination of the
-    columns before it, so each c in F is free over QQ, and F is the QQ free
-    set.  The QQ kernel vector that is one at c and zero on the rest of F is
-    unique, and it is the row for c.  Otherwise, and when the lift fails,
-    np_kernel eliminates M; it stays the reference.  Monomial input needs no
-    elimination: the same kernel has a closed form (_monomial_kernel).
+    Monomial input needs no elimination: the kernel has a closed form
+    (_monomial_kernel).  Otherwise echelon, the (p, R, pivots) of the column
+    degrees or None, is read off (_read_off) when it is over P's field (p
+    None: QQ) and at least t wide, and np_kernel gives the rest: mod p an
+    elimination, over QQ the kernel lifted from primes and proved by one
+    integer product (see linalg).  The steps are the same for both fields.
     """
     if P.is_monomial:
         return _monomial_kernel(P, t)
     p = linalg.modulus(P.field)
     k = _read_off(echelon, P.n, t) if echelon and echelon[0] == p else None
-    if k is None and p is None:
-        k = _lifted_kernel(P, t, echelon)
-    if k is None:
-        k = linalg.np_kernel(_multiplication_matrix(_gens_array(P), t), p)
-    return k
+    return linalg.np_kernel(_multiplication_matrix(_gens_array(P), t), p) if k is None else k
 
 
 def _by_shift(n: int, t: int) -> np.ndarray:
@@ -232,95 +206,6 @@ def _forest_admission(accepted: list, kv: np.ndarray, t: int, need: int) -> list
     return new
 
 
-def _lifted_kernel(P: Parameterization, t: int, echelon=None):
-    """The QQ kernel of syzygies_in_degree through primes, proved, or None.
-
-    The generators are reduced mod q = DEFAULT_PRIME, then mod each prime
-    below it (reduction_primes, RationalField.reduction), and np_kernel
-    gives the residue kernel of M, the identity on its free set F.  When
-    echelon is the elimination mod q that gave the column degrees, the
-    kernel mod q is read off it (_read_off), the same array.  The rank
-    of every leading block of columns of M mod a prime is at most its rank
-    over QQ, so no prime has fewer free columns than QQ, and one with as
-    many has each of them at or before the QQ one.  So a prime whose F has
-    fewer columns, or as many but lexicographically later ones, restarts the
-    combination, a worse one is skipped, and residue kernels with the same F
-    are combined by CRT.  After each prime every entry is reconstructed as a
-    fraction (Wang 1981), and the candidate is returned once _proves_kernel
-    holds.
-
-    Each entry of the reduced kernel is a ratio of two minors of M_int, both
-    at most its Hadamard bound H, so once the primes combined with the QQ
-    free set multiply past bound = 2 H^2, reconstruction cannot fail.  A
-    prime with another F divides the QQ rank profile's nonzero minor, so all
-    primes tried pass bound^2 only after the good ones pass bound; a faulty
-    residue kernel that outranks every good prime stops there.  None is
-    returned, for the exact route, when a prime divides a denominator, at
-    either limit with nothing proved, or when the primes run out.
-    """
-    rows = [list(g.coeffs) for g in P.gens]
-    gens = _integer_gens(P)
-    m_int = _multiplication_matrix(gens, t)
-    # column i*(t+1) + k of M_int is the i-th generator row, shifted by k
-    bound = 2 * prod(max(1, sum(c * c for c in g)) ** (t + 1) for g in gens.tolist())
-    best, tried = None, 1
-    for q in reduction_primes():
-        reduced = P.field.reduction(rows, q)
-        if reduced is None:
-            return None
-        tried *= q
-        k = _read_off(echelon, P.n, t) if echelon and echelon[0] == q else None
-        if k is None:
-            field_q, residues_q = reduced
-            k = linalg.np_kernel(_multiplication_matrix(linalg.to_np(residues_q, field_q), t), q)
-        # the last nonzero of a reduced kernel row is its free column
-        free = [int(np.flatnonzero(v)[-1]) for v in k]
-        key = (-len(free), free)
-        if best is None or key > best:
-            best, residues, modulus = key, k.astype(object), q
-        elif key == best:
-            residues += modulus * ((k - residues) * pow(modulus, -1, q) % q)
-            modulus *= q
-        if key == best:
-            lifted = _reconstructed(residues, modulus)
-            if lifted is not None and _proves_kernel(m_int, lifted, free):
-                return lifted
-        if modulus > bound or tried > bound * bound:
-            return None
-    return None
-
-
-def _reconstructed(residues: np.ndarray, m: int):
-    """Each residue u mod m as the fraction a/b = u mod m with |a|, b <= sqrt(m/2).
-
-    Wang's rational reconstruction: the extended Euclidean remainders of
-    (m, u) stop at the first r <= sqrt(m/2), and its cofactor s must be at
-    most the same bound and prime to r.  Such a fraction is unique, and
-    None is returned when an entry has none.
-    """
-    bound = isqrt(m // 2)
-    out = []
-    for u in residues.flat:
-        r0, r1, s0, s1 = m, u, 0, 1
-        while r1 > bound:
-            f = r0 // r1
-            r0, r1, s0, s1 = r1, r0 - f * r1, s1, s0 - f * s1
-        if abs(s1) > bound or gcd(r1, s1) != 1:
-            return None
-        out.append(Fraction(r1, s1))
-    return np.array(out, dtype=object).reshape(residues.shape)
-
-
-def _proves_kernel(m_int: np.ndarray, k: np.ndarray, free: list) -> bool:
-    """The shape check on k and free, and the product m_int @ k_int^T == 0
-    (see syzygies_in_degree)."""
-    for i, c in enumerate(free):
-        if k[i, c] != 1 or k[i, c + 1 :].any() or any(k[i, f] for f in free[:i]):
-            return False
-    ints = np.array([_integral(row) for row in k], dtype=object).reshape(k.shape)
-    return not (m_int @ ints.T).any()
-
-
 def _ideal_dims(G: np.ndarray, field, top: int):
     """[dim I_d, ..., dim I_(d+top)] of the ideal of the rows G, and (p, R, pivots).
 
@@ -433,11 +318,12 @@ def _certify(P: Parameterization, cols: list) -> None:
     degree d cannot all vanish at every one of them.
 
     Over QQ the syzygy check is one product in integers, of the generators
-    times the lcm of their denominators and each column times the lcm of
-    its own.  The rank is sought first mod q = DEFAULT_PRIME, on the entries
-    reduced by RationalField.reduction: a minor that is nonzero mod q is
-    nonzero over QQ.  When q divides a denominator of phi, or no point gives
-    rank n-1 mod q, the points are tried again over QQ.
+    and of each column scaled to integers (linalg.integer_rows).  The rank
+    is sought first mod q = DEFAULT_PRIME, on the entries reduced by
+    RationalField.reduction: a minor that is nonzero mod q is nonzero over
+    QQ.  When q divides a denominator of phi, or no point gives rank n-1
+    mod q, the points are tried again over QQ, each rank read off a proved
+    kernel (linalg.np_rref).
     """
     field = P.field
     n, d = P.n, P.d
@@ -454,16 +340,11 @@ def _certify(P: Parameterization, cols: list) -> None:
     comps = [
         v[i * (D + 1) : (i + 1) * (D + 1)] + [zero] * (top - D) for D, v in cols for i in range(n)
     ]
-    if field.modular:
-        gens = _gens_array(P)
-        flat = linalg.to_np(comps, field).reshape(n - 1, n * (top + 1))
-    else:
-        gens = _integer_gens(P)
-        flat = np.array(
-            [_integral(sum(comps[j * n : (j + 1) * n], [])) for j in range(n - 1)], dtype=object
-        )
+    flat = linalg.to_np(comps, field).reshape(n - 1, n * (top + 1))
+    if not field.modular:
+        flat = linalg.integer_rows(flat)
     residue = linalg.np_matmul_mod(
-        _multiplication_matrix(gens, top), flat.T, linalg.modulus(field)
+        _multiplication_matrix(_gens_array(P), top), flat.T, linalg.modulus(field)
     )
     bad = np.nonzero(residue.any(axis=0))[0]
     if bad.size:
@@ -491,9 +372,10 @@ def hilbert_burch(P: Parameterization) -> SyzygyMatrix:
 
     Column degrees come first, from the Hilbert function of the ideal, read
     off the pivots of one elimination (_column_degree_counts), whose echelon
-    form is passed to syzygies_in_degree: one kernel per distinct degree, read
-    off it with no second elimination (over QQ, off an exact one), or lifted
-    from primes over QQ.  At each degree, kernel vectors are admitted only
+    form is passed to syzygies_in_degree: one kernel per distinct degree,
+    read off it when it is over P's field with no second elimination, or
+    else np_kernel, which over QQ lifts it from primes and proves it.  At
+    each degree, kernel vectors are admitted only
     when independent of the multiples of the already-accepted columns, in
     kernel basis order, which makes the output deterministic: one
     row-rank-profile elimination of [multiples; kernel vectors] picks them.
@@ -503,7 +385,8 @@ def hilbert_burch(P: Parameterization) -> SyzygyMatrix:
     vectors] mod q (linalg.rank_mod_q): full row rank mod q is full row rank
     over QQ, and then the row rank profile admits all of that prefix, so the
     first need vectors are the new ones.  Otherwise, or when q divides a
-    denominator, the exact elimination admits them.
+    denominator, the reduced form over QQ (linalg.np_rref, read off a
+    proved kernel) admits them.
 
     Monomial input runs no elimination before _certify: its kernels have a
     closed form (_monomial_kernel), and since every row to admit is then a

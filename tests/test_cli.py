@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from curvemap import CertificationFailed, cli
 from curvemap.corpus import MAX_CORPUS_SIZE, MAX_SWEEP_DEGREE
-from curvemap.fiber import MAX_SAMPLES
+from curvemap.cli import MAX_SAMPLES
 from curvemap.forms import MAX_DEGREE
 
 
@@ -243,7 +243,6 @@ def test_input_errors_exit_1(tmp_path, capsys):
     for argv, bound in (
         (["analyze", path, "--samples", str(MAX_SAMPLES + 1)], MAX_SAMPLES),
         (["reparam", path, "--samples", "1000000"], MAX_SAMPLES),
-        (["selftest", "--samples", str(MAX_SAMPLES + 1)], MAX_SAMPLES),
         (["selftest", "--d-max", str(MAX_SWEEP_DEGREE + 1)], MAX_SWEEP_DEGREE),
         (["selftest", "--d-max", "40"], MAX_SWEEP_DEGREE),
         (["selftest", "--corpus-size", str(MAX_CORPUS_SIZE + 1)], MAX_CORPUS_SIZE),

@@ -7,6 +7,12 @@ unnoticed.  Only linalg names _absorb, the kernel that grows a reduced
 echelon by a block of rows, and _clear, the rational echelon's forward
 reduction: incremental elimination goes through linalg.Echelon, not through
 a hand-written loop elsewhere.
+Only linalg names _lifted_kernel, and reduction_primes beside the field
+module that defines it: over QQ every kernel, reduced form, rank and
+solution is read off the one proved lift from primes, so no caller picks a
+route.  A spy on the per-pivot loop shows that no object array reaches it
+on the analyses of dense and composed QQ maps and the rational benchmark's
+commands: no Fraction elimination is left.
 Only linalg and fiber name Echelon: the Hilbert table of A is its one
 consumer, and the Hilbert function of the ideal is one elimination, so a
 second incremental path cannot come back unnoticed.  Only fiber names
@@ -20,9 +26,17 @@ unnoticed.  Every name a module imports at its top level is used in it.
 """
 
 import ast
+import importlib
+import random
 from pathlib import Path
 
+import numpy as np
+
 import curvemap
+from curvemap import QQ, Analysis, cli, dense_corpus, linalg
+from test_degree_certificate import composed_map
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 ALLOWED = {"field.py", "cli.py", "__init__.py"}
 
@@ -57,6 +71,42 @@ def test_prime_field_is_named_only_at_the_edges():
 def test_only_linalg_grows_an_echelon():
     assert _users("_absorb") == {"linalg.py"}
     assert _users("_clear") == {"linalg.py"}
+
+
+def test_only_linalg_lifts_rational_kernels():
+    assert _users("_lifted_kernel") == {"linalg.py"}
+    assert _users("reduction_primes") == {"field.py", "linalg.py"}
+
+
+def test_no_object_array_reaches_the_per_pivot_loop(tmp_path, capsys, monkeypatch):
+    dtypes = set()
+    lifts = [0]
+    real_loop, real_lift = linalg._rref_loop, linalg._lifted_kernel
+
+    def loop(a, p):
+        dtypes.add(a.dtype)
+        return real_loop(a, p)
+
+    def lift(a):
+        lifts[0] += 1
+        return real_lift(a)
+
+    monkeypatch.setattr(linalg, "_rref_loop", loop)
+    monkeypatch.setattr(linalg, "_lifted_kernel", lift)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    rng = random.Random("layering-composed")
+    maps = dense_corpus(QQ, 12, seed=13)
+    maps += [composed_map(QQ, rng, *triple)[0] for triple in workloads.COMPOSED_LADDER]
+    for P in maps:
+        Analysis(P, seed=1).report()
+    for i, cmd in enumerate(workloads.rational(1)):
+        path = tmp_path / f"rational-{i}.txt"
+        path.write_text(cmd.inst.text())
+        assert cli.main(["analyze", str(path), "--deterministic"]) == 0
+    capsys.readouterr()
+    # the QQ route ran, and every elimination in a loop was on residues
+    assert lifts[0] and dtypes == {np.dtype(np.int64)}, dtypes
 
 
 def test_only_fiber_draws_image_points():

@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from curvemap import QQ, PrimeField
+import qq_reference
+from curvemap import DEFAULT_PRIME, QQ, PrimeField
 from curvemap import linalg
 from curvemap.linalg import (
     Echelon,
@@ -300,6 +301,51 @@ def test_rational_back_end_agrees_with_sympy():
         assert (x is not None) == consistent
         if x is not None:
             assert [sum(a * b for a, b in zip(row, x)) for row in m] == rhs
+
+
+def rational_shapes(rng):
+    """Rational matrices for the one QQ route: small entries with zero rows,
+    zero columns and dropped ranks, entries and denominators up to 10^6,
+    denominators divisible by DEFAULT_PRIME, and the empty shapes."""
+    q = DEFAULT_PRIME
+    for _ in range(30):
+        yield to_np(random_rational_matrix(rng, rng.randint(1, 6), rng.randint(1, 7)), QQ)
+    for rows, cols in ((3, 5), (4, 4), (5, 3), (2, 6), (6, 8)):
+        m = [
+            [Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        m[-1] = [2 * a - Fraction(3, 7) * b for a, b in zip(m[0], m[1])]
+        yield to_np(m, QQ)
+    for rows, cols in ((2, 2), (3, 4), (4, 3)):
+        m = random_rational_matrix(rng, rows, cols)
+        m[0][0] = Fraction(rng.randint(1, 9), q)
+        m[-1][-1] = Fraction(5, 2 * q)
+        yield to_np(m, QQ)
+    for rows, cols in ((0, 4), (0, 1), (3, 0), (0, 0)):
+        yield np.zeros((rows, cols), dtype=object)
+
+
+def test_rational_kernels_agree_with_sympy_on_every_shape():
+    # np_rref, np_kernel, np_solve, np_rank and rank over QQ all come from
+    # the lifted kernel; sympy's elimination is the exact reference
+    rng = random.Random("lifted-shapes")
+    for a in rational_shapes(rng):
+        want, want_piv = qq_reference.rref(a)
+        red, piv = np_rref(a.copy(), None)
+        assert piv == want_piv and red.tolist() == want.tolist(), a
+        assert np_kernel(a, None).tolist() == qq_reference.kernel(a).tolist(), a
+        assert np_rank(a.copy(), None) == rank(a.copy(), QQ) == len(want_piv), a
+        rows, cols = a.shape
+        # one right-hand side in the column space, one most likely not
+        inside = a @ np.array([Fraction(rng.randint(-5, 5)) for _ in range(cols)], dtype=object)
+        outside = np.array([Fraction(rng.randint(-5, 5), 3) for _ in range(rows)], dtype=object)
+        for b in (inside.reshape(rows), outside):
+            x = np_solve(a, b, None)
+            ref = qq_reference.solve(a, b)
+            assert (x is None) == (ref is None), a
+            if x is not None:
+                assert x.tolist() == ref.tolist(), a
 
 
 def test_np_vandermonde_holds_the_powers_of_each_point():

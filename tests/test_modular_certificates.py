@@ -4,7 +4,9 @@ Each answer is first taken mod q = DEFAULT_PRIME, on residues from
 RationalField.reduction, and kept only when it is proved: a rank that meets
 min(m, n), a full-rank prefix of the kernel, a gcd of degree 0, or a fiber
 gcd of degree 1, which is then the known root of the row.  Otherwise the
-exact Fraction route runs.  Here every site takes both routes and is
+exact route runs: a rank or an admission over QQ, read off a kernel lifted
+from primes (linalg.np_rref), or a gcd by Euclid on Fractions.  Here every
+site takes both routes and is
 compared with the exact one, which a reduction that always refuses forces:
 ranks that drop mod q, denominators divisible by q, generators coprime over
 QQ but not mod q, admissions off the kernel prefix, maps with r > 1 and a
@@ -53,15 +55,15 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 @contextmanager
 def exact_route(monkeypatch):
-    """Every reduction mod q refused, so every site runs its Fraction route."""
+    """Every reduction mod q refused, so every site runs its exact route."""
     with monkeypatch.context() as m:
-        m.setattr(type(QQ), "reduction", lambda self, rows, q=Q: None)
+        m.setattr(type(QQ), "reduction", lambda self, rows: None)
         yield
 
 
 @pytest.fixture
 def fraction_work(monkeypatch):
-    """{"rref": shapes of np_rref calls on Fraction arrays, "gcd": QQ gcd_forms calls}."""
+    """{"rref": shapes of np_rref calls over QQ, "gcd": QQ gcd_forms calls}."""
     log = {"rref": [], "gcd": []}
     real_rref = linalg.np_rref
 
@@ -299,7 +301,7 @@ def test_fiber_gcd_of_degree_zero_mod_q_exits_2(tmp_path, capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the whole report: no Fraction elimination and no QQ gcd on birational maps
+# the whole report: no exact elimination and no QQ gcd on birational maps
 
 
 def rational_workload_files(tmp_path, monkeypatch):

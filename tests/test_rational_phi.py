@@ -1,34 +1,40 @@
 """Over QQ, phi through primes: residue kernels lifted by CRT and rational reconstruction.
 
-syzygy.syzygies_in_degree lifts the kernel of each degree's matrix M from
-primes and returns it only after the shape check and one exact integer
-product prove it; _certify checks the syzygies in integers and seeks the
-rank mod q first.  Here the lift is compared with the exact np_kernel, the
-reference, and with sympy's nullspace, every way of falling back to the
-exact route is forced, unlucky primes are shown to be restarted or skipped,
-and the map-degree walk is shown to stop at two fibers of degree 1.
+syzygy.syzygies_in_degree takes the kernel of each degree's matrix M from
+linalg.np_kernel, which over QQ lifts it from primes and returns it only
+after the shape check and one exact integer product prove it
+(linalg._lifted_kernel); _certify checks the syzygies in integers and seeks
+the rank mod q first.  Here the lift is compared with sympy's elimination
+(qq_reference), unlucky primes are shown to be restarted or skipped, a
+lift that proves nothing is shown to exit 2, and the map-degree walk is
+shown to stop at two fibers of degree 1.
 """
 
 import importlib
 import random
 import time
 from fractions import Fraction
+from itertools import islice
 from math import prod
 
 import numpy as np
 import pytest
 
+import qq_reference
 from curvemap import (
     DEFAULT_PRIME,
     QQ,
     CurvemapError,
     certify_map_degree,
+    cli,
     dense_corpus,
+    format_form,
     hilbert_burch,
     linalg,
     syzygy,
 )
 from curvemap.errors import CertificationFailed
+from curvemap.field import reduction_primes
 from test_degree_certificate import composed_map, dense_map
 from test_rational_sandwich import qq_param
 
@@ -37,36 +43,58 @@ Q = DEFAULT_PRIME
 fiber_module = importlib.import_module("curvemap.fiber")
 
 
+def fraction_matrix(P, t):
+    """M of degree t, built on P's own Fraction coefficients."""
+    return syzygy._multiplication_matrix(linalg.to_np([g.coeffs for g in P.gens], QQ), t)
+
+
 def exact_kernel(P, t):
-    """The reference: np_kernel of M over QQ, by Fraction elimination."""
-    m = syzygy._multiplication_matrix(syzygy._gens_array(P), t)
-    return linalg.np_kernel(m, None)
+    """The exact reference: sympy's reduced kernel of M."""
+    return qq_reference.kernel(fraction_matrix(P, t))
+
+
+def sympy_rref(a, p):
+    """np_rref with sympy over QQ, in place as np_rref writes its form."""
+    if p is not None:
+        return REAL_RREF(a, p)
+    red, pivots = qq_reference.rref(a)
+    a[...] = red
+    return a, pivots
+
+
+REAL_RREF, REAL_KERNEL = linalg.np_rref, linalg.np_kernel
 
 
 def exact_phi(P, monkeypatch):
-    """hilbert_burch(P) with every kernel from exact_kernel."""
+    """hilbert_burch(P) with every QQ reduced form and kernel from sympy."""
     with monkeypatch.context() as m:
-        m.setattr(syzygy, "_lifted_kernel", lambda P, t, *rest: None)
+        m.setattr(linalg, "np_rref", sympy_rref)
+        m.setattr(
+            linalg, "np_kernel", lambda a, p: qq_reference.kernel(a) if p is None else REAL_KERNEL(a, p)
+        )
         return hilbert_burch(P)
 
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """Every np_kernel call during the test: (its modulus, its free columns)."""
+    """Every residue kernel the lift takes: (its prime, its free columns)."""
     log = []
-    real = linalg.np_kernel
+    real = linalg._kernel
 
-    def spy(a, p):
-        k = real(a, p)
-        log.append((p, [int(np.flatnonzero(v)[-1]) for v in k]))
-        return k
+    def spy(red, pivots, p):
+        k, free = real(red, pivots, p)
+        log.append((p, free))
+        return k, free
 
-    monkeypatch.setattr(linalg, "np_kernel", spy)
+    monkeypatch.setattr(linalg, "_kernel", spy)
     return log
 
 
-def ran_exact(log):
-    return any(p is None for p, _ in log)
+def hadamard_bound(m):
+    """2 H^2 of the lift: H the product of the column norms of M scaled to integer rows."""
+    ints = linalg.integer_rows(m).tolist()
+    cols = len(ints[0]) if ints else 0
+    return 2 * prod(max(1, sum(row[c] ** 2 for row in ints)) for c in range(cols))
 
 
 def rational_map(rng, n, d, box, den=1):
@@ -86,6 +114,12 @@ def degrees(P):
     return sorted(syzygy._column_degree_counts(P)[0])
 
 
+def instance_file(tmp_path, P):
+    path = tmp_path / "map.txt"
+    path.write_text("field: rational\nseed: 1\n" + "\n".join(map(format_form, P.gens)) + "\n")
+    return str(path)
+
+
 def test_lifted_kernel_equals_the_exact_kernel(kernels):
     rng = random.Random("lift-differential")
     # dense_corpus draws QQ coefficients up to 10^6, so most kernels need
@@ -101,7 +135,6 @@ def test_lifted_kernel_equals_the_exact_kernel(kernels):
         for t in degrees(P):
             kernels.clear()
             k = syzygy.syzygies_in_degree(P, t)
-            assert not ran_exact(kernels), (P, t)
             used.append(len(kernels))
             ref = exact_kernel(P, t)
             assert k.shape == ref.shape and (k == ref).all(), (P, t)
@@ -116,7 +149,7 @@ def test_lifted_phi_equals_the_exact_phi(kernels, monkeypatch):
     for P in cases:
         kernels.clear()
         phi = hilbert_burch(P)
-        assert kernels and not ran_exact(kernels), P
+        assert kernels, P
         assert phi == exact_phi(P, monkeypatch), P
 
 
@@ -148,22 +181,37 @@ def degenerate_mod_q_map():
     return qq_param(*rows)
 
 
+def read_off_moduli(monkeypatch):
+    """The modulus of every echelon a kernel is read off from now on."""
+    log = []
+    real = syzygy._read_off
+
+    def spy(echelon, n, t):
+        k = real(echelon, n, t)
+        log.extend([echelon[0]] if k is not None else [])
+        return k
+
+    monkeypatch.setattr(syzygy, "_read_off", spy)
+    return log
+
+
 def test_map_degenerate_only_mod_q_restarts_at_the_next_prime(kernels, monkeypatch):
     P = degenerate_mod_q_map()
     t = degrees(P)[0]
     kernels.clear()
     k = syzygy.syzygies_in_degree(P, t)
     # degree 1: mod q, g4 = g3 adds a free column, so the next prime restarts
-    first = [free for p, free in kernels if p == Q][0]
-    later = [free for p, free in kernels if p not in (Q, None)][0]
-    assert len(first) == len(later) + 1
-    assert not ran_exact(kernels)
+    first, later = kernels[0], kernels[1]
+    assert first[0] == Q and later[0] != Q
+    assert len(first[1]) == len(later[1]) + 1
     assert k.tolist() == exact_kernel(P, t).tolist()
-    # in hilbert_burch the dims mod q miss a bound too, so every kernel is
-    # read off the exact echelon of the column degrees, with no prime
-    kernels.clear()
-    assert hilbert_burch(P) == exact_phi(P, monkeypatch)
-    assert not kernels
+    # in hilbert_burch the dims mod q miss a bound too, so the column
+    # degrees come from the lifted echelon over QQ, and every kernel is
+    # read off it
+    read = read_off_moduli(monkeypatch)
+    phi = hilbert_burch(P)
+    assert read == [None] * len(degrees(P))
+    assert phi == exact_phi(P, monkeypatch)
 
 
 def test_as_many_free_columns_but_earlier_ones_are_skipped(kernels, monkeypatch):
@@ -177,12 +225,36 @@ def test_as_many_free_columns_but_earlier_ones_are_skipped(kernels, monkeypatch)
     kernels.clear()
     k = syzygy.syzygies_in_degree(P, 2)
     assert kernels[0] == (Q, [7]) and all(free == [8] for _, free in kernels[1:])
-    assert not ran_exact(kernels)
+    assert len(kernels) >= 2
     assert k.tolist() == exact_kernel(P, 2).tolist()
-    kernels.clear()
-    phi = hilbert_burch(P)
-    assert not ran_exact(kernels)
-    assert phi == exact_phi(P, monkeypatch)
+    assert hilbert_burch(P) == exact_phi(P, monkeypatch)
+
+
+def test_forced_unlucky_primes_are_restarted_then_skipped(kernels, monkeypatch):
+    # a and b divide the leading 2 x 2 minor a*b: mod either, column 1 is
+    # free in place of column 2.  Put first, a restarts at the next prime;
+    # after a good prime, b is skipped and the good moduli combine
+    a, b, *good = islice(reduction_primes(), 8)
+    m = linalg.to_np([[1, 0, 10**6 + 3], [0, a * b, Fraction(-(10**6) + 7, 5)]], QQ)
+    order = [a, good[0], b] + good[1:]
+    monkeypatch.setattr(linalg, "reduction_primes", lambda: iter(order))
+    moduli = []
+    real = linalg._reconstructed
+
+    def spy(residues, mod):
+        moduli.append(mod)
+        return real(residues, mod)
+
+    monkeypatch.setattr(linalg, "_reconstructed", spy)
+    k = linalg.np_kernel(m, None)
+    assert k.tolist() == qq_reference.kernel(m).tolist()
+    used = len(kernels)
+    assert [free for _, free in kernels] == [[1], [2], [1]] + [[2]] * (used - 3)
+    # b reconstructs nothing; good[1] combines with good[0], and the good
+    # moduli are reconstructed after 1, 2, 3, 4, 6, ... of them
+    joined = [i for i in (1, 2, 3, 4, 6, 9) if i <= used - 2]
+    assert joined[-1] == used - 2
+    assert moduli == [a] + [prod(good[:i]) for i in joined]
 
 
 def test_denominator_divisible_by_q_takes_the_exact_route(kernels, monkeypatch):
@@ -191,114 +263,118 @@ def test_denominator_divisible_by_q_takes_the_exact_route(kernels, monkeypatch):
     rows[1][3] = Fraction(5, Q)
     P = qq_param(*rows)
     t = degrees(P)[0]
-    assert syzygy._lifted_kernel(P, t) is None
-    # each kernel is read off the exact echelon of the column degrees, or,
-    # past its width, eliminated exactly: one exact source per degree
-    read = []
-    real = syzygy._read_off
-
-    def spy(echelon, n, t):
-        k = real(echelon, n, t)
-        read.extend([echelon[0]] if k is not None else [])
-        return k
-
-    monkeypatch.setattr(syzygy, "_read_off", spy)
     kernels.clear()
-    phi = hilbert_burch(P)
-    assert read + [p for p, _ in kernels] == [None] * len(degrees(P))
-    assert phi == exact_phi(P, monkeypatch)
-
-
-def test_running_out_of_primes_takes_the_exact_route(kernels, monkeypatch):
-    P = rational_map(random.Random("lift-one-prime"), 4, 6, 10**6)
-    monkeypatch.setattr(syzygy, "reduction_primes", lambda: iter([Q]))
-    # the kernels mod q are read off the echelon of the column degrees
-    read = []
-    real = syzygy._read_off
+    k = syzygy.syzygies_in_degree(P, t)
+    assert kernels[0][0] == Q
+    assert k.tolist() == exact_kernel(P, t).tolist()
+    # the lift scales the rows to integers first, so it starts at q; in
+    # hilbert_burch q divides a denominator, so no dim is taken mod q: each
+    # kernel is read off the exact (lifted) echelon of the column degrees,
+    # or, past its width, lifted on its own
+    read = read_off_moduli(monkeypatch)
+    lifted = []
+    real_kernel = linalg.np_kernel
     monkeypatch.setattr(
-        syzygy, "_read_off", lambda echelon, n, t: read.append(echelon[0]) or real(echelon, n, t)
+        linalg, "np_kernel", lambda a, p: lifted.append(p) or real_kernel(a, p)
     )
-    kernels.clear()
     phi = hilbert_burch(P)
-    assert read + [p for p, _ in kernels if p is not None] == [Q] * len(degrees(P))
-    assert ran_exact(kernels)
+    assert read + lifted == [None] * len(degrees(P))
+    monkeypatch.setattr(linalg, "np_kernel", real_kernel)
     assert phi == exact_phi(P, monkeypatch)
 
 
-def test_no_proof_by_twice_the_hadamard_square_takes_the_exact_route(monkeypatch):
-    # rows swapped: still syzygies, so the product passes, but the shape
-    # check fails at every prime, until the modulus passes 2 H^2
+def test_running_out_of_primes_exits_2(tmp_path, capsys, monkeypatch):
+    # coefficients up to 10^6 need more than one prime; with only q the lift
+    # proves nothing and names its bound, and analyze exits 2
+    P = rational_map(random.Random("lift-one-prime"), 4, 6, 10**6)
+    monkeypatch.setattr(linalg, "reduction_primes", lambda: iter([Q]))
+    with pytest.raises(CertificationFailed, match="Hadamard bound"):
+        hilbert_burch(P)
+    assert cli.main(["analyze", instance_file(tmp_path, P), "--deterministic"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("computation failed: no kernel of a ")
+
+
+def test_no_proof_by_twice_the_hadamard_square_exits_2(monkeypatch):
+    # rows swapped: still kernel vectors, so the product passes, but the
+    # shape check fails at every prime, until the modulus passes 2 H^2
     P = rational_map(random.Random("lift-bound"), 3, 4, 9)
     t = degrees(P)[-1]
-    real = syzygy._reconstructed
+    m = fraction_matrix(P, t)
+    real = linalg._reconstructed
     moduli = []
 
-    def swapped(residues, m):
-        moduli.append(m)
-        k = real(residues, m)
+    def swapped(residues, mod):
+        moduli.append(mod)
+        k = real(residues, mod)
         return None if k is None else k[::-1].copy()
 
-    monkeypatch.setattr(syzygy, "_reconstructed", swapped)
     assert len(exact_kernel(P, t)) >= 2
-    assert syzygy._lifted_kernel(P, t) is None
-    gens = syzygy._integer_gens(P).tolist()
-    bound = 2 * prod(max(1, sum(c * c for c in g)) ** (t + 1) for g in gens)
+    with monkeypatch.context() as patched:
+        patched.setattr(linalg, "_reconstructed", swapped)
+        with pytest.raises(CertificationFailed, match=f"< 2\\^{hadamard_bound(m).bit_length()}$"):
+            linalg.np_kernel(m, None)
+    bound = hadamard_bound(m)
     assert moduli[-2] <= bound < moduli[-1]
     assert syzygy.syzygies_in_degree(P, t).tolist() == exact_kernel(P, t).tolist()
 
 
-def test_a_residue_kernel_in_the_wrong_basis_stops_within_bound_squared(monkeypatch):
+def test_a_residue_kernel_in_the_wrong_basis_stops_within_bound_squared(
+    tmp_path, capsys, monkeypatch
+):
     # the kernel mod q in a wrong basis of the same space: each row plus the
     # last, so every row ends at the last free column, lexicographically
     # later than the QQ free set.  q then outranks every correct prime, and
     # each of those is skipped; the lift must still stop, once the primes
-    # tried multiply past bound^2, and hand over to the exact route
+    # tried multiply past bound^2, and analyze exits 2
     P = rational_map(random.Random("lift-wrong-basis"), 4, 6, 9)
     t = next(t for t in degrees(P) if len(exact_kernel(P, t)) >= 2)
-    gens = syzygy._integer_gens(P).tolist()
-    bound = 2 * prod(max(1, sum(c * c for c in g)) ** (t + 1) for g in gens)
+    bound = hadamard_bound(fraction_matrix(P, t))
     # every prime tried is above 2^30, so bound^2 is passed by then
     limit = 2 * bound.bit_length() // 30 + 1
-    real_kernel = linalg.np_kernel
+    real_kernel = linalg._kernel
 
-    def wrong(a, p):
-        k = real_kernel(a, p)
-        if p == Q:
+    def wrong(red, pivots, p):
+        k, free = real_kernel(red, pivots, p)
+        if p == Q and len(free) >= 2:
             k[:-1] = (k[:-1] + k[-1]) % p
-        return k
+            free = [int(np.flatnonzero(v)[-1]) for v in k]
+        return k, free
 
-    calls = [0]
-    real_reduction = type(QQ).reduction
+    primes = [0]
 
-    def counted(self, rows, q=Q):
-        calls[0] += 1
-        assert calls[0] <= limit, "the lift walks on past bound^2"
-        return real_reduction(self, rows, q)
+    def counted():
+        for q in reduction_primes():
+            primes[0] += 1
+            assert primes[0] <= limit, "the lift walks on past bound^2"
+            yield q
 
-    monkeypatch.setattr(linalg, "np_kernel", wrong)
-    monkeypatch.setattr(type(QQ), "reduction", counted)
-    assert syzygy._lifted_kernel(P, t) is None
-    assert calls[0] >= 2
-    calls[0] = 0
-    assert syzygy.syzygies_in_degree(P, t).tolist() == exact_kernel(P, t).tolist()
+    monkeypatch.setattr(linalg, "_kernel", wrong)
+    monkeypatch.setattr(linalg, "reduction_primes", counted)
+    with pytest.raises(CertificationFailed, match="Hadamard bound"):
+        syzygy.syzygies_in_degree(P, t)
+    assert primes[0] >= 2
+    primes[0] = 0
+    assert cli.main(["analyze", instance_file(tmp_path, P), "--deterministic"]) == 2
+    assert capsys.readouterr().err.startswith("computation failed: no kernel of a ")
 
 
 def test_proof_rejects_a_wrong_shape_or_a_non_syzygy():
     P = rational_map(random.Random("lift-proof"), 4, 5, 9)
     t = degrees(P)[-1]
-    exact = syzygy._multiplication_matrix(syzygy._integer_gens(P), t)
-    k = exact_kernel(P, t).astype(object)
+    exact = linalg.integer_rows(fraction_matrix(P, t))
+    k = exact_kernel(P, t)
     free = [int(np.flatnonzero(v)[-1]) for v in k]
-    assert syzygy._proves_kernel(exact, k, free)
+    assert linalg._proves_kernel(exact, k, free)
     # a kernel vector added to a later row: a syzygy, not the reduced kernel
     mixed = k.copy()
     mixed[-1] = mixed[-1] + mixed[0]
-    assert not syzygy._proves_kernel(exact, mixed, free)
+    assert not linalg._proves_kernel(exact, mixed, free)
     # the identity part kept, one pivot entry off by 1/7: no syzygy
     off = k.copy()
     c = next(c for c in range(free[0]) if c not in free)
     off[0, c] += Fraction(1, 7)
-    assert not syzygy._proves_kernel(exact, off, free)
+    assert not linalg._proves_kernel(exact, off, free)
 
 
 def test_certify_seeks_the_rank_over_qq_when_q_divides_a_denominator(monkeypatch):
@@ -307,8 +383,11 @@ def test_certify_seeks_the_rank_over_qq_when_q_divides_a_denominator(monkeypatch
     phi = hilbert_burch(P)
     assert any(c.denominator % Q == 0 for col in phi.columns for e in col for c in e.coeffs)
     rank_moduli = spy_ranks(monkeypatch)
+    lifts = spy_lifts(monkeypatch)
     syzygy._certify(P, phi_cols(phi))
+    # each rank over QQ is read off a lifted kernel
     assert rank_moduli and set(rank_moduli) == {None}
+    assert len(lifts) == len(rank_moduli)
 
 
 def test_certify_tries_qq_when_no_point_has_rank_n_minus_1_mod_q(monkeypatch):
@@ -318,17 +397,21 @@ def test_certify_tries_qq_when_no_point_has_rank_n_minus_1_mod_q(monkeypatch):
     rank_moduli = spy_ranks(monkeypatch)
     syzygy._certify(P, cols)
     assert set(rank_moduli) == {Q}
-    # every residue of phi zero: no point gives rank 3 mod q, QQ does
+    # every residue of phi zero: no point gives rank 3 mod q, QQ does, on a
+    # lifted kernel that sympy confirms
     real = type(QQ).reduction
 
-    def zeros(self, rows, q=Q):
-        k, residues = real(self, rows, q)
+    def zeros(self, rows):
+        k, residues = real(self, rows)
         return k, [[0] * len(row) for row in residues]
 
     monkeypatch.setattr(type(QQ), "reduction", zeros)
+    lifts = spy_lifts(monkeypatch)
     rank_moduli.clear()
     syzygy._certify(P, cols)
     assert rank_moduli.count(Q) == P.d + 1 and None in rank_moduli
+    for a, (k, _) in lifts:
+        assert k.tolist() == qq_reference.kernel(a).tolist()
     # two equal columns: rank 2 at every point, by either route
     monkeypatch.undo()
     with pytest.raises(CertificationFailed, match="rank below 3"):
@@ -336,15 +419,34 @@ def test_certify_tries_qq_when_no_point_has_rank_n_minus_1_mod_q(monkeypatch):
 
 
 def spy_ranks(monkeypatch):
-    """The modulus of every np_rref call made from now on."""
+    """The modulus of every np_rref call made from now on, outside the lift."""
     log = []
+    depth = [0]
     real = linalg.np_rref
 
     def spy(a, p):
-        log.append(p)
-        return real(a, p)
+        if not depth[0]:
+            log.append(p)
+        depth[0] += 1
+        try:
+            return real(a, p)
+        finally:
+            depth[0] -= 1
 
     monkeypatch.setattr(linalg, "np_rref", spy)
+    return log
+
+
+def spy_lifts(monkeypatch):
+    """Every lift made from now on: (a copy of its matrix, its result)."""
+    log = []
+    real = linalg._lifted_kernel
+
+    def spy(a):
+        log.append((a.copy(), real(a)))
+        return log[-1][1]
+
+    monkeypatch.setattr(linalg, "_lifted_kernel", spy)
     return log
 
 

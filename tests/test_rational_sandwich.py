@@ -2,7 +2,7 @@
 
 Each slice rank of the table is first taken mod q = DEFAULT_PRIME and kept
 only while it meets its upper bound; from the first miss on the exact
-Fraction elimination takes over.  The dims of the ideal come from one
+elimination, fraction-free on integer rows, takes over.  The dims of the ideal come from one
 elimination mod q, kept only when every one meets its bound, and otherwise
 from the exact generators, by the rule of a prime field.  Here both routes
 are compared with the exact references fiber._slices and one exact

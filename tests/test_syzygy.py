@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import qq_reference
 from curvemap import (
     DEFAULT_PRIME,
     CertificationFailed,
@@ -167,9 +168,10 @@ def reference_counts(P):
 
 
 def reference_kernel(P, t):
-    """The reduced kernel of M by elimination, whatever route syzygies_in_degree takes."""
+    """The reduced kernel of M by elimination mod p, or by sympy over QQ,
+    whatever route syzygies_in_degree takes."""
     m = syzygy._multiplication_matrix(syzygy._gens_array(P), t)
-    return np_kernel(m, modulus(P.field))
+    return np_kernel(m, modulus(P.field)) if P.field.modular else qq_reference.kernel(m)
 
 
 def reference_hilbert_burch(P):
@@ -372,21 +374,13 @@ def rule_widths(P, counts):
     return [T, rest - (len(above) - 1) * (T + 1)], above
 
 
-def gens_mod(P, p):
-    """The generator rows _ideal_dims eliminated mod p, or exactly for p None."""
-    if p is None or P.field.modular:
-        return syzygy._gens_array(P)
-    k, rows = QQ.reduction([list(g.coeffs) for g in P.gens], p)
-    return to_np(rows, k)
-
-
 @pytest.fixture
 def read_off(monkeypatch):
     """Every width _ideal_dims eliminates at, every _read_off call as (the
-    echelon's modulus, t, result), the degree of every _lifted_kernel call,
-    and the modulus and width of every np_kernel call."""
-    log = {"widths": [], "kernels": [], "lifted": [], "np_kernel": []}
-    real_read, real_lift, real_kernel = syzygy._read_off, syzygy._lifted_kernel, linalg.np_kernel
+    echelon's modulus, t, result), and the modulus and width of every
+    np_kernel call: over QQ (modulus None) a kernel lifted from primes."""
+    log = {"widths": [], "kernels": [], "np_kernel": []}
+    real_read, real_kernel = syzygy._read_off, linalg.np_kernel
 
     def dims(G, field, top):
         log["widths"].append((modulus(field), top))
@@ -397,27 +391,24 @@ def read_off(monkeypatch):
         log["kernels"].append((echelon[0], t, k))
         return k
 
-    def lift(P, t, *rest):
-        log["lifted"].append(t)
-        return real_lift(P, t, *rest)
-
     def kernel(a, p):
         log["np_kernel"].append((p, a.shape[1]))
         return real_kernel(a, p)
 
     monkeypatch.setattr(syzygy, "_ideal_dims", dims)
     monkeypatch.setattr(syzygy, "_read_off", read)
-    monkeypatch.setattr(syzygy, "_lifted_kernel", lift)
     monkeypatch.setattr(linalg, "np_kernel", kernel)
     return log
 
 
 def assert_read_off_kernels(P, log):
-    """Every kernel read off an echelon equals np_kernel of its own matrix,
+    """Every kernel read off an echelon of P's field equals the reduced
+    kernel of its own matrix, by elimination mod p or by sympy over QQ,
     dtype and all; returns them as (modulus, t, kernel)."""
     read = [(p, t, k) for p, t, k in log["kernels"] if k is not None]
     for p, t, k in read:
-        ref = np_kernel(syzygy._multiplication_matrix(gens_mod(P, p), t), p)
+        assert p == modulus(P.field), (P, t)
+        ref = reference_kernel(P, t)
         assert k.dtype == ref.dtype and k.shape == ref.shape, (P, t)
         assert (k == ref).all(), (P, t)
     return read
@@ -444,7 +435,7 @@ def test_one_truncated_echelon_gives_phi_over_a_prime_field(field, read_off):
             assert above[-1] <= widths[-1] < P.d - P.n + 2, P
         routes[len(above)] += 1
         assert read_off["widths"] == [(field.p, w) for w in widths], P
-        assert read_off["np_kernel"] == kernels and not read_off["lifted"], P
+        assert read_off["np_kernel"] == kernels, P
         read = assert_read_off_kernels(P, read_off)
         # every degree but the one np_kernel gives is read off the echelon
         past = set(above) if kernels else set()
@@ -453,11 +444,12 @@ def test_one_truncated_echelon_gives_phi_over_a_prime_field(field, read_off):
     assert routes == {0: 4, 1: 4, 2: 1}, routes
 
 
-def test_kernels_mod_q_are_read_off_the_echelon_of_the_column_degrees(read_off):
+def test_balanced_rational_kernels_are_lifted_not_read_off_mod_q(read_off):
     # dims mod q that all meet their bounds give balanced column degrees,
-    # all found at ceil(d / (n-1)), and the lift reads its kernels mod q
-    # off that echelon; an unbalanced map misses a bound, and the exact
-    # generators take the rule of a prime field, its kernels read off exactly
+    # all found at ceil(d / (n-1)); that echelon is not over QQ, so each
+    # kernel is lifted from primes (np_kernel over QQ).  An unbalanced map
+    # misses a bound, and the exact generators take the rule of a prime
+    # field, its kernels read off the exact echelon
     rng = random.Random("syzygy-read-off-qq")
     cases = [rational_map(rng, n, d, 9) for n, d in [(3, 7), (4, 12), (5, 16), (4, 20)]]
     unbalanced = 0
@@ -472,9 +464,9 @@ def test_kernels_mod_q_are_read_off_the_echelon_of_the_column_degrees(read_off):
         read = assert_read_off_kernels(P, read_off)
         if max(counts) == first:
             assert read_off["widths"] == [(DEFAULT_PRIME, first)], P
-            want = [(DEFAULT_PRIME, t) for t in sorted(counts)]
-            assert [(p, t) for p, t, _ in read] == want, P
-            assert DEFAULT_PRIME not in [p for p, _ in read_off["np_kernel"]], P
+            assert not read, P
+            want = [(None, P.n * (t + 1)) for t in sorted(counts)]
+            assert read_off["np_kernel"] == want, P
         else:
             widths, _ = rule_widths(P, counts)
             exact = [(None, w) for w in widths]
@@ -511,16 +503,17 @@ def test_rational_exact_route_takes_the_rule_of_a_prime_field(build, read_off):
         mod_q = [(q, widths[0])] if QQ.reduction([list(g.coeffs) for g in P.gens]) else []
         read = assert_read_off_kernels(P, read_off)
         if mod_q and max(counts) - min(counts) <= 1:
-            # balanced: the dims mod q meet every bound, and the lift reads
-            # its first prime off that echelon
-            assert read_off["widths"] == mod_q, P
-            assert {p for p, _, _ in read} == {q}, P
+            # balanced: the dims mod q meet every bound, and every kernel is
+            # lifted from primes
+            assert read_off["widths"] == mod_q and not read, P
+            assert read_off["np_kernel"] == [(None, P.n * (t + 1)) for t in sorted(counts)], P
             routes["mod q"] += 1
             continue
         assert read_off["widths"] == mod_q + [(None, w) for w in widths], P
         assert {p for p, _, _ in read} == {None}, P
         assert [t for _, t, _ in read] == [t for t in sorted(counts) if t <= widths[-1]], P
-        assert read_off["lifted"] == [t for t in sorted(counts) if t > widths[-1]], P
+        lifted = [(None, P.n * (t + 1)) for t in sorted(counts) if t > widths[-1]]
+        assert read_off["np_kernel"] == lifted, P
         routes[min(len(above), 2), bool(mod_q)] += 1
     assert set(routes) == {"mod q", (0, True), (1, True), (2, True), (0, False)}, routes
 
