@@ -301,30 +301,105 @@ def _table_monomial(P: Parameterization, cap: int):
             )
 
 
-def _slices(P: Parameterization):
-    """HF_A(1), HF_A(2), ... by exact elimination on values (_image_ranks)."""
-    return _image_ranks(_gens_array(P), P.field)
+def _slices(P: Parameterization, e=None):
+    """HF_A(1), HF_A(2), ... by elimination on values at points mod primes.
+
+    Over F_p one run of _image_ranks gives them.  Over QQ it runs on the
+    integer generators (_gens_array) mod q = DEFAULT_PRIME, then mod the
+    next primes of RationalField.residue_fields, all in step, slice by
+    slice; a prime is added only while the slice at hand is unproved.  The
+    rank of slice j is that of the coefficient matrix M_j of the
+    C(j+n-1, n-1) products of j generators, an integer matrix whose rank
+    mod p the values at a run's points keep (_ranks_at_points), and a rank
+    mod p is never above the rank over QQ.  Each slice keeps the largest
+    rank seen and the product of the primes that gave it, and the rank is
+    proved once it meets k = min(C(j+n-1, n-1), j*e + 1), e = d when not
+    given: A_j is spanned by those products and lies in k[f1, f2]_(je).  It
+    is also proved once the product passes the Hadamard bound
+    (sqrt(k) N^j)^k, N the largest row 1-norm of the integer generators.
+    A higher rank would have a nonzero minor of M_j of size at most k,
+    whose entries are at most N^j, and every prime tried would divide it.
+    The bound is compared in bits, each prime counting one less than its
+    bit length.  When a slice misses mod q, _check_proof sizes the primes
+    its bound may need against MAX_TABLE_ENTRIES before another prime ranks
+    it.
+    """
+    G = _gens_array(P)
+    if P.field.modular:
+        yield from _image_ranks(G, P.field)
+        return
+    n, d = G.shape[0], G.shape[1] - 1
+    # bits of N, the largest row 1-norm
+    nbits = max(sum(map(abs, row)) for row in G.tolist()).bit_length()
+    fields = P.field.residue_fields()
+    runs = []  # (p, the slices of _image_ranks mod p still to read), in step
+    for j in count(1):
+        k = min(comb(j + n - 1, n - 1), j * (e or d) + 1)
+        # (sqrt(k) N^j)^k < 2^need
+        need = j * k * nbits + (k * k.bit_length() + 1) // 2
+        best = bits = 0
+        for i in count():
+            proved = best == k or bits >= need
+            if i == 1 and not proved:
+                _check_proof(n, d, j, need)
+            if i == len(runs):
+                if proved:
+                    break
+                field = next(fields)
+                ranks = _image_ranks(linalg.to_np(G % field.p, field), field)
+                runs.append((field.p, islice(ranks, j - 1, None)))
+            p, ranks = runs[i]
+            rank = next(ranks, 0)
+            if rank > best:
+                best, bits = rank, 0
+            if rank == best:
+                bits += p.bit_length() - 1
+        yield best
+
+
+def _check_proof(n: int, d: int, j: int, need: int) -> None:
+    """InstanceError unless the primes that pass 2^need, at about 30 bits
+    each, times the entries of the pass that holds slice j, fit
+    MAX_TABLE_ENTRIES."""
+    J = _first_pass(n, d)
+    while J < j:
+        J *= 2
+    primes = -(-need // 30)
+    entries = primes * _table_entries(n, d, J)
+    if entries > MAX_TABLE_ENTRIES:
+        raise InstanceError(
+            f"the Hilbert table of A over QQ would prove slice {j} of {n} forms of "
+            f"degree {d} by its Hadamard bound, below 2^{need}: about {primes} primes, each "
+            f"on a pass of slices 1..{J}, {entries} matrix entries; the largest "
+            f"accepted is {MAX_TABLE_ENTRIES} (curvemap.fiber.MAX_TABLE_ENTRIES)"
+        )
+
+
+def _first_pass(n: int, d: int) -> int:
+    """J of the first pass of _image_ranks: the least j <= 2d+4 where the
+    C(j+n-1, n-1) products of j generators could fill the j*d + 1 dims of
+    their degree, or 4 when none can."""
+    return next((j for j in range(1, 2 * d + 5) if comb(j + n - 1, n - 1) >= j * d + 1), 4)
 
 
 def _image_ranks(G: np.ndarray, field):
-    """HF(1), HF(2), ... of the ring the generator rows G span over field.
+    """HF(1), HF(2), ... of the ring the generator rows G span over the prime field.
 
     Slice j is eliminated on its values at points (1 : t): a nonzero form of
     degree j*d has at most j*d zeros on P^1, so at j*d + 1 distinct points a
     slice and its values have the same rank.  The first pass reads slices
-    1..J off J*d + 1 points, J the least j <= 2d+4 where the C(j+n-1, n-1)
-    products of j generators could fill the j*d + 1 dims of their degree, or
-    4 when none can.  Each later pass doubles J and skips the ranks already
-    yielded.  Generators that are all zero, which happens only mod q, yield
-    nothing.  A pass larger than MAX_TABLE_ENTRIES raises InstanceError
-    before anything is evaluated.
+    1..J off J*d + 1 points (_first_pass).  Each later pass doubles J and
+    skips the ranks already yielded.  Generators that are all zero, which
+    happens only for residues of rational ones, yield nothing.  A pass
+    larger than MAX_TABLE_ENTRIES raises InstanceError before anything is
+    evaluated.
     """
     n, w = G.shape
     d = w - 1
     hrow = next((i for i in range(n) if G[i].any()), None)
     if hrow is None:
         return
-    J = next((j for j in range(1, 2 * d + 5) if comb(j + n - 1, n - 1) >= j * d + 1), 4)
+    J = _first_pass(n, d)
     done = 0
     while True:
         entries = _table_entries(n, d, J)
@@ -356,10 +431,9 @@ def _ranks_at_points(G: np.ndarray, field, hrow: int, J: int):
     With h = G[hrow], A_(j+1) is h * A_j plus the monomials of degree j+1
     in the other generators.  Slice j is held padded by h^(J-j), which keeps
     its rank (the points avoid the zeros of h), so the padded slices nest
-    and one echelon grows through them with no rescaling of its rows; over
-    QQ the padded values stay integers.  Slice j+1 adds the monomials of
-    degree exactly j+1, each built once as g_i times the monomial of degree
-    j with the last index i removed.  Once that layer would exceed
+    and one echelon grows through them with no rescaling of its rows.  Slice
+    j+1 adds the monomials of degree exactly j+1, each built once as g_i
+    times the monomial of degree j with the last index i removed.  Once that layer would exceed
     (n-1) * |new| rows, new the rows that slice j added to the echelon, the
     products q_i * new, q_i = g_i / h, are added instead, from then on:
     g_i * A_(j-1) lies in A_j, so only the rows new in slice j need the
@@ -398,8 +472,7 @@ def _values_at_points(G: np.ndarray, hrow: int, W: int, field) -> np.ndarray:
     """
     p = linalg.modulus(field)
     d = G.shape[1] - 1
-    count = W + d if p is None else min(W + d, p)
-    ts = linalg.to_np([_walk_point(k) for k in range(count)], field)[0]
+    ts = linalg.to_np([_walk_point(k) for k in range(min(W + d, p))], field)[0]
     values = linalg.np_matmul_mod(G, linalg.np_vandermonde(ts, d, p), p)
     keep = np.flatnonzero(values[hrow])[:W]
     if len(keep) < W:
@@ -408,33 +481,6 @@ def _values_at_points(G: np.ndarray, hrow: int, W: int, field) -> np.ndarray:
             "at distinct points where a generator does not vanish"
         )
     return values[:, keep]
-
-
-def _sandwich(P: Parameterization, bounds):
-    """_image_ranks on the generators of P over QQ, through one prime.
-
-    bounds yields an upper bound on each exact rank.  The generators are
-    reduced once mod q (RationalField.reduction).  Mod q as over QQ, the
-    values of a slice at its points have the rank of its coefficient
-    matrix, whose entries are integer polynomials in the coefficients of
-    the generators; so the rank mod q is never above the rank over QQ, which
-    is never above the bound: a rank mod q that meets its bound is the exact
-    rank.  From the first miss on, the exact elimination on values at
-    integer points yields the ranks, and it yields all of them when a
-    denominator is divisible by q or every generator vanishes mod q.  It
-    starts again from the first slice, so the ranks already proved are
-    recomputed and skipped.
-    """
-    proved = 0
-    reduced = P.field.reduction([list(g.coeffs) for g in P.gens])
-    if reduced is not None:
-        field, rows = reduced
-        for value, bound in zip(_image_ranks(linalg.to_np(rows, field), field), bounds):
-            if value != bound:
-                break
-            yield value
-            proved += 1
-    yield from islice(_image_ranks(_gens_array(P), P.field), proved, None)
 
 
 def _plane_curve(e: int):
@@ -463,17 +509,17 @@ def hilbert_table_a(P: Parameterization, e=None):
     degree e in the new variables, generate every form of degree >= 2e - 1,
     so A_(j+1) = A_j * A_1 is full as well.
 
-    Over QQ with e given and n >= 4, each slice is first ranked mod q
-    (_sandwich).  A_j is spanned by the C(j+n-1, n-1) products of j
-    generators and lies in k[f1, f2]_(je), of dimension j*e + 1, so
-    min(C(j+n-1, n-1), j*e + 1) bounds HF_A(j), and a rank mod q that meets
-    it is proved; from the first miss on the slices are eliminated exactly,
-    on values at integer points.  The second bound holds only when e is the
-    certified e(A).
+    Over QQ each slice is ranked mod primes (_slices): mod q = DEFAULT_PRIME,
+    and mod more primes only while its rank neither meets its bound
+    min(C(j+n-1, n-1), j*e + 1) nor is proved by the Hadamard bound of its
+    coefficient matrix.  With e given, the bound holds only when e is the
+    certified e(A); without it, e = d.  A proof that would need more than
+    MAX_TABLE_ENTRIES entries of passes in all raises InstanceError before
+    its second prime runs.
 
     e is trusted, not verified: a wrong e gives a wrong table for n = 3, and
     may for n >= 4 once a slice happens to read j*e + 1, over QQ also when a
-    rank mod q happens to meet the wrong bound.  Only the monomial
+    rank mod a prime happens to meet the wrong bound.  Only the monomial
     route, and a table whose slope never reaches e, turn a wrong e into an
     error.  Without e the whole table is eliminated, which certify_map_degree
     can then check through r * e = d.
@@ -486,13 +532,7 @@ def hilbert_table_a(P: Parameterization, e=None):
                 f"the sumset table gives e(A) = {got}, the certified map degree e(A) = {e}"
             )
         return got, hf
-    if e is not None and P.n == 3:
-        values = _plane_curve(e)
-    elif e is not None and not P.field.modular:
-        bounds = (min(comb(j + P.n - 1, P.n - 1), j * e + 1) for j in count(1))
-        values = _sandwich(P, bounds)
-    else:
-        values = _slices(P)
+    values = _plane_curve(e) if e is not None and P.n == 3 else _slices(P, e)
     hf = [1]
     full = False
     j = 0

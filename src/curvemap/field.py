@@ -59,9 +59,8 @@ def reduction_primes():
     """DEFAULT_PRIME, then each prime below it down to MIN_PRIME, in decreasing order.
 
     Found lazily by the uncached test, one at a time, and kept
-    (_prime_below): nothing is searched at import, a later call walks the
-    primes found before without testing them again, and the verdicts that
-    is_prime keeps stay those of the moduli commands name.
+    (_prime_below): nothing is searched at import, and a later call walks
+    the primes found before without testing them again.
     """
     q = DEFAULT_PRIME
     while q:
@@ -197,6 +196,10 @@ class RationalField:
         if any(v.denominator % DEFAULT_PRIME == 0 for row in rows for v in row):
             return None
         return _REDUCTION, [[_REDUCTION.conv(v) for v in row] for row in rows]
+
+    def residue_fields(self):
+        """F_p for each p of reduction_primes(), DEFAULT_PRIME first."""
+        return map(PrimeField, reduction_primes())
 
     def fmt(self, a) -> str:
         return str(a)

@@ -7,11 +7,14 @@ the modulus p.  Over the rationals a matrix is an object array of Fractions
 (p None), and it is never eliminated as one: its reduced kernel is lifted
 from kernels mod primes and proved by one integer product
 (_lifted_kernel), and np_rref, np_kernel, np_solve and the ranks read
-their answers off that kernel.  modulus(field), to_np, from_np and the rank
-helpers, which take a rational rank mod one prime first, are the only code
-that looks at the field.  The reduced row echelon form is unique, so ranks,
-pivots, kernel bases and solutions do not depend on the route.  Everything
-is deterministic: no pivoting heuristics beyond first-nonzero.
+their answers off that kernel.  In this module modulus(field), to_np,
+from_np, the rank helpers, which take a rational rank mod one prime first,
+and Echelon, which refuses the rationals, are the only code that looks at
+the field.  Outside it fiber, syzygy and param also branch on
+field.modular, to take a rational answer mod primes first, and forms to
+reduce its products mod p.  The reduced row echelon form is unique, so
+ranks, pivots, kernel bases and solutions do not depend on the route.
+Everything is deterministic: no pivoting heuristics beyond first-nonzero.
 
 Products mod p run on float64 BLAS, exactly (the delayed reduction of
 FFLAS-FFPACK).  The exact-limb rule: a residue a < 2**31 splits into 16-bit
@@ -24,10 +27,10 @@ float temporaries stay within a fixed number of bytes.  On top of that
 product one kernel, _absorb, grows a span held in reduced row echelon form
 by a block of rows: one product clears the held pivots from the block and
 one more clears the block's new pivots from the held rows.  Row reduction of
-a large matrix and the growing echelon mod p both run on it; small matrices
-keep the plain per-pivot loop, which also reduces each block.  The growing
-echelon over the rationals holds integer rows and clears them free of
-fractions.
+a large matrix and the growing echelon both run on it; small matrices keep
+the plain per-pivot loop, which also reduces each block.  The growing
+echelon, like every elimination outside the lift, works on int64 residues
+mod p only.
 """
 
 from __future__ import annotations
@@ -237,52 +240,6 @@ def integer_rows(a: np.ndarray) -> np.ndarray:
         g = math.gcd(*ints)
         out[i] = [v // g for v in ints] if g > 1 else ints
     return out
-
-
-def _primitive(rows: np.ndarray) -> np.ndarray:
-    """Integer rows divided by the gcd of their entries."""
-    g = np.gcd.reduce(rows, axis=1)
-    g[g == 0] = 1
-    return rows // g[:, None]
-
-
-def _clear(c: np.ndarray, h: np.ndarray, pivots) -> None:
-    """Clear, in place, the columns pivots[t] of the integer rows c with the
-    integer echelon rows h, h[t] leading at pivots[t].
-
-    The rational echelon's forward reduction, free of fractions: a row to
-    clear becomes h[t, pivot] times itself less its pivot entry times h[t],
-    divided by the gcd of its entries.  That keeps it an integer row on the
-    same line as its rational reduction, and about as long.
-    """
-    for t, col in enumerate(pivots):
-        nz = np.flatnonzero(c[:, col])
-        if nz.size:
-            c[nz] = _primitive(c[nz] * h[t, col] - np.outer(c[nz, col], h[t]))
-
-
-def _echelon(a: np.ndarray):
-    """A row echelon form of the integer rows a, in place, free of fractions.
-
-    Returns (a, pivots).  The rows are primitive and not reduced: each pivot
-    row clears only the rows below it, as _clear does.
-    """
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if not nz.size:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        _clear(a[r + 1 :], a[r : r + 1], [c])
-        pivots.append(c)
-        r += 1
-    return a, pivots
 
 
 def np_kernel(a: np.ndarray, p) -> np.ndarray:
@@ -504,18 +461,16 @@ def np_multiples(rows: np.ndarray, s: int) -> np.ndarray:
 
 
 def np_mul(a: np.ndarray, b: np.ndarray, p) -> np.ndarray:
-    """The pointwise product a * b of field arrays, broadcast as numpy does."""
-    return _reduce(a * b, p)
+    """The pointwise product a * b of residues mod p, broadcast as numpy does."""
+    return a * b % p
 
 
 def np_inverses(a: np.ndarray, p) -> np.ndarray:
-    """The pointwise inverses of nonzero field scalars.
+    """The pointwise inverses of nonzero residues mod p.
 
     Mod p by Fermat, a**(p-2), with every square and product of two
     residues inside int64.
     """
-    if p is None:
-        return _to_fraction(a) ** -1
     out, base, e = np.ones_like(a), a % p, p - 2
     while e:
         if e & 1:
@@ -603,31 +558,26 @@ def solve(rows, rhs, field):
 
 
 class Echelon:
-    """A growing span, held in row echelon form with its rows sorted by pivot.
+    """A growing span mod p, held in reduced row echelon form, its rows sorted by pivot.
 
-    The one incremental elimination of the package.  Over a prime field the
-    held rows stay in reduced row echelon form, so they are the identity on
-    their pivot columns and only their entries on the other columns are
-    kept: each block of rows is absorbed by two products (_absorb).  Over
-    the rationals, where full reduction grows the coefficients, the held
-    rows are primitive integer rows, not reduced: each block is scaled to
-    integer rows, cleared against them one pivot at a time (_clear), what is
-    left is brought to echelon form the same way (_echelon), and its pivots
-    are merged in.  No step there makes a Fraction, or a gcd per entry and
-    operation; a row's entries share one gcd per pivot.  The Hilbert
-    function of the image ring (fiber) grows its slices through it, on their
-    values at points.
+    The one incremental elimination of the package.  The held rows are the
+    identity on their pivot columns, so only their entries on the other
+    columns are kept, and each block of rows is absorbed by two products
+    (_absorb).  It works mod p only, and refuses a rational field: over QQ
+    the Hilbert function of the image ring (fiber), its one user, grows its
+    slices through it on their values at points mod primes.
     """
 
     def __init__(self, ncols: int, field):
+        if not field.modular:
+            raise ValueError("the echelon works mod p only")
         self.field = field
-        self._p = modulus(field)
+        self._p = field.p
         self._ncols = ncols
         self.pivots: list[int] = []
-        # over a prime field the columns that are not pivots, and the held
-        # rows on them; over the rationals every column, and the whole rows
+        # the columns that are not pivots, and the held rows on them
         self._free = np.arange(ncols)
-        self._held = np.zeros((0, ncols), dtype=_dtype(self._p))
+        self._held = np.zeros((0, ncols), dtype=np.int64)
         # the rows the last add_rows inserted, as held, and their pivots
         self._new = (self._held, [])
 
@@ -638,8 +588,6 @@ class Echelon:
     @property
     def rows(self) -> np.ndarray:
         """The held rows, whole, sorted by pivot."""
-        if self._p is None:
-            return self._held
         return _expand(self.pivots, self._free, self._held, self._ncols)
 
     @property
@@ -648,28 +596,17 @@ class Echelon:
 
         Together with the rows held before, they span the grown span.
         """
-        rows, piv = self._new
-        if self._p is None:
-            return rows
-        return _expand(piv, self._free, rows, self._ncols)
+        return _expand(self._new[1], self._free, self._new[0], self._ncols)
 
     def add_rows(self, rows) -> int:
-        """Insert rows of field scalars; returns how many were new.
+        """Insert rows of residues; returns how many were new.
 
-        Over a prime field the rows may hold any int64 integers, such as
-        products of two residues; they are read mod p.  rows, a list or an
-        array, is left unchanged.
+        The rows may hold any int64 integers, such as products of two
+        residues; they are read mod p.  rows, a list or an array, is left
+        unchanged.
         """
-        p = self._p
-        block = _reduce(np.array(rows, dtype=_dtype(p)), p).reshape(-1, self._ncols)
-        if p is not None:
-            (self.pivots, self._free, self._held), self._new = _absorb(
-                self.pivots, self._free, self._held, block, p
-            )
-            return len(self._new[1])
-        block = integer_rows(block)
-        _clear(block, self._held, self.pivots)
-        red, piv = _echelon(block)
-        self._new = (red[: len(piv)], piv)
-        self._held, self.pivots = _merge(self._held, self.pivots, *self._new)
-        return len(piv)
+        block = np.array(rows, dtype=np.int64).reshape(-1, self._ncols) % self._p
+        (self.pivots, self._free, self._held), self._new = _absorb(
+            self.pivots, self._free, self._held, block, self._p
+        )
+        return len(self._new[1])

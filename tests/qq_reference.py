@@ -2,9 +2,11 @@
 
 Over QQ curvemap eliminates no Fraction matrix: its kernels are lifted from
 primes and proved by one integer product (linalg._lifted_kernel), and its
-reduced forms, ranks and solutions are read off them.  sympy's DomainMatrix
-over QQ is an independent exact elimination to compare them with.  Arrays
-in and out are object arrays of Fractions, laid out as linalg's.
+reduced forms, ranks and solutions are read off them; the slices of the
+Hilbert table of A are ranked mod primes (fiber._slices).  sympy's
+DomainMatrix over QQ is an independent exact elimination to compare them
+with.  Arrays in and out are object arrays of Fractions, laid out as
+linalg's.
 """
 
 from fractions import Fraction
@@ -50,3 +52,29 @@ def solve(a: np.ndarray, b: np.ndarray):
     x = np.full(cols, Fraction(0), dtype=object)
     x[pivots] = red[: len(pivots), cols]
     return x
+
+
+def slice_ranks(P, top: int) -> list:
+    """[HF_A(1), ..., HF_A(top)] of a map P over QQ: the rank of the
+    coefficient matrix of the degree-j products of its generators, each
+    multiset of factors once, multiplied and ranked by sympy."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    T = sympy.Symbol("t")
+    # g(1, t): products of forms keep their coefficients, and univariate
+    # products are far cheaper in sympy than bivariate ones
+    gens = [
+        sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(g.coeffs)], T)
+        for g in P.gens
+    ]
+    # (product, index of its last factor)
+    products = [(sympy.Poly(1, T), 0)]
+    ranks = []
+    for j in range(1, top + 1):
+        products = [(f * gens[i], i) for f, k in products for i in range(k, P.n)]
+        width = j * P.d + 1
+        rows = [[f.coeff_monomial(T**i) for i in range(width)] for f, _ in products]
+        m = DomainMatrix.from_list_sympy(len(rows), width, rows).convert_to(sympy.QQ)
+        ranks.append(m.rank())
+    return ranks

@@ -319,8 +319,10 @@ def test_image_slices_past_the_first_pass_are_read_off_more_points(any_field, bu
         passes.clear()
         got = list(islice(_slices(P), 6))
         assert got == [product_slice_dim(P, j) for j in range(1, 7)], P
-        # slices J+1..6 come from a second pass on 2 J d + 1 points
-        assert passes == [J, 2 * J]
+        # slices J+1..6 come from a second pass on 2 J d + 1 points, over QQ
+        # in the run mod each prime
+        runs = len(passes) // 2
+        assert passes[0] == J and sorted(passes) == [J] * runs + [2 * J] * runs
 
 
 def test_image_slices_never_repeat_a_point():

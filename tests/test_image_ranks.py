@@ -15,7 +15,6 @@ import importlib
 import random
 import sys
 import tracemalloc
-from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -50,14 +49,10 @@ FP = PrimeField(2147483647)
 def forward_reduce(c, h, pivots, p):
     """Clear, in place, the columns pivots[t] of c with the echelon rows h,
     h[t] leading at pivots[t] and not necessarily monic: one rank-1 update
-    per pivot, mod p or (p None) in Fractions."""
+    per pivot, mod p."""
     for t, col in enumerate(pivots):
         nz = np.flatnonzero(c[:, col])
-        if not nz.size:
-            continue
-        if p is None:
-            c[nz] = c[nz] - np.outer(c[nz, col] / Fraction(h[t, col]), h[t])
-        else:
+        if nz.size:
             f = c[nz, col] * pow(int(h[t, col]), -1, p) % p
             c[nz] = (c[nz] - np.outer(f, h[t])) % p
 
@@ -69,6 +64,7 @@ def reference_ranks_at_points(G, field, hrow, J):
     values of h, which keeps every pivot, and the rows new in A_j are
     multiplied by every other generator.  The held rows are echelon rows,
     not reduced; each block is cleared against them one pivot at a time.
+    Over QQ the table runs it mod each prime it takes.
     """
     p = modulus(field)
     V = fiber._values_at_points(G, hrow, J * (G.shape[1] - 1) + 1, field)
@@ -76,13 +72,13 @@ def reference_ranks_at_points(G, field, hrow, J):
     held, pivots, new = V[:0], [], None
     for _ in range(J):
         block = V if new is None else (others[:, None, :] * new).reshape(-1, V.shape[1])
-        block = block.copy() if p is None else block % p
+        block = block % p
         forward_reduce(block, held, pivots, p)
         red, piv = np_rref(block, p)
         new = red[: len(piv)]
         held, pivots = linalg._merge(held, pivots, new, piv)
         yield len(pivots)
-        held = held * h if p is None else held * h % p
+        held = held * h % p
 
 
 def tables(P, e, monkeypatch):

@@ -4,15 +4,16 @@ Only the field module, the CLI and the package root name PrimeField: every
 other module reaches the field through its methods and through
 linalg.modulus, so a second, field-specific code path cannot come back
 unnoticed.  Only linalg names _absorb, the kernel that grows a reduced
-echelon by a block of rows, and _clear, the rational echelon's forward
-reduction: incremental elimination goes through linalg.Echelon, not through
-a hand-written loop elsewhere.
+echelon by a block of rows: incremental elimination goes through
+linalg.Echelon, not through a hand-written loop elsewhere, and Echelon
+refuses QQ.
 Only linalg names _lifted_kernel, and reduction_primes beside the field
 module that defines it: over QQ every kernel, reduced form, rank and
 solution is read off the one proved lift from primes, so no caller picks a
-route.  A spy on the per-pivot loop shows that no object array reaches it
-on the analyses of dense and composed QQ maps and the rational benchmark's
-commands: no Fraction elimination is left.
+route.  A spy on the per-pivot loop, Echelon.add_rows and _absorb shows
+that no object array reaches them on the analyses of dense, composed and
+quadric QQ maps and the rational benchmark's commands: no Fraction
+elimination is left, and the table of A over QQ runs on residues.
 Only linalg and fiber name Echelon: the Hilbert table of A is its one
 consumer, and the Hilbert function of the ideal is one elimination, so a
 second incremental path cannot come back unnoticed.  Only fiber names
@@ -31,10 +32,12 @@ import random
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import curvemap
 from curvemap import QQ, Analysis, cli, dense_corpus, linalg
 from test_degree_certificate import composed_map
+from test_rational_sandwich import quadric_map
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -70,7 +73,8 @@ def test_prime_field_is_named_only_at_the_edges():
 
 def test_only_linalg_grows_an_echelon():
     assert _users("_absorb") == {"linalg.py"}
-    assert _users("_clear") == {"linalg.py"}
+    with pytest.raises(ValueError, match="mod p only"):
+        linalg.Echelon(3, QQ)
 
 
 def test_only_linalg_lifts_rational_kernels():
@@ -79,25 +83,37 @@ def test_only_linalg_lifts_rational_kernels():
 
 
 def test_no_object_array_reaches_the_per_pivot_loop(tmp_path, capsys, monkeypatch):
-    dtypes = set()
+    dtypes = {"loop": set(), "add_rows": set(), "absorb": set()}
     lifts = [0]
-    real_loop, real_lift = linalg._rref_loop, linalg._lifted_kernel
+    real_loop, real_lift, real_absorb = linalg._rref_loop, linalg._lifted_kernel, linalg._absorb
+    real_add_rows = linalg.Echelon.add_rows
 
     def loop(a, p):
-        dtypes.add(a.dtype)
+        dtypes["loop"].add(a.dtype)
         return real_loop(a, p)
 
     def lift(a):
         lifts[0] += 1
         return real_lift(a)
 
+    def add_rows(self, rows):
+        dtypes["add_rows"].add(np.asarray(rows).dtype)
+        return real_add_rows(self, rows)
+
+    def absorb(pivots, free, rest, block, p):
+        dtypes["absorb"].update((rest.dtype, block.dtype))
+        return real_absorb(pivots, free, rest, block, p)
+
     monkeypatch.setattr(linalg, "_rref_loop", loop)
     monkeypatch.setattr(linalg, "_lifted_kernel", lift)
+    monkeypatch.setattr(linalg, "_absorb", absorb)
+    monkeypatch.setattr(linalg.Echelon, "add_rows", add_rows)
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     rng = random.Random("layering-composed")
     maps = dense_corpus(QQ, 12, seed=13)
     maps += [composed_map(QQ, rng, *triple)[0] for triple in workloads.COMPOSED_LADDER]
+    maps += [quadric_map(rng, k) for k in (2, 3)]
     for P in maps:
         Analysis(P, seed=1).report()
     for i, cmd in enumerate(workloads.rational(1)):
@@ -105,8 +121,10 @@ def test_no_object_array_reaches_the_per_pivot_loop(tmp_path, capsys, monkeypatc
         path.write_text(cmd.inst.text())
         assert cli.main(["analyze", str(path), "--deterministic"]) == 0
     capsys.readouterr()
-    # the QQ route ran, and every elimination in a loop was on residues
-    assert lifts[0] and dtypes == {np.dtype(np.int64)}, dtypes
+    # the QQ route ran, and every elimination in a loop or an echelon was
+    # on residues
+    int64 = {np.dtype(np.int64)}
+    assert lifts[0] and dtypes == dict.fromkeys(dtypes, int64), dtypes
 
 
 def test_only_fiber_draws_image_points():

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -164,51 +163,45 @@ def test_echelon_incremental_matches_batch_rank(field):
     assert ech.add_rows([combo]) == 0
 
 
-def test_echelon_add_rows_leaves_its_argument_unchanged():
+def test_echelon_add_rows_leaves_its_argument_unchanged(field):
     rng = random.Random("echelon-copy")
-    block = to_np([[Fraction(v, 3) for v in row] for row in random_matrix(rng, 4, 5, 9)], QQ)
+    rows = [[field.conv(Fraction(v, 3)) for v in row] for row in random_matrix(rng, 4, 5, 9)]
+    block = to_np(rows, field)
     before = block.copy()
-    ech = Echelon(5, QQ)
+    ech = Echelon(5, field)
     ech.add_rows(block[:2])
-    # the second block is forward-reduced against the rows already held
+    # the second block is cleared against the rows already held
     ech.add_rows(block)
     assert (block == before).all()
-    assert ech.rank == rank(before.tolist(), QQ)
+    assert ech.rank == rank(before.tolist(), field)
     assert ech.pivots == sorted(ech.pivots)
 
 
-def test_echelon_keeps_its_held_rows_in_echelon_form(any_field):
-    # mod p the held rows are the reduced row echelon form of the span, as
-    # np_rref gives it; over QQ they are primitive integer echelon rows,
-    # sorted, not reduced.  Either way new holds the rows of the last block
-    # that led at new pivots
-    p = modulus(any_field)
+def test_echelon_keeps_its_held_rows_in_echelon_form(field):
+    # the held rows are the reduced row echelon form of the span, as np_rref
+    # gives it, and new holds the rows of the last block that led at new
+    # pivots
+    p = modulus(field)
     rng = random.Random("echelon-form")
-    rows = [[any_field.conv(v) for v in row] for row in random_matrix(rng, 9, 8, 9)]
-    rows[4] = [any_field.add(a, b) for a, b in zip(rows[0], rows[2])]
-    rows[7] = [any_field.zero] * 8
-    ech = Echelon(8, any_field)
+    rows = [[field.conv(v) for v in row] for row in random_matrix(rng, 9, 8, 9)]
+    rows[4] = [field.add(a, b) for a, b in zip(rows[0], rows[2])]
+    rows[7] = [field.zero] * 8
+    ech = Echelon(8, field)
     for start, end in ((0, 2), (2, 3), (3, 7), (7, 9)):
         before = list(ech.pivots)
         added = ech.add_rows(rows[start:end])
-        assert ech.rank == rank(rows[:end], any_field)
+        assert ech.rank == rank(rows[:end], field)
         assert ech.pivots == sorted(ech.pivots)
         held = ech.rows
         assert [int(np.flatnonzero(r)[0]) for r in held] == ech.pivots
         fresh = [c for c in ech.pivots if c not in before]
         assert added == len(fresh) == ech.new.shape[0]
         assert [int(np.flatnonzero(r)[0]) for r in ech.new] == fresh
-        if p is None:
-            assert all(type(v) is int for v in held.ravel())
-            assert [math.gcd(*r) for r in held.tolist()] == [1] * len(held)
-            assert ech.add_rows(ech.new) == 0
-        else:
-            want, piv = np_rref(to_np(rows[:end], any_field), p)
-            assert piv == ech.pivots and np.array_equal(held, want[: len(piv)])
-            assert np.array_equal(ech.new, held[[piv.index(c) for c in fresh]])
+        want, piv = np_rref(to_np(rows[:end], field), p)
+        assert piv == ech.pivots and np.array_equal(held, want[: len(piv)])
+        assert np.array_equal(ech.new, held[[piv.index(c) for c in fresh]])
     # products of residues, not reduced mod p, are read mod p: all are held
-    if p is not None:
-        assert ech.add_rows(ech.rows * 3 + p) == 0
+    assert ech.add_rows(ech.rows * 3 + p) == 0
 
 
 def test_echelon_sorts_a_later_lower_pivot_before_a_product(field):

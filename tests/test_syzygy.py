@@ -174,6 +174,20 @@ def reference_kernel(P, t):
     return np_kernel(m, modulus(P.field)) if P.field.modular else qq_reference.kernel(m)
 
 
+class SympySpan:
+    """Echelon.add_rows over QQ for the reference admission: the rank of
+    every row added so far, by sympy (Echelon works mod p only)."""
+
+    def __init__(self):
+        self.rows, self.rank = [], 0
+
+    def add_rows(self, rows):
+        self.rows += rows
+        rank = len(qq_reference.rref(to_np(self.rows, QQ))[1])
+        added, self.rank = rank - self.rank, rank
+        return added
+
+
 def reference_hilbert_burch(P):
     """hilbert_burch with column degrees from direct ranks and one-by-one admission.
 
@@ -185,7 +199,7 @@ def reference_hilbert_burch(P):
     kernel = reference_kernel if P.is_monomial else syzygies_in_degree
     accepted = []
     for t in sorted(counts):
-        ech = Echelon(n * (t + 1), field)
+        ech = Echelon(n * (t + 1), field) if field.modular else SympySpan()
         for D, vec in accepted:
             comps = [vec[i * (D + 1) : (i + 1) * (D + 1)] for i in range(n)]
             for k in range(t - D + 1):
