@@ -87,10 +87,6 @@ class Analysis:
         # and the column degrees sum to d
         return self.param.d * self.r * self.e
 
-    @property
-    def pair(self):
-        return self.certificate.pair
-
     @cached_property
     def reparam(self):
         return reparameterize(self.param, self.phi, self.certificate)

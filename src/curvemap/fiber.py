@@ -558,13 +558,17 @@ def multiplicity_a(P: Parameterization) -> int:
 class DegreeCertificate:
     """The map degree r with its witness.
 
-    pair holds coprime forms f1, f2 of degree r, and new_gens every generator
-    written as a form in (f1, f2).
+    table holds the products of coprime forms f1, f2 of degree r (the pair),
+    and new_gens every generator written as a form in (f1, f2).
     """
 
     r: int
-    pair: tuple
+    table: object
     new_gens: tuple
+
+    @property
+    def pair(self) -> tuple:
+        return self.table.pair
 
 
 def _walk_bound(d: int) -> int:
@@ -580,30 +584,31 @@ def _lueroth(P: Parameterization, phi: SyzygyMatrix, s: int, fibers: list, e):
     reduced basis f1, f2 (extract_reparam_basis) is coprime with every g_i in
     k[f1, f2]: the map then factors through the degree-s cover (f1 : f2).
     """
-    from .reparam import express_in_subring, extract_reparam_basis
+    from .reparam import PowerTable, extract_reparam_basis
 
     if any(D % s for D in phi.col_degrees) or (e is not None and s * e != P.d):
         raise CertificationFailed(
             f"fiber degree {s} fails certification against "
             f"column degrees {list(phi.col_degrees)} and e(A) = {e} with d = {P.d}"
         )
-    field = P.field
     if s == 1:
         # each generator is its own coordinate form in (x, y)
-        return DegreeCertificate(1, (monomial(field, 1, 0), monomial(field, 1, 1)), P.gens)
-    f1, f2 = extract_reparam_basis(fibers)
-    if gcd_forms([f1, f2]).degree:
+        x, y = (monomial(P.field, 1, k) for k in (0, 1))
+        return DegreeCertificate(1, PowerTable(x, y), P.gens)
+    table = PowerTable(*extract_reparam_basis(fibers))
+    f1, f2 = table.pair
+    if not table.coprime:
         raise CertificationFailed(
             f"the pair ({format_form(f1)}, {format_form(f2)}) is not two coprime "
             f"forms of the fiber degree {s}"
         )
-    new_gens = tuple(express_in_subring(g, f1, f2) for g in P.gens)
+    new_gens = tuple(table.express(P.gens))
     if None in new_gens:
         raise CertificationFailed(
             f"not every generator lies in k[{format_form(f1)}, {format_form(f2)}], "
             f"so the fiber degree {s} is not proved to be the map degree"
         )
-    return DegreeCertificate(s, (f1, f2), new_gens)
+    return DegreeCertificate(s, table, new_gens)
 
 
 def certify_map_degree(P: Parameterization, phi: SyzygyMatrix, e=None) -> DegreeCertificate:

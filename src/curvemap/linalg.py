@@ -303,7 +303,7 @@ def _lifted_kernel(a: np.ndarray):
     """
     m_int = integer_rows(a)
     bound = 2 * math.prod(max(1, v) for v in (m_int * m_int).sum(axis=0).tolist())
-    best, tried = None, 1
+    best, tried, limit = None, 1, bound * bound
     for q in reduction_primes():
         tried *= q
         k, free = _kernel(*np_rref(np.array(m_int % q, dtype=np.int64), q), q)
@@ -319,7 +319,7 @@ def _lifted_kernel(a: np.ndarray):
             lifted = _reconstructed(residues, modulus)
             if lifted is not None and _proves_kernel(m_int, lifted, free):
                 return lifted, free
-        if modulus > bound or tried > bound * bound:
+        if modulus > bound or tried > limit:
             break
     raise CertificationFailed(
         f"no kernel of a {a.shape[0]} x {a.shape[1]} rational matrix was proved "

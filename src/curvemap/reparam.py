@@ -8,6 +8,8 @@ f1, f2 rewrites the input as a birational parameterization of degree d/r,
 and the core of the ideal has the closed form (f1, f2)^(2d/r - 1).  For a
 monomial pair -- every r = 1 map, every monomial map, any pair (x^r, y^r) --
 the core is computed on exponent pairs, with no form products or slice ranks.
+Every other rewriting in k[f1, f2] reads the certificate's PowerTable, whose
+products are built once, and rewrites the forms of one degree in one solve.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from functools import cached_property
 from . import linalg
 from .errors import CertificationFailed, DegreeMismatch
 from .fiber import map_degree
-from .forms import BinaryForm, form, format_form, format_monomial, gcd_forms
+from .forms import BinaryForm, constant, form, format_form, format_monomial, gcd_forms
 from .ideals import GradedIdeal, ideal_equals, maximal_ideal_power
 from .monomial import MonomialIdeal, closure_pairs, exponent_pairs, staircase
 from .param import Parameterization
@@ -109,35 +111,76 @@ def extract_reparam_basis(fibers):
     return form(field, f1), form(field, f2)
 
 
-def _pair_power_products(f1: BinaryForm, f2: BinaryForm, m: int) -> list:
-    """[f1^(m-k) * f2^k for k = 0..m]: generators of (f1, f2)^m, a basis of k[f1, f2]_m."""
-    field = f1.field
-    pow1 = [form(field, [field.one])]
-    pow2 = [form(field, [field.one])]
-    for _ in range(m):
-        pow1.append(pow1[-1].mul(f1))
-        pow2.append(pow2[-1].mul(f2))
-    return [pow1[m - k].mul(pow2[k]) for k in range(m + 1)]
+class PowerTable:
+    """The products f1^(m-k) f2^k of a pair of forms of one degree r, each
+    built once, on first use.  A map-degree certificate carries the table of
+    its pair, so no command reuses another's."""
+
+    def __init__(self, f1: BinaryForm, f2: BinaryForm):
+        if f1.degree != f2.degree:
+            raise DegreeMismatch("f1 and f2 must have one common degree")
+        self.pair, self.r, self.field = (f1, f2), f1.degree, f1.field
+        self._powers = ([constant(self.field), f1], [constant(self.field), f2])
+        self._bases: dict = {}
+
+    def __eq__(self, other):
+        return isinstance(other, PowerTable) and self.pair == other.pair
+
+    def __hash__(self):
+        return hash(self.pair)
+
+    @cached_property
+    def coprime(self) -> bool:
+        return gcd_forms(self.pair).degree == 0
+
+    def basis(self, m: int) -> list:
+        """[f1^(m-k) f2^k for k = 0..m]: generators of (f1, f2)^m, a basis of k[f1, f2]_m."""
+        if m not in self._bases:
+            for f, chain in zip(self.pair, self._powers):
+                while len(chain) <= m:
+                    chain.append(chain[-1].mul(f))
+            p1, p2 = self._powers
+            self._bases[m] = [p1[m - k].mul(p2[k]) for k in range(m + 1)]
+        return self._bases[m]
+
+    def compose(self, c: BinaryForm) -> BinaryForm:
+        """c(f1, f2), the combination of basis(deg c) with the coefficients of c."""
+        if c.is_zero:
+            return c
+        rows = zip(*(b.coeffs for b in self.basis(c.degree)))
+        return form(self.field, [sum(a * b for a, b in zip(c.coeffs, row)) for row in rows])
+
+    def express(self, forms) -> list:
+        """Each form written in (f1, f2), or None when it lies outside k[f1, f2].
+
+        One row reduction of the columns [basis(m) | forms of degree m r] per
+        m: a form lies in k[f1, f2] when its column is zero on every row whose
+        pivot is no basis column, and its other entries are its coordinates.
+        """
+        field, p = self.field, linalg.modulus(self.field)
+        out = [form(field, []) if h.is_zero else None for h in forms]
+        for degree in sorted({h.degree for h in forms if not h.is_zero}):
+            if degree % self.r:
+                raise DegreeMismatch(f"degree {degree} is not a multiple of r = {self.r}")
+            basis = self.basis(degree // self.r)
+            group = [i for i, h in enumerate(forms) if not h.is_zero and h.degree == degree]
+            cols = [b.coeffs for b in basis] + [forms[i].coeffs for i in group]
+            a, pivots = linalg.np_rref(linalg.to_np(cols, field).T.copy(), p)
+            held = [c for c in pivots if c < len(basis)]
+            for j, i in enumerate(group, len(basis)):
+                if not a[len(held) :, j].any():
+                    sol = dict(zip(held, linalg.from_np(a[: len(held), j], field)))
+                    out[i] = form(field, [sol.get(c, field.zero) for c in range(len(basis))])
+        return out
 
 
 def express_in_subring(h: BinaryForm, f1: BinaryForm, f2: BinaryForm):
-    """Rewrite h as a form in (f1, f2): h = sum c_k f1^(m-k) f2^k.
+    """Rewrite h as a form in (f1, f2), h = sum c_k f1^(m-k) f2^k, on a table of its own.
 
     Returns the coefficient form (in the new variables) or None when h lies
-    outside k[f1, f2] -- a legitimate negative answer for arbitrary h.
+    outside k[f1, f2]; a certificate's PowerTable rewrites many forms at once.
     """
-    if f1.degree != f2.degree:
-        raise DegreeMismatch("f1 and f2 must have one common degree")
-    r = f1.degree
-    if h.is_zero:
-        return form(h.field, [])
-    if h.degree % r:
-        raise DegreeMismatch(f"degree {h.degree} is not a multiple of r = {r}")
-    field = h.field
-    basis = _pair_power_products(f1, f2, h.degree // r)
-    rows = [[b.coeffs[i] for b in basis] for i in range(h.degree + 1)]
-    sol = linalg.solve(rows, list(h.coeffs), field)
-    return None if sol is None else form(field, sol)
+    return PowerTable(f1, f2).express([h])[0]
 
 
 def reparameterize(P: Parameterization, phi: SyzygyMatrix, cert) -> ReparamResult:
@@ -150,40 +193,26 @@ def reparameterize(P: Parameterization, phi: SyzygyMatrix, cert) -> ReparamResul
     generators and the route is recorded.
     """
     field = P.field
-    r, (f1, f2), newgens = cert.r, cert.pair, cert.new_gens
+    r, table, newgens = cert.r, cert.table, cert.new_gens
     new_param = Parameterization.build(field, newgens, variables=NEW_VARIABLES)
-    rewritten = []
-    for j, D in enumerate(phi.col_degrees):
-        if D % r:
-            rewritten = None
-            break
-        col = []
-        for entry in phi.columns[j]:
-            c = express_in_subring(entry, f1, f2)
-            if c is None:
-                rewritten = None
-                break
-            col.append(c)
-        if rewritten is None:
-            break
-        rewritten.append(tuple(col))
-    if rewritten is not None:
+    entries = [h for col in phi.columns for h in col]
+    coeffs = None if any(D % r for D in phi.col_degrees) else table.express(entries)
+    if coeffs is not None and None not in coeffs:
         route = "rewritten"
-        rphi = SyzygyMatrix(
-            field, P.n, tuple(D // r for D in phi.col_degrees), tuple(rewritten)
-        )
+        rewritten = tuple(tuple(coeffs[j : j + P.n]) for j in range(0, len(coeffs), P.n))
+        rphi = SyzygyMatrix(field, P.n, tuple(D // r for D in phi.col_degrees), rewritten)
     else:
         route = "recomputed"
         rphi = hilbert_burch(new_param)
     verification = {
-        "regularSequence": gcd_forms([f1, f2]).degree == 0,
+        "regularSequence": table.coprime,
         "extension": ideal_equals(
-            GradedIdeal.of(field, [c.compose(f1, f2) for c in newgens]),
+            GradedIdeal.of(field, [table.compose(c) for c in newgens]),
             GradedIdeal.of(field, P.gens),
         ),
         "newDegreeOne": map_degree(new_param, rphi) == 1,
     }
-    return ReparamResult(r, f1, f2, new_param, rphi, route, verification)
+    return ReparamResult(r, *table.pair, new_param, rphi, route, verification)
 
 
 def core_ideal(P: Parameterization, cert) -> CoreReport:
@@ -211,7 +240,7 @@ def core_ideal(P: Parameterization, cert) -> CoreReport:
         closed = least == closure_pairs(pairs)
         provenance = "computed-monomial"
     else:
-        generators = GradedIdeal.of(field, _pair_power_products(f1, f2, m))
+        generators = GradedIdeal.of(field, cert.table.basis(m))
         equals = ideal_equals(generators, maximal_ideal_power(field, 2 * d - 1))
         closed = r == 1
         provenance = "derived-by-theorem"

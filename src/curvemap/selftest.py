@@ -194,7 +194,7 @@ def _case_checks(P, M, seed, tag):
         inner_cert = certify_map_degree(rp.new_param, rp.rewritten_phi)
         inner = core_ideal(rp.new_param, inner_cert)
         pulled = GradedIdeal.of(
-            field, [g.compose(a.pair[0], a.pair[1]) for g in inner.core.gens]
+            field, [g.compose(*a.certificate.pair) for g in inner.core.gens]
         )
         if ideal_equals(pulled, a.core.core):
             return None
@@ -205,7 +205,7 @@ def _case_checks(P, M, seed, tag):
         g = image_point_fiber().fiber_form
         if g.degree != a.r:
             return None
-        rank = linalg.rank([list(f.coeffs) for f in (g, *a.pair)], field)
+        rank = linalg.rank([list(f.coeffs) for f in (g, *a.certificate.pair)], field)
         return None if rank == 2 else f"fiber {format_form(g)} spans rank {rank} with (f1, f2)"
 
     checks += [

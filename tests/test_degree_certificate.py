@@ -128,13 +128,13 @@ def test_analysis_hands_its_certificate_to_reparam_and_core(field, monkeypatch):
     a = Analysis(P, seed=4)
     cert = a.certificate
     seen = []
-    real = reparam_module.express_in_subring
+    real = reparam_module.PowerTable.express
 
-    def spy(h, f1, f2):
-        seen.append(h)
-        return real(h, f1, f2)
+    def spy(table, forms):
+        seen.extend(forms)
+        return real(table, forms)
 
-    monkeypatch.setattr(reparam_module, "express_in_subring", spy)
+    monkeypatch.setattr(reparam_module.PowerTable, "express", spy)
     monkeypatch.setattr(reparam_module, "extract_reparam_basis", None)
     assert (a.reparam.f1, a.reparam.f2) == cert.pair == (a.core.f1, a.core.f2)
     # only the entries of phi are rewritten; the generators come with cert

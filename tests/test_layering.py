@@ -18,7 +18,10 @@ Only linalg and fiber name Echelon: the Hilbert table of A is its one
 consumer, and the Hilbert function of the ideal is one elimination, so a
 second incremental path cannot come back unnoticed.  Only fiber names
 _image_fibers: the map-degree walk is the one walk of image points, and the
-reparameterization pair is read off it.  Only the corpora and the selftest
+reparameterization pair is read off it.  Only reparam builds the products
+f1^(m-k) f2^k of the pair, on the one power table of a certificate, and
+neither reparam nor fiber caches anything in a function: a table lives in
+its certificate, so no command reuses another's.  Only the corpora and the selftest
 import random: every reported value is proved on fixed points, so a seeded
 draw cannot come back onto the analysis path unnoticed.  No module imports
 contextvars: what a call needs, such as the echelon hilbert_burch reads its
@@ -129,6 +132,16 @@ def test_no_object_array_reaches_the_per_pivot_loop(tmp_path, capsys, monkeypatc
 
 def test_only_fiber_draws_image_points():
     assert _users("_image_fibers") == {"fiber.py"}
+
+
+def test_only_reparam_builds_products_of_the_pair():
+    # forms defines BinaryForm.compose, and the selftest checks the table
+    # against it
+    assert _users("compose") == {"forms.py", "reparam.py", "selftest.py"}
+    assert _users("PowerTable") == {"fiber.py", "reparam.py"}
+    assert not {"fiber.py", "analysis.py"} & _users("mul")
+    cached = _users("cache") | _users("lru_cache")
+    assert not {"fiber.py", "reparam.py"} & cached, sorted(cached)
 
 
 def test_only_the_corpora_and_the_selftest_import_random():
